@@ -1,11 +1,17 @@
 """Quadratic matrix sensing f(B) = (1/m) sum_i (y_i - <A_i, B B^T>)^2.
 
 Measurements y_i = <A_i, X> of a psd rank-r ground truth X, optimized over
-d x k factors with k >= r.  The default measurement ensemble draws
-A_i = a_i a_i^T - a~_i a~_i^T with standard Gaussian vectors; for that
-ensemble E <A_i, Z>^2 = 4 ||Z||_F^2 on symmetric Z, so the operator is a
-near-isometry only after dividing by op_scale = 2.  The RIP measurement
-accounts for this.
+d x k factors with k >= r.  Every measurement is a signed rank-one
+difference A_i = a_i a_i^T - a~_i a~_i^T (rank-one quadratic sampling), and
+an instance stores only the two (m, d) factor arrays ``a`` and ``at``
+(a~), never the dense (m, d, d) tensor.  Predictions are
+<A_i, B B^T> = ||B^T a_i||^2 - ||B^T a~_i||^2, so an evaluation costs
+O(m d k) instead of O(m d^2).  The default ensemble draws a_i and a~_i as
+standard Gaussian vectors; for it E <A_i, Z>^2 = 4 ||Z||_F^2 on symmetric
+Z, so the operator is a near-isometry only after dividing by
+op_scale = 2.  The RIP measurement accounts for this.  Explicit dense
+operators (``from_operator``) are split into this form by an eigen
+decomposition of each A_i.
 """
 
 from __future__ import annotations
@@ -22,19 +28,50 @@ from . import factorization as fact
 
 @dataclass(frozen=True)
 class SensingInstance:
-    """Measurement operator, targets and ground truth for one sensing problem."""
+    """Measurement factors, targets and ground truth for one sensing problem."""
 
     fac: fact.FactorizationInstance
     m: int
-    A: np.ndarray              # (m, d, d) measurement matrices
+    a: np.ndarray              # (m, d) positive factors a_i
+    at: np.ndarray             # (m, d) negative factors a~_i
     y: np.ndarray              # (m,) targets <A_i, X>
-    norm_constant: float       # objective prefactor, 1/m
     op_scale: float            # analytic isometry normalization of the ensemble
     seed: Optional[int] = None
 
     @property
     def dim(self) -> int:
         return self.fac.dim
+
+    def measure(self, Z: np.ndarray) -> np.ndarray:
+        """Measurements <A_i, Z> of a d x d matrix Z, shape (m,)."""
+        return _quadratic_forms(self.a, self.at, Z)
+
+    @property
+    def A(self) -> np.ndarray:
+        """Dense (m, d, d) measurement matrices, built on each access."""
+        return (self.a[:, :, None] * self.a[:, None, :]
+                - self.at[:, :, None] * self.at[:, None, :])
+
+
+def _quadratic_forms(a: np.ndarray, at: np.ndarray,
+                     Z: np.ndarray) -> np.ndarray:
+    # a_i^T Z a_i - a~_i^T Z a~_i as two BLAS products; a three-operand
+    # einsum over the same indices runs several times slower.
+    return ((a @ Z) * a).sum(axis=1) - ((at @ Z) * at).sum(axis=1)
+
+
+def from_factors(fac_inst: fact.FactorizationInstance, a, at,
+                 op_scale: float = 1.0,
+                 seed: Optional[int] = None) -> SensingInstance:
+    """Instance with measurements a_i a_i^T - a~_i a~_i^T (targets computed)."""
+    a = np.asarray(a, dtype=float)
+    at = np.asarray(at, dtype=float)
+    if a.ndim != 2 or a.shape != at.shape or a.shape[1] != fac_inst.d:
+        raise ShapeMismatch(f"measurement factors must both be "
+                            f"(m, {fac_inst.d}), got {a.shape} and {at.shape}")
+    return SensingInstance(fac=fac_inst, m=a.shape[0], a=a, at=at,
+                           y=_quadratic_forms(a, at, fac_inst.X),
+                           op_scale=op_scale, seed=seed)
 
 
 def make_sensing_instance(d: int, r: int, k: int, m: int,
@@ -55,23 +92,42 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     fac_inst = fact.from_matrix(X, k, r=r, seed=seed)
     a = rng.standard_normal((m, d))
     at = rng.standard_normal((m, d))
-    A = a[:, :, None] * a[:, None, :] - at[:, :, None] * at[:, None, :]
-    y = A.reshape(m, -1) @ X.reshape(-1)
-    return SensingInstance(fac=fac_inst, m=m, A=A, y=y,
-                           norm_constant=1.0 / m, op_scale=2.0, seed=seed)
+    return from_factors(fac_inst, a, at, op_scale=2.0, seed=seed)
 
 
 def from_operator(fac_inst: fact.FactorizationInstance, A,
                   op_scale: float = 1.0,
                   seed: Optional[int] = None) -> SensingInstance:
-    """Instance with explicit measurement matrices (targets recomputed)."""
+    """Instance with explicit dense measurement matrices (targets recomputed).
+
+    Each A_i must be symmetric with at most one positive and at most one
+    negative eigenvalue; it is split as a_i = sqrt(lam_max) v_max and
+    a~_i = sqrt(-lam_min) v_min.  Eigenvalues within 1e-10 of the largest
+    magnitude count as zero.
+    """
     A = np.asarray(A, dtype=float)
+    if A.ndim != 3:
+        raise ShapeMismatch(f"measurements must be (m, d, d), got {A.shape}")
     m, d1, d2 = A.shape
     if d1 != fac_inst.d or d2 != fac_inst.d:
         raise ShapeMismatch(f"measurements must be {fac_inst.d} x {fac_inst.d}")
-    y = A.reshape(m, -1) @ fac_inst.X.reshape(-1)
-    return SensingInstance(fac=fac_inst, m=m, A=A, y=y,
-                           norm_constant=1.0 / m, op_scale=op_scale, seed=seed)
+    scale = np.abs(A).max(axis=(1, 2))
+    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
+    bad = np.flatnonzero(asym > 1e-12 * scale)
+    if bad.size:
+        raise ValueError(f"measurement {bad[0]} is not symmetric")
+    lam, vecs = np.linalg.eigh(A)
+    tol = 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
+    lam = np.where(np.abs(lam) > tol, lam, 0.0)
+    for count, sign in (((lam > 0).sum(axis=1), "positive"),
+                        ((lam < 0).sum(axis=1), "negative")):
+        bad = np.flatnonzero(count > 1)
+        if bad.size:
+            raise ValueError(f"measurement {bad[0]} has {count[bad[0]]} "
+                             f"{sign} eigenvalues; need at most one")
+    a = np.sqrt(np.maximum(lam[:, -1], 0.0))[:, None] * vecs[:, :, -1]
+    at = np.sqrt(np.maximum(-lam[:, 0], 0.0))[:, None] * vecs[:, :, 0]
+    return from_factors(fac_inst, a, at, op_scale=op_scale, seed=seed)
 
 
 def orthonormal_symmetric_basis(d: int) -> np.ndarray:
@@ -116,14 +172,17 @@ def _as_matrix(B, inst: SensingInstance) -> np.ndarray:
 
 
 def sensing_eval(B, inst: SensingInstance):
-    """Value with the 1/m prefactor and gradient -(2/m) sum r_i (A_i + A_i^T) B."""
+    """Value (1/m)||r||^2 and gradient -(4/m)(a^T(r * aB) - a~^T(r * a~B)).
+
+    Residuals r_i = y_i - ||B^T a_i||^2 + ||B^T a~_i||^2.
+    """
     B = _as_matrix(B, inst)
-    d = inst.fac.d
-    a_flat = inst.A.reshape(inst.m, -1)
-    resid = inst.y - a_flat @ (B @ B.T).reshape(-1)
-    value = inst.norm_constant * float(resid @ resid)
-    s = (a_flat.T @ resid).reshape(d, d)
-    grad = -2.0 * inst.norm_constant * (s + s.T) @ B
+    aB = inst.a @ B
+    atB = inst.at @ B
+    resid = inst.y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1))
+    value = float(resid @ resid) / inst.m
+    r = resid[:, None]
+    grad = (-4.0 / inst.m) * (inst.a.T @ (r * aB) - inst.at.T @ (r * atB))
     return value, grad
 
 

@@ -340,16 +340,16 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
 
     Samples random symmetric matrices Z of rank <= rank_l (Gaussian factors
     U C U^T, normalized to unit Frobenius norm) and returns the maximum of
-    |sum_i <A_i, Z>^2 / (m * op_scale^2) - 1| over the trials.  Sampling
-    only lower-bounds the true constant.  ``op_scale`` is the instance's
+    |sum_i <A_i, Z>^2 / (m * op_scale^2) - 1| over the trials, with the
+    measurements <A_i, Z> from ``inst.measure``.  Sampling only
+    lower-bounds the true constant.  ``op_scale`` is the instance's
     analytic normalization of the measurement ensemble (see the sensing
     module); an orthonormal-basis operator uses op_scale = 1.
     """
     rng = np.random.default_rng(seed)
-    d = inst.A.shape[1]
+    d = inst.fac.d
     if rank_l > d:
         raise ValueError(f"rank_l = {rank_l} exceeds dimension {d}")
-    a_flat = inst.A.reshape(inst.m, -1)
     scale2 = float(getattr(inst, "op_scale", 1.0)) ** 2
     worst = 0.0
     for _ in range(trials):
@@ -360,7 +360,7 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
         if nz < 1e-300:
             continue
         z /= nz
-        coeffs = a_flat @ z.reshape(-1)
+        coeffs = inst.measure(z)
         val = float(coeffs @ coeffs) / (inst.m * scale2)
         worst = max(worst, abs(val - 1.0))
     return worst

@@ -1,6 +1,7 @@
 """Problem objective tests: closed-form examples, gradient consistency,
 instance generation and serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -176,6 +177,61 @@ def test_rip_parseval_identity():
     assert delta <= 1e-10
 
 
+def _dense_sensing_eval(B, inst):
+    # Reference value and gradient from the dense (m, d, d) operator.
+    a_flat = inst.A.reshape(inst.m, -1)
+    resid = inst.y - a_flat @ (B @ B.T).reshape(-1)
+    s = (a_flat.T @ resid).reshape(inst.fac.d, inst.fac.d)
+    return float(resid @ resid) / inst.m, -2.0 / inst.m * (s + s.T) @ B
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "complete"])
+def test_sensing_rank_one_matches_dense(kind):
+    if kind == "gaussian":
+        inst = sensing.make_sensing_instance(d=7, r=2, k=3, m=90, seed=4)
+    else:
+        inst = sensing.complete_sensing_instance(
+            factorization.random_instance(d=5, r=2, k=3, seed=6))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        B = rng.standard_normal((inst.fac.d, inst.fac.k))
+        v, g = sensing.sensing_eval(B, inst)
+        v_ref, g_ref = _dense_sensing_eval(B, inst)
+        assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+def test_sensing_from_operator_rejects_asymmetric():
+    fac = factorization.random_instance(d=3, r=1, k=2, seed=0)
+    A = np.zeros((2, 3, 3))
+    A[0, 0, 0] = 1.0
+    A[1, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="symmetric"):
+        sensing.from_operator(fac, A)
+
+
+def test_sensing_from_operator_rejects_two_positive_eigenvalues():
+    fac = factorization.random_instance(d=3, r=1, k=2, seed=0)
+    A = np.diag([1.0, 2.0, -1.0])[None]
+    with pytest.raises(ValueError, match="positive"):
+        sensing.from_operator(fac, A)
+
+
+def test_sensing_instance_holds_no_dense_tensor():
+    d, m = 10, 200
+    inst = sensing.make_sensing_instance(d=d, r=2, k=3, m=m, seed=1)
+
+    def nbytes(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.nbytes
+        if dataclasses.is_dataclass(obj):
+            return sum(nbytes(getattr(obj, f.name))
+                       for f in dataclasses.fields(obj))
+        return 0
+
+    assert nbytes(inst) < m * d * d * 8
+
+
 # ------------------------------------------------------------------ neuron
 
 @pytest.fixture(scope="module")
@@ -336,6 +392,19 @@ def test_sensing_roundtrip(sens_inst):
     B = np.ones((8, 3)) * 0.2
     assert sensing.sensing_eval(B, back)[0] == sensing.sensing_eval(
         B, sens_inst)[0]
+
+
+def test_sensing_legacy_dense_roundtrip(sens_inst):
+    data = json.loads(json.dumps(instance_to_dict(sens_inst)))
+    del data["a"], data["at"]
+    data["A"] = sens_inst.A.tolist()
+    back = instance_from_dict(data)
+    assert back.op_scale == sens_inst.op_scale and back.m == sens_inst.m
+    assert np.allclose(back.A, sens_inst.A, rtol=0, atol=1e-12)
+    assert np.allclose(back.y, sens_inst.y, rtol=1e-12)
+    B = np.ones((8, 3)) * 0.2
+    assert sensing.sensing_eval(B, back)[0] == pytest.approx(
+        sensing.sensing_eval(B, sens_inst)[0], rel=1e-10)
 
 
 def test_neuron_roundtrip(neuron_inst):
