@@ -20,6 +20,7 @@ from .errors import ConfigInvalid, RavineGDError
 from .harness import (
     ALL_CHECKS,
     ExperimentConfig,
+    check_problem_params,
     compare_methods,
     diagnose,
     run_experiment,
@@ -128,6 +129,7 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _cmd_morse(args) -> int:
     params = dict(args.param) if args.param else {}
+    check_problem_params(params)
     bundle = problems.build(args.problem, params)
     solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
                                 tol=args.tol, max_iter=100)

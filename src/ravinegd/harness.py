@@ -62,6 +62,24 @@ SUPPORTED_CHECKS = {
 ALL_CHECKS = ("ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
               "morse", "rip")
 
+# Keys accepted in problem_params and by --param.
+PARAM_KEYS = ("d", "r", "k", "m", "v_norm", "instance_seed")
+
+
+def _param_errors(params) -> list:
+    unknown = sorted(set(params or {}) - set(PARAM_KEYS))
+    if not unknown:
+        return []
+    return [f"problem_params: unknown keys {unknown}; "
+            f"choose from {list(PARAM_KEYS)}"]
+
+
+def check_problem_params(params) -> None:
+    """Raise :class:`ConfigInvalid` on problem parameters outside PARAM_KEYS."""
+    errors = _param_errors(params)
+    if errors:
+        raise ConfigInvalid(errors)
+
 
 @dataclass
 class ExperimentConfig:
@@ -81,7 +99,16 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def validate(self):
-        errors = []
+        errors = _param_errors(self.problem_params)
+        integers = {"K": self.K, "I": self.I, "seed": self.seed}
+        if self.J is not None:
+            integers["J"] = self.J
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                errors.append(f"{name}: must be an integer, got {value!r}")
+        if errors:
+            # The range checks below assume integer counts.
+            raise ConfigInvalid(errors)
         if self.problem not in problems.PROBLEM_NAMES:
             errors.append(f"problem: unknown {self.problem!r}")
         if self.method not in METHODS:
@@ -401,6 +428,7 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
     suite = list(suite)
     if not suite:
         raise ValueError("suite must be nonempty")
+    check_problem_params(problem_params)
     bundle = problems.build(problem, problem_params)
     for check in suite:
         if check not in ALL_CHECKS:

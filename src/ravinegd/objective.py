@@ -27,6 +27,9 @@ class Objective:
     dist_solution : point -> distance (or proxy) to the minimizer set.
     value_and_grad : optional fused evaluation returning ``(value, grad)``,
         used by the steppers to avoid recomputing shared intermediates.
+    eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
+        for bit to ``eval`` on each row; the gradient-control check needs
+        it to evaluate all finite-difference points of a sample in one call.
     name : short identifier used in traces and manifests.
     """
 
@@ -37,6 +40,7 @@ class Objective:
     p_growth: Optional[float] = None
     dist_solution: Optional[Callable[[np.ndarray], float]] = None
     value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
+    eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
     def both(self, x: np.ndarray) -> tuple:
@@ -55,12 +59,19 @@ def central_difference_gradient(func, x, h=None):
     x = np.asarray(x, dtype=float)
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = h
-        g[i] = (func(x + e) - func(x - e)) / (2.0 * h)
-    return g
+    return _central_differences(
+        lambda rows: np.array([func(z) for z in rows], dtype=float), x, h)
+
+
+def _central_differences(func_rows, x, h):
+    """Central differences of a row-batched function at ``x``.
+
+    ``func_rows`` maps an ``(n, dim)`` stack to ``n`` values; it is called
+    once, on the ``2 * dim`` points ``x + h e_i`` followed by ``x - h e_i``.
+    """
+    step = h * np.eye(x.size)
+    values = func_rows(np.concatenate([x + step, x - step]))
+    return (values[:x.size] - values[x.size:]) / (2.0 * h)
 
 
 def max_relative_gradient_error(obj: Objective, points) -> float:

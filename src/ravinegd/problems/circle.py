@@ -47,6 +47,21 @@ def _eval(z):
     return circle_eval(z)[0]
 
 
+def _norms_or_raise(Z):
+    n = np.hypot(Z[:, 0], Z[:, 1])
+    if n.min() < _ORIGIN_TOL:
+        raise OriginSingularity(
+            f"||z|| = {n.min():.2e} below {_ORIGIN_TOL:.0e}")
+    return n
+
+
+def _eval_rows(Z):
+    # The value of circle_eval, elementwise, in the same order.
+    n = _norms_or_raise(Z)
+    w = 2.0 - 2.0 * Z[:, 1] / n
+    return (n - 1.0) ** 2 + w * w
+
+
 def _grad(z):
     return circle_eval(z)[1]
 
@@ -61,6 +76,7 @@ def objective() -> Objective:
         dist_solution=lambda z: float(np.linalg.norm(np.asarray(z, float)
                                                      - _MINIMIZER)),
         value_and_grad=circle_eval,
+        eval_rows=_eval_rows,
         name="circle",
     )
 
@@ -70,13 +86,17 @@ def _retract(z):
     return z / _norm_or_raise(z)
 
 
+def _retract_rows(Z):
+    return Z / _norms_or_raise(Z)[:, None]
+
+
 def ravine_descriptor(tol: float = 1e-8) -> RavineDescriptor:
     return RavineDescriptor(
         retract=_retract,
         on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= tol,
-        project_solution=lambda z: _MINIMIZER.copy(),
         p_growth=4.0,
         sample_solution=lambda rng: _MINIMIZER.copy(),
+        retract_rows=_retract_rows,
         name="circle",
     )
 

@@ -106,9 +106,10 @@ def _block_residual(B, inst):
     # rank-r block cancels against the diagonal D instead of a dense O(1)
     # matrix, which keeps the value accurate in relative terms near the
     # manifold (the naive form loses ~8 digits once the gap is ~1e-12).
+    # B may be one (d, k) matrix or an (n, d, k) stack of them.
     Bp = inst.basis.T @ B
-    resid = Bp @ Bp.T
-    resid[:inst.r, :inst.r] -= np.diag(inst.evals[:inst.r])
+    resid = Bp @ np.swapaxes(Bp, -1, -2)
+    resid[..., :inst.r, :inst.r] -= np.diag(inst.evals[:inst.r])
     return Bp, resid
 
 
@@ -146,18 +147,28 @@ def factorization_retraction(B, inst: FactorizationInstance) -> np.ndarray:
     and each row of Q is projected onto ker(P~).
     """
     B = _as_matrix(B, inst)
+    return factorization_retraction_rows(B[None], inst)[0]
+
+
+def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray:
+    """:func:`factorization_retraction` of each matrix of an (n, d, k) stack.
+
+    Raises :class:`DegenerateProjection` when any matrix is degenerate.
+    """
     r = inst.r
-    Bp = inst.basis.T @ B
-    P, Q = Bp[:r], Bp[r:]
+    Bp = inst.basis.T @ Bs
+    P, Q = Bp[:, :r], Bp[:, r:]
     sq = np.sqrt(inst.evals[:r])
     u, s, vt = np.linalg.svd(sq[:, None] * P, full_matrices=False)
-    if s[-1] < DEGENERATE_TOL:
+    smallest = float(s[:, -1].min())
+    if smallest < DEGENERATE_TOL:
         raise DegenerateProjection(
-            f"smallest singular value {s[-1]:.2e} of D^(1/2) P below "
+            f"smallest singular value {smallest:.2e} of D^(1/2) P below "
             f"{DEGENERATE_TOL:.0e}")
     P_t = sq[:, None] * (u @ vt)
-    Q_t = Q - (Q @ P_t.T) @ np.linalg.solve(P_t @ P_t.T, P_t)
-    return inst.basis @ np.vstack([P_t, Q_t])
+    P_tT = np.swapaxes(P_t, 1, 2)
+    Q_t = Q - (Q @ P_tT) @ np.linalg.solve(P_t @ P_tT, P_t)
+    return inst.basis @ np.concatenate([P_t, Q_t], axis=1)
 
 
 def dist_to_solution(B, inst: FactorizationInstance) -> float:
@@ -214,6 +225,10 @@ def objective(inst: FactorizationInstance) -> Objective:
     def _grad(x):
         return _both(x)[1]
 
+    def _eval_rows(X):
+        _, resid = _block_residual(X.reshape(-1, inst.d, inst.k), inst)
+        return np.sum(resid * resid, axis=(1, 2))
+
     return Objective(
         dim=inst.d * inst.k,
         eval=_eval,
@@ -222,6 +237,7 @@ def objective(inst: FactorizationInstance) -> Objective:
         p_growth=4.0,
         dist_solution=lambda x: dist_to_solution(x.reshape(inst.d, inst.k), inst),
         value_and_grad=_both,
+        eval_rows=_eval_rows,
         name="factorization",
     )
 
@@ -234,14 +250,16 @@ def ravine_descriptor(inst: FactorizationInstance,
         res_p, res_pq = manifold_residuals(x.reshape(inst.d, inst.k), inst)
         return res_p <= tol * scale and res_pq <= tol * scale
 
+    def _retract_rows(X):
+        return factorization_retraction_rows(
+            X.reshape(-1, inst.d, inst.k), inst).reshape(len(X), -1)
+
     return RavineDescriptor(
-        retract=lambda x: factorization_retraction(
-            x.reshape(inst.d, inst.k), inst).reshape(-1),
+        retract=lambda x: _retract_rows(x.reshape(1, -1))[0],
         on_manifold=_on_manifold,
-        project_solution=lambda x: factorization_project_solution(
-            x.reshape(inst.d, inst.k), inst).reshape(-1),
         p_growth=4.0,
         sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
+        retract_rows=_retract_rows,
         name="factorization",
     )
 

@@ -128,6 +128,47 @@ def _split(x, inst):
     return x[:inst.d], x[inst.d:]
 
 
+def _rowdot(A, B):
+    # Row-wise dot products as a stacked matmul: bitwise equal to the 1-D
+    # ``a @ b`` of each row pair (and so to np.linalg.norm), which a
+    # matrix-vector product or an einsum is not.
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def neuron_values(W, inst: NeuronInstance) -> np.ndarray:
+    """Closed-form values at each row of an (n, 2d) stack of flattened weights.
+
+    Equal bit for bit to the value of :func:`neuron_eval` on each row.
+    """
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 2 * inst.d:
+        raise ShapeMismatch(f"expected rows of {2 * inst.d} entries, "
+                            f"got shape {W.shape}")
+    W1, W2 = W[:, :inst.d], W[:, inst.d:]
+    V = np.broadcast_to(inst.v, W1.shape)
+    n1 = np.sqrt(_rowdot(W1, W1))
+    n2 = np.sqrt(_rowdot(W2, W2))
+    nv = float(np.linalg.norm(inst.v))
+    if min(n1.min(), n2.min(), nv) < NORM_FLOOR:
+        raise ZeroNeuron(
+            f"norms ({n1.min():.2e}, {n2.min():.2e}, {nv:.2e}) below "
+            f"{NORM_FLOOR:.0e}")
+
+    def angle(dots, na, nb):
+        return np.arccos(np.clip(dots / (na * nb), -1.0, 1.0))
+
+    t12 = angle(_rowdot(W1, W2), n1, n2)
+    t1 = angle(_rowdot(W1, V), n1, nv)
+    t2 = angle(_rowdot(W2, V), n2, nv)
+    misfit = W1 + W2 - inst.v
+    value = 0.25 * _rowdot(misfit, misfit)
+    value += (1.0 / (2.0 * np.pi)) * (
+        (np.sin(t12) - t12 * np.cos(t12)) * n1 * n2
+        - (np.sin(t1) - t1 * np.cos(t1)) * n1 * nv
+        - (np.sin(t2) - t2 * np.cos(t2)) * n2 * nv)
+    return value
+
+
 def objective(inst: NeuronInstance) -> Objective:
     def _both(x):
         w1, w2 = _split(x, inst)
@@ -141,24 +182,21 @@ def objective(inst: NeuronInstance) -> Objective:
         p_growth=3.0,
         dist_solution=lambda x: neuron_dist_proxy(*_split(x, inst), inst),
         value_and_grad=_both,
+        eval_rows=lambda W: neuron_values(W, inst),
         name="neuron",
     )
 
 
-def _retract(x, inst):
+def _retract_rows(X, inst):
     # The ravine {w1 + w2 = v} is affine; the orthogonal projection shifts
     # each neuron by half the constraint violation.
-    w1, w2 = _split(x, inst)
-    shift = 0.5 * (w1 + w2 - inst.v)
-    return np.concatenate([w1 - shift, w2 - shift])
-
-
-def _project_solution(x, inst):
-    on_m = _retract(x, inst)
-    w1, w2 = on_m[:inst.d], on_m[inst.d:]
-    v = inst.v
-    vv = float(v @ v)
-    return np.concatenate([(w1 @ v) / vv * v, (w2 @ v) / vv * v])
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 2 * inst.d:
+        raise ShapeMismatch(f"expected rows of {2 * inst.d} entries, "
+                            f"got shape {X.shape}")
+    W1, W2 = X[:, :inst.d], X[:, inst.d:]
+    shift = 0.5 * (W1 + W2 - inst.v)
+    return np.concatenate([W1 - shift, W2 - shift], axis=1)
 
 
 def ravine_descriptor(inst: NeuronInstance,
@@ -170,12 +208,12 @@ def ravine_descriptor(inst: NeuronInstance,
         return np.concatenate([c * inst.v, (1.0 - c) * inst.v])
 
     return RavineDescriptor(
-        retract=lambda x: _retract(x, inst),
+        retract=lambda x: _retract_rows(np.reshape(x, (1, -1)), inst)[0],
         on_manifold=lambda x: float(np.linalg.norm(
             x[:inst.d] + x[inst.d:] - inst.v)) <= tol * scale,
-        project_solution=lambda x: _project_solution(x, inst),
         p_growth=3.0,
         sample_solution=_sample_solution,
+        retract_rows=lambda X: _retract_rows(X, inst),
         name="neuron",
     )
 

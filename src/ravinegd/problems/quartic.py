@@ -52,7 +52,6 @@ def ravine_descriptor() -> RavineDescriptor:
     return RavineDescriptor(
         retract=lambda x: np.asarray(x, dtype=float).copy(),
         on_manifold=lambda x: True,
-        project_solution=lambda x: np.zeros(1),
         p_growth=4.0,
         sample_solution=lambda rng: np.zeros(1),
         name="quartic1d",

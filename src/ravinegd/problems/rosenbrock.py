@@ -39,6 +39,13 @@ def _both(z):
     return rosenbrock_eval(z[0], z[1])
 
 
+def _eval_rows(Z):
+    # The operations of rosenbrock_eval, elementwise, in the same order.
+    x, y = Z[:, 0], Z[:, 1]
+    t = y - x * x
+    return x * x * x * x + 10.0 * t * t
+
+
 def objective() -> Objective:
     return Objective(
         dim=2,
@@ -48,6 +55,7 @@ def objective() -> Objective:
         p_growth=4.0,
         dist_solution=lambda z: float(np.linalg.norm(z)),
         value_and_grad=_both,
+        eval_rows=_eval_rows,
         name="rosenbrock",
     )
 
@@ -57,14 +65,19 @@ def _retract(z):
     return np.array([x, x * x])
 
 
+def _retract_rows(Z):
+    x = Z[:, 0]
+    return np.stack([x, x * x], axis=1)
+
+
 def ravine_descriptor(tol: float = 1e-8) -> RavineDescriptor:
     return RavineDescriptor(
         retract=_retract,
         on_manifold=lambda z: abs(float(z[1]) - float(z[0]) ** 2)
         <= tol * (1.0 + float(z[0]) ** 2),
-        project_solution=lambda z: np.zeros(2),
         p_growth=4.0,
         sample_solution=lambda rng: np.zeros(2),
+        retract_rows=_retract_rows,
         name="rosenbrock",
     )
 

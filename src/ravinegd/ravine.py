@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InsufficientValidSamples
-from .objective import Objective, central_difference_gradient, unit_direction
+from .objective import Objective, _central_differences, unit_direction
 
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
@@ -31,16 +31,18 @@ class RavineDescriptor:
     ----------
     retract : map from a point near the manifold onto the manifold.
     on_manifold : membership predicate with tolerance.
-    project_solution : map onto the solution set S.
     p_growth : growth exponent of the value along the manifold away from S.
     sample_solution : rng -> a random point of S, used to anchor clouds.
+    retract_rows : optional row-batched retraction, ``(n, dim) -> (n, dim)``,
+        equal bit for bit to ``retract`` on each row; the gradient-control
+        check retracts all finite-difference points of a sample in one call.
     """
 
     retract: Callable[[np.ndarray], np.ndarray]
     on_manifold: Callable[[np.ndarray], bool]
-    project_solution: Callable[[np.ndarray], np.ndarray]
     p_growth: float
     sample_solution: Callable[[np.random.Generator], np.ndarray]
+    retract_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     name: str = ""
 
 
@@ -91,6 +93,52 @@ def _worst_offenders(items, n=3):
             for r, x in picked]
 
 
+def _cloud_report(check, ratios, skipped, attempted, judge):
+    """Report of a cloud check from its kept ``(ratio, point)`` pairs.
+
+    Raises :class:`InsufficientValidSamples` when too few samples were
+    kept; otherwise ``judge(lowest, highest)`` returns ``(passed, extras)``.
+    """
+    _require_valid(ratios, skipped, attempted, check)
+    values = [r for r, _ in ratios]
+    lo, hi = min(values), max(values)
+    passed, extras = judge(lo, hi)
+    return DiagnosticsReport(
+        check=check,
+        samples_tested=len(ratios),
+        skipped=skipped,
+        measured_lower=lo,
+        measured_upper=hi,
+        passed=bool(passed),
+        details=_worst_offenders(ratios),
+        extras=extras,
+    )
+
+
+def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
+                       **extras):
+    """Report of a check comparing maximum ratios at ``radius`` and ``radius / 10``.
+
+    ``ratios_at(rad, rng)`` samples one cloud and returns its kept
+    ``(ratio, point)`` pairs and skip count; ``passed(max_big, max_small)``
+    gives the verdict; ``extras`` are appended to the report's extras.
+    """
+    rng = np.random.default_rng(seed)
+    big, skip_big = ratios_at(radius, rng)
+    small, skip_small = ratios_at(radius / 10.0, rng)
+
+    def judge(lo, hi):
+        max_big = max(r for r, _ in big)
+        max_small = max(r for r, _ in small)
+        return passed(max_big, max_small), {
+            "max_at_radius": float(max_big),
+            "max_at_radius_over_10": float(max_small), "radius": radius,
+            **extras}
+
+    return _cloud_report(check, big + small, skip_big + skip_small,
+                         2 * n_samples, judge)
+
+
 def decompose_tangent_normal(obj: Objective, rav: RavineDescriptor, x):
     """Split f(x) into (f_N, f_T) with f_T = f(R(x)) and f_N = f(x) - f_T."""
     x = np.asarray(x, dtype=float)
@@ -118,20 +166,10 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
             continue
         rho = (float(obj.eval(x)) - float(obj.eval(r_x))) / den
         ratios.append((rho, x))
-    _require_valid(ratios, skipped, n_samples, "ravine")
-    values = [r for r, _ in ratios]
-    lo, hi = min(values), max(values)
-    return DiagnosticsReport(
-        check="ravine",
-        samples_tested=len(ratios),
-        skipped=skipped,
-        measured_lower=lo,
-        measured_upper=hi,
-        passed=bool(lo >= lower_bracket and hi <= upper_bracket),
-        details=_worst_offenders(ratios),
-        extras={"lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
-                "radius": radius},
-    )
+    return _cloud_report("ravine", ratios, skipped, n_samples, lambda lo, hi: (
+        lo >= lower_bracket and hi <= upper_bracket,
+        {"lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
+         "radius": radius}))
 
 
 def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
@@ -149,19 +187,8 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
             continue
         g = np.asarray(obj.grad(x), dtype=float)
         ratios.append((float(g @ diff) / den, x))
-    _require_valid(ratios, skipped, n_samples, "aiming")
-    values = [r for r, _ in ratios]
-    lo, hi = min(values), max(values)
-    return DiagnosticsReport(
-        check="aiming",
-        samples_tested=len(ratios),
-        skipped=skipped,
-        measured_lower=lo,
-        measured_upper=hi,
-        passed=bool(lo > 0.0),
-        details=_worst_offenders(ratios),
-        extras={"radius": radius},
-    )
+    return _cloud_report("aiming", ratios, skipped, n_samples,
+                         lambda lo, hi: (lo > 0.0, {"radius": radius}))
 
 
 def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
@@ -209,25 +236,19 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
                 tol = 1e-10 * max(abs(gap), lo_c * dist ** p)
                 if gap < lo_c * dist ** p - tol or gap > hi_c * dist ** p + tol:
                     bracket_ok = False
-    _require_valid(ratios, skipped, per_radius * len(radius_grid), "growth")
-    ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
-    slope, intercept = np.polyfit(ld, lg, 1)
-    resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))
-    values = [r for r, _ in ratios]
-    passed = abs(slope - p) <= slope_tol and bracket_ok
-    return DiagnosticsReport(
-        check="growth",
-        samples_tested=len(ratios),
-        skipped=skipped,
-        measured_lower=min(values),
-        measured_upper=max(values),
-        passed=bool(passed),
-        details=_worst_offenders(ratios),
-        extras={"slope": float(slope), "expected_exponent": p,
-                "fit_residual": resid,
-                "exact_bracket": list(exact_bracket) if exact_bracket else None,
-                "bracket_ok": bracket_ok},
-    )
+
+    def judge(lo, hi):
+        ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
+        slope, intercept = np.polyfit(ld, lg, 1)
+        resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))
+        return abs(slope - p) <= slope_tol and bracket_ok, {
+            "slope": float(slope), "expected_exponent": p,
+            "fit_residual": resid,
+            "exact_bracket": list(exact_bracket) if exact_bracket else None,
+            "bracket_ok": bracket_ok}
+
+    return _cloud_report("growth", ratios, skipped,
+                         per_radius * len(radius_grid), judge)
 
 
 def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
@@ -255,36 +276,21 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
             if retract is not None:
                 points.append(np.asarray(retract(x), dtype=float))
             for pt in points:
-                gap = float(obj.eval(pt)) - f_star
-                gnorm = float(np.linalg.norm(obj.grad(pt)))
+                value, grad = obj.both(pt)
+                gap = float(value) - f_star
+                gnorm = float(np.linalg.norm(grad))
                 if gap <= 0.0 or gnorm <= 1e-300:
                     skipped += 1
                     continue
                 vals.append((gap ** exponent / gnorm, pt))
         return vals, skipped
 
-    rng = np.random.default_rng(seed)
-    big, skip_big = max_ratio(radius, rng)
-    small, skip_small = max_ratio(radius / 10.0, rng)
-    _require_valid(big + small, skip_big + skip_small, 2 * n_samples,
-                   "lojasiewicz")
-    max_big = max(r for r, _ in big)
-    max_small = max(r for r, _ in small)
-    all_ratios = big + small
-    stable = (np.isfinite(max_big) and np.isfinite(max_small)
-              and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
-    return DiagnosticsReport(
-        check="lojasiewicz",
-        samples_tested=len(all_ratios),
-        skipped=skip_big + skip_small,
-        measured_lower=min(r for r, _ in all_ratios),
-        measured_upper=max(max_big, max_small),
-        passed=bool(stable),
-        details=_worst_offenders(all_ratios),
-        extras={"max_at_radius": float(max_big),
-                "max_at_radius_over_10": float(max_small),
-                "radius": radius, "exponent": exponent},
-    )
+    def stable(max_big, max_small):
+        return (np.isfinite(max_big) and np.isfinite(max_small)
+                and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
+
+    return _two_radius_report("lojasiewicz", max_ratio, n_samples, radius,
+                              seed, stable, exponent=exponent)
 
 
 def check_gradient_control(obj: Objective, rav: RavineDescriptor,
@@ -292,10 +298,19 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                            seed: int) -> DiagnosticsReport:
     """Stability of ||grad f(x) - grad (f o R)(x)|| / ||x - R(x)||.
 
-    The composite gradient is computed by central finite differences of
-    x -> f(R(x)).  Passes when the maximum ratio grows by at most a factor
-    2 as the sampling radius shrinks tenfold.
+    The composite gradient is computed by batched central differences of
+    x -> f(R(x)): the ``2 * dim`` perturbed points of a sample are
+    retracted by ``rav.retract_rows`` and evaluated by ``obj.eval_rows`` as
+    one stack, so both row forms are required.  Passes when the maximum
+    ratio grows by at most a factor 2 as the sampling radius shrinks
+    tenfold.
     """
+    if obj.eval_rows is None or rav.retract_rows is None:
+        raise ValueError("gradcontrol check requires obj.eval_rows and "
+                         "rav.retract_rows")
+
+    def composite(rows):
+        return obj.eval_rows(rav.retract_rows(rows))
 
     def ratios_at(rad, rng):
         vals = []
@@ -307,32 +322,14 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                 skipped += 1
                 continue
             g = np.asarray(obj.grad(x), dtype=float)
-            g_comp = central_difference_gradient(
-                lambda z: float(obj.eval(rav.retract(z))), x,
-                h=1e-6 * (1.0 + float(np.linalg.norm(x))))
+            g_comp = _central_differences(
+                composite, x, h=1e-6 * (1.0 + float(np.linalg.norm(x))))
             vals.append((float(np.linalg.norm(g - g_comp)) / den, x))
         return vals, skipped
 
-    rng = np.random.default_rng(seed)
-    big, skip_big = ratios_at(radius, rng)
-    small, skip_small = ratios_at(radius / 10.0, rng)
-    _require_valid(big + small, skip_big + skip_small, 2 * n_samples,
-                   "gradcontrol")
-    max_big = max(r for r, _ in big)
-    max_small = max(r for r, _ in small)
-    all_ratios = big + small
-    passed = max_small <= 2.0 * max(max_big, 1e-300)
-    return DiagnosticsReport(
-        check="gradcontrol",
-        samples_tested=len(all_ratios),
-        skipped=skip_big + skip_small,
-        measured_lower=min(r for r, _ in all_ratios),
-        measured_upper=max(max_big, max_small),
-        passed=bool(passed),
-        details=_worst_offenders(all_ratios),
-        extras={"max_at_radius": float(max_big),
-                "max_at_radius_over_10": float(max_small), "radius": radius},
-    )
+    return _two_radius_report(
+        "gradcontrol", ratios_at, n_samples, radius, seed,
+        lambda max_big, max_small: max_small <= 2.0 * max(max_big, 1e-300))
 
 
 def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:

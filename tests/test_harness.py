@@ -3,6 +3,7 @@ diagnostics dispatch and the CLI."""
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +60,53 @@ def test_config_roundtrip_equality():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigInvalid):
         ExperimentConfig.from_dict({"problem": "quartic1d", "etaa": 0.1})
+
+
+def test_cli_rejects_unknown_problem_param(tmp_path, capsys):
+    rc = main(["run", "--problem", "factorization", "--param", "dd=5",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "dd" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+    # The same check guards diagnose and morse.
+    assert main(["diagnose", "--problem", "neuron", "--suite", "ravine",
+                 "--param", "dd=5"]) == 2
+    assert main(["morse", "--problem", "circle", "--param", "dd=5"]) == 2
+
+
+def _run_config_file(tmp_path, **fields):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(
+        {"problem": "rosenbrock", "eta": 0.0125, "I": 2, **fields}))
+    return main(["run", "--config", str(config_file),
+                 "--out", str(tmp_path / "run")])
+
+
+def test_cli_rejects_float_K(tmp_path, capsys):
+    assert _run_config_file(tmp_path, K=100.0) == 2
+    assert "K: must be an integer" in capsys.readouterr().err
+
+
+def test_cli_rejects_boolean_K(tmp_path, capsys):
+    assert _run_config_file(tmp_path, K=True) == 2
+    assert "K: must be an integer" in capsys.readouterr().err
+
+
+def test_config_rejects_non_integer_counts():
+    cfg = ExperimentConfig(problem="rosenbrock", method="gdpolyak_lb", K=5,
+                           I=2.5, J=True, f_lb=-1.0, seed="0")
+    with pytest.raises(ConfigInvalid) as exc:
+        cfg.validate()
+    text = " ".join(exc.value.errors)
+    for token in ("I: must be", "J: must be", "seed: must be"):
+        assert token in text
+
+
+def test_shipped_configs_validate():
+    configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
+    assert configs
+    for path in configs:
+        ExperimentConfig.from_dict(json.loads(path.read_text())).validate()
 
 
 # --------------------------------------------------------------------- run

@@ -1,5 +1,7 @@
 """Ravine descriptor, diagnostic check and Morse solver tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from ravinegd import (
     decompose_tangent_normal,
     morse_ravine_solve,
 )
+from ravinegd.objective import _central_differences, central_difference_gradient
 from ravinegd.problems import build, circle, factorization, sample_init
 
 SMALL_PARAMS = {
@@ -304,6 +307,65 @@ def test_gradient_control_factorization_stable(bundles):
     rep = check_gradient_control(bundle.objective, bundle.descriptor,
                                  60, 0.01, seed=0)
     assert rep.passed
+
+
+# ------------------------------------------------------------- row forms
+
+def _near_solution_stack(bundle, rng, n_rows, radius):
+    s = bundle.sample_solution(rng)
+    return s + radius * rng.standard_normal((n_rows, bundle.objective.dim))
+
+
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS)
+def test_row_forms_match_single_point_bitwise(bundles, name):
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    rng = np.random.default_rng(5)
+    for radius in (1e-4, 1e-2, 0.3):
+        Z = _near_solution_stack(bundle, rng, 2 * obj.dim, radius)
+        R = rav.retract_rows(Z)
+        assert np.array_equal(R, np.array([rav.retract(z) for z in Z]))
+        for stack in (Z, R):
+            assert np.array_equal(obj.eval_rows(stack),
+                                  np.array([obj.eval(z) for z in stack]))
+
+
+def test_row_forms_absent_without_gradcontrol(bundles):
+    assert bundles["quartic1d"].objective.eval_rows is None
+    assert bundles["quartic1d"].descriptor.retract_rows is None
+    sensing = build("sensing", {"d": 4, "r": 1, "k": 2, "m": 40})
+    assert sensing.objective.eval_rows is None
+
+
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS)
+def test_batched_composite_gradient_matches_scalar_bitwise(bundles, name):
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    rng = np.random.default_rng(9)
+    for _ in range(5):
+        x = _near_solution_stack(bundle, rng, 1, 0.01)[0]
+        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        batched = _central_differences(
+            lambda Z: obj.eval_rows(rav.retract_rows(Z)), x, h)
+        scalar = central_difference_gradient(
+            lambda z: float(obj.eval(rav.retract(z))), x, h=h)
+        assert np.array_equal(batched, scalar)
+
+
+def test_factorization_retract_rows_degenerate_row(bundles):
+    bundle = bundles["factorization"]
+    rng = np.random.default_rng(2)
+    Z = _near_solution_stack(bundle, rng, 4, 0.01)
+    Z[2] = 0.0
+    with pytest.raises(DegenerateProjection):
+        bundle.descriptor.retract_rows(Z)
+
+
+def test_gradient_control_requires_row_forms(bundles):
+    bundle = bundles["rosenbrock"]
+    plain = dataclasses.replace(bundle.objective, eval_rows=None)
+    with pytest.raises(ValueError):
+        check_gradient_control(plain, bundle.descriptor, 10, 0.1, seed=0)
 
 
 # ------------------------------------------------------------ Morse solver
