@@ -38,10 +38,8 @@ from .opt_core import (
     POLYAK_LONG,
     SHORT_GD,
     RunTrace,
-    StepRecord,
     best_iterate,
     gd_baseline,
-    gd_run,
     gd_step,
     gdpolyak,
     gdpolyak_lb,
@@ -56,17 +54,16 @@ from .ravine import (
     check_growth_exponent,
     check_lojasiewicz,
     check_ravine_quadratic,
-    decompose_tangent_normal,
     measure_rip,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Objective", "RunTrace", "StepRecord", "SHORT_GD", "POLYAK_LONG",
-    "gd_step", "gd_run", "polyak_step", "gdpolyak", "gdpolyak_lb",
+    "Objective", "RunTrace", "SHORT_GD", "POLYAK_LONG",
+    "gd_step", "polyak_step", "gdpolyak", "gdpolyak_lb",
     "gd_baseline", "polyak_baseline", "best_iterate",
-    "RavineDescriptor", "DiagnosticsReport", "decompose_tangent_normal",
+    "RavineDescriptor", "DiagnosticsReport",
     "check_ravine_quadratic", "check_aiming", "check_growth_exponent",
     "check_lojasiewicz", "check_gradient_control", "measure_rip",
     "MorseRavineSolver", "morse_ravine_solve",

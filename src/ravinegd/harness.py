@@ -62,20 +62,41 @@ SUPPORTED_CHECKS = {
 ALL_CHECKS = ("ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
               "morse", "rip")
 
-# Keys accepted in problem_params and by --param.
-PARAM_KEYS = ("d", "r", "k", "m", "v_norm", "instance_seed")
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_integer(value) or isinstance(value, (float, np.floating))
+
+
+_POSITIVE = (lambda v: _is_integer(v) and v >= 1, "a positive integer")
+
+# Keys accepted in problem_params and by --param, each with the check its
+# value must pass and the rule that check enforces.
+PARAM_RULES = {
+    "d": _POSITIVE, "r": _POSITIVE, "k": _POSITIVE, "m": _POSITIVE,
+    "v_norm": (lambda v: _is_real(v) and np.isfinite(v), "a finite number"),
+    "instance_seed": (lambda v: _is_integer(v) and v >= 0,
+                      "a nonnegative integer"),
+}
 
 
 def _param_errors(params) -> list:
-    unknown = sorted(set(params or {}) - set(PARAM_KEYS))
-    if not unknown:
-        return []
-    return [f"problem_params: unknown keys {unknown}; "
-            f"choose from {list(PARAM_KEYS)}"]
+    params = params or {}
+    unknown = sorted(set(params) - set(PARAM_RULES))
+    if unknown:
+        return [f"problem_params: unknown keys {unknown}; "
+                f"choose from {list(PARAM_RULES)}"]
+    return [f"problem_params: {key} must be {PARAM_RULES[key][1]}, "
+            f"got {value!r}"
+            for key, value in params.items() if not PARAM_RULES[key][0](value)]
 
 
 def check_problem_params(params) -> None:
-    """Raise :class:`ConfigInvalid` on problem parameters outside PARAM_KEYS."""
+    """Raise :class:`ConfigInvalid` on unknown problem parameters or on
+    values outside their type and range."""
     errors = _param_errors(params)
     if errors:
         raise ConfigInvalid(errors)
@@ -104,10 +125,16 @@ class ExperimentConfig:
         if self.J is not None:
             integers["J"] = self.J
         for name, value in integers.items():
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 errors.append(f"{name}: must be an integer, got {value!r}")
+        reals = {"eta": self.eta, "init_radius": self.init_radius}
+        if self.f_lb is not None:
+            reals["f_lb"] = self.f_lb
+        for name, value in reals.items():
+            if not _is_real(value):
+                errors.append(f"{name}: must be a real number, got {value!r}")
         if errors:
-            # The range checks below assume integer counts.
+            # The range checks below assume numeric fields.
             raise ConfigInvalid(errors)
         if self.problem not in problems.PROBLEM_NAMES:
             errors.append(f"problem: unknown {self.problem!r}")
@@ -183,25 +210,16 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _format_float(value) -> str:
-    return "" if value is None else f"{value:.17g}"
-
-
 def trace_to_csv(trace: RunTrace) -> str:
     """Render a trace with the stable eight-column schema."""
-    lines = [CSV_HEADER]
-    for r in trace.records:
-        lines.append(",".join([
-            str(r.iter_index),
-            str(r.epoch),
-            r.kind,
-            _format_float(r.value_gap),
-            _format_float(r.grad_norm),
-            _format_float(r.stepsize),
-            _format_float(r.dist_solution),
-            _format_float(r.dist_ravine),
-        ]))
-    return "\n".join(lines) + "\n"
+    columns = (trace.iter, trace.epoch, trace.kind, trace.value_gap,
+               trace.grad_norm, trace.stepsize, trace.dist_solution,
+               trace.dist_ravine)
+    # Floats at 17 significant digits; an unrecorded column stays empty.
+    row = ",".join("" if c is None else "{:.17g}" if c.dtype.kind == "f"
+                   else "{}" for c in columns) + "\n"
+    cells = zip(*(c.tolist() for c in columns if c is not None))
+    return "".join([CSV_HEADER + "\n", *(row.format(*r) for r in cells)])
 
 
 def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:

@@ -54,12 +54,11 @@ class MorseRavineSolver:
     """
 
     def __init__(self, obj, basepoint, tangent_basis, normal_basis,
-                 eigenvalues, tol, max_iter):
+                 tol, max_iter):
         self.obj = obj
         self.basepoint = np.asarray(basepoint, dtype=float)
         self.tangent_basis = tangent_basis
         self.normal_basis = normal_basis
-        self.eigenvalues = eigenvalues
         self.tol = tol
         self.max_iter = max_iter
 
@@ -168,5 +167,4 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
 
     tangent = _canonical_signs(eigvecs[:, null_mask])
     normal = _canonical_signs(eigvecs[:, ~null_mask])
-    return MorseRavineSolver(obj, basepoint, tangent, normal, eigvals,
-                             tol, max_iter)
+    return MorseRavineSolver(obj, basepoint, tangent, normal, tol, max_iter)

@@ -93,6 +93,8 @@ def max_relative_gradient_error(obj: Objective, points) -> float:
 
 def unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A uniformly random unit vector in R^dim."""
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
     while True:
         d = rng.standard_normal(dim)
         n = np.linalg.norm(d)

@@ -1,19 +1,24 @@
-"""Steppers and epoch-structured gradient algorithms.
+"""Steppers and the one epoch engine behind every method.
 
 Two building blocks (a constant-stepsize gradient step and a Polyak step)
 are interlaced by ``gdpolyak``: each epoch runs K short steps and then one
-long Polyak step targeting the known minimal value.  ``gdpolyak_lb`` wraps
-the same epoch loop in outer rounds that maintain a lower estimate of the
+long Polyak step targeting the known minimal value.  ``gdpolyak_lb`` runs
+the same epochs in outer rounds that maintain a lower estimate of the
 minimal value, restarting from the original initial point each round and
-halving the gap between the estimate and the incumbent value.
+halving the gap between the estimate and the incumbent value.  The
+baselines take one kind of step at every slot: a constant step
+(``gd_baseline``) or a Polyak step toward f* (``polyak_baseline``).
 
-Every run emits a :class:`RunTrace`.  A :class:`StepRecord` describes the
-iterate a step departs from: its value gap, gradient norm and the stepsize
-taken there, so one record corresponds to exactly one gradient evaluation.
+All four run on one engine: I epochs of K+1 fused value/gradient
+evaluations, where the method's step rule gives each slot's stepsize and
+whether it is a Polyak step.  Every completed evaluation writes one row of
+the :class:`RunTrace` columns, describing the iterate the step departs
+from: its value gap, gradient norm and the stepsize taken there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -38,32 +43,29 @@ def _target_tolerance(f_target: float) -> float:
     return 1e-10 * (1.0 + abs(f_target))
 
 
-@dataclass(slots=True)
-class StepRecord:
-    """Scalar statistics of one iterate, at the moment a step departs from it."""
-
-    iter_index: int
-    epoch: int
-    kind: str
-    value_gap: float
-    grad_norm: float
-    stepsize: float
-    dist_solution: Optional[float] = None
-    dist_ravine: Optional[float] = None
-
-
 @dataclass
 class RunTrace:
-    """Full record stream of one optimizer run.
+    """Columns of one optimizer run, one row per completed gradient evaluation.
+
+    ``iter`` is the evaluation counter, so it skips the index of an
+    evaluation that aborted a gdpolyak_lb round.  ``kind`` holds
+    ``SHORT_GD`` or ``POLYAK_LONG``; the distance columns are ``None``
+    unless distances were recorded.
 
     ``best_value`` is the minimum of f over the algorithm's argmin candidates
-    (epoch points for gdpolyak, round bests for gdpolyak_lb) and ``x_out``
-    the earliest iterate attaining it.  ``epoch_phase_gaps[i]`` is the value
-    gap at the end of epoch i's short-step phase, ``epoch_end_gaps[i]`` the
-    gap after the epoch's Polyak step.
+    (x0 and every iterate for the baselines, the long steps' departure and
+    arrival points for gdpolyak and gdpolyak_lb) and ``x_out`` the earliest
+    point attaining it.  ``epoch_phase_gaps[i]`` is the value gap at the end
+    of epoch i's short-step phase (for the baselines, at the block end),
+    ``epoch_end_gaps[i]`` the gap at the end of the epoch.
     """
 
-    records: List[StepRecord]
+    iter: np.ndarray
+    epoch: np.ndarray
+    kind: np.ndarray
+    value_gap: np.ndarray
+    grad_norm: np.ndarray
+    stepsize: np.ndarray
     x_out: np.ndarray
     best_value: float
     grad_evals: int
@@ -71,53 +73,142 @@ class RunTrace:
     f_reference: float
     epoch_phase_gaps: np.ndarray
     epoch_end_gaps: np.ndarray
-    polyak_stepsizes: np.ndarray
+    dist_solution: Optional[np.ndarray] = None
+    dist_ravine: Optional[np.ndarray] = None
     f_estimates: Optional[np.ndarray] = None
     round_values: Optional[np.ndarray] = None
-    inner_best_value: Optional[float] = None
     aborted_rounds: List[int] = field(default_factory=list)
 
+    @property
+    def polyak_stepsizes(self) -> np.ndarray:
+        """Stepsizes of the Polyak rows, 0.0 where the step was skipped."""
+        return self.stepsize[self.kind == POLYAK_LONG]
 
-class _Recorder:
-    """Accumulates records and instruments evaluation counts."""
 
-    def __init__(self, obj: Objective, f_reference: float,
-                 dist_solution=None, dist_ravine=None):
+class _Engine:
+    """Runs epochs of K+1 fused evaluations into preallocated trace columns.
+
+    With ``every_iterate`` (the baselines) x0 and every iterate are argmin
+    candidates and an epoch's phase gap is its end gap; otherwise (methods
+    with a long step) the candidates are the long step's departure and
+    arrival points and the phase gap is the departure's gap.  ``best`` is
+    the earliest minimal candidate seen, ``None`` before the first.
+    """
+
+    def __init__(self, obj: Objective, f_reference: float, budget: int,
+                 every_iterate: bool, dist_solution=None, dist_ravine=None):
         self.obj = obj
         self.f_reference = f_reference
-        self.records: List[StepRecord] = []
+        self.every_iterate = every_iterate
         self.grad_evals = 0
         self.func_evals = 0
-        self._dist_solution = dist_solution
-        self._dist_ravine = dist_ravine
+        self.rows = 0
+        self.best = None
+        self.end_gaps = []
+        # RunTrace's columns; ``kind`` holds True for a Polyak step until
+        # the trace is assembled.
+        self.columns = {name: np.empty(budget, dtype) for name, dtype in (
+            ("iter", np.int64), ("epoch", np.int64), ("kind", bool),
+            ("value_gap", float), ("grad_norm", float), ("stepsize", float))}
+        self.oracles = {name: fn for name, fn in (
+            ("dist_solution", dist_solution), ("dist_ravine", dist_ravine))
+            if fn is not None}
+        self.columns.update((name, np.empty(budget)) for name in self.oracles)
 
-    def evaluate(self, x: np.ndarray) -> tuple:
-        """Fused value/gradient evaluation; one gradient evaluation."""
-        f, g = self.obj.both(x)
-        self.grad_evals += 1
-        self.func_evals += 1
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradient(iter_index=self.grad_evals - 1)
-        return float(f), np.asarray(g, dtype=float)
-
-    def value(self, x: np.ndarray) -> float:
+    def value(self, x) -> float:
         self.func_evals += 1
         return float(self.obj.eval(x))
 
-    def note(self, x, f, g, kind, epoch, stepsize):
-        rec = StepRecord(
-            iter_index=self.grad_evals - 1,
-            epoch=epoch,
-            kind=kind,
-            value_gap=f - self.f_reference,
-            grad_norm=float(np.linalg.norm(g)),
-            stepsize=stepsize,
-        )
-        if self._dist_solution is not None:
-            rec.dist_solution = float(self._dist_solution(x))
-        if self._dist_ravine is not None:
-            rec.dist_ravine = float(self._dist_ravine(x))
-        self.records.append(rec)
+    def consider(self, x, f):
+        if self.best is None or f < self.best[1]:
+            self.best = (x, f)
+
+    def run(self, x, K: int, I: int, rule, first_epoch: int = 1):
+        """I epochs from ``x``, numbered from ``first_epoch``.
+
+        ``rule(slot, f, gnorm2)`` returns the stepsize at slot 0..K of an
+        epoch and whether it is a Polyak step.  A constant step always
+        moves, even at eta = 0, where ``x - 0 * g`` can turn -0.0 into 0.0;
+        a Polyak step moves only when its stepsize is positive.  Raises
+        :class:`NonFiniteGradient` carrying the evaluation's index, after
+        counting it and before writing its row.
+        """
+        obj, f_ref, columns = self.obj, self.f_reference, self.columns
+        iters, epochs, kinds, gaps, norms, steps = (
+            columns[name] for name in ("iter", "epoch", "kind", "value_gap",
+                                       "grad_norm", "stepsize"))
+        for epoch in range(first_epoch, first_epoch + I):
+            for slot in range(K + 1):
+                f, g = obj.both(x)
+                f = float(f)
+                g = np.asarray(g, dtype=float)
+                self.grad_evals += 1
+                self.func_evals += 1
+                gnorm2 = float(g @ g)
+                # A sum of squares is finite only when every term is.
+                if not math.isfinite(gnorm2) and not np.isfinite(g).all():
+                    raise NonFiniteGradient(iter_index=self.grad_evals - 1)
+                s, polyak = rule(slot, f, gnorm2)
+                row = self.rows
+                self.rows += 1
+                iters[row] = self.grad_evals - 1
+                epochs[row] = epoch
+                kinds[row] = polyak
+                gaps[row] = f - f_ref
+                norms[row] = math.sqrt(gnorm2)
+                steps[row] = s
+                for name, oracle in self.oracles.items():
+                    columns[name][row] = oracle(x)
+                if self.every_iterate or slot == K:
+                    self.consider(x, f)
+                if s > 0.0 or not polyak:
+                    x = x - s * g
+            f_end = self.value(x)
+            if math.isfinite(f_end):
+                self.consider(x, f_end)
+            self.end_gaps.append(f_end - f_ref)
+
+    def trace(self, x_out, best_value, **extra) -> RunTrace:
+        columns = {name: c[:self.rows] for name, c in self.columns.items()}
+        polyak = columns["kind"]
+        columns["kind"] = np.where(polyak, POLYAK_LONG, SHORT_GD)
+        end_gaps = np.array(self.end_gaps)
+        return RunTrace(
+            **columns, x_out=np.array(x_out, dtype=float),
+            best_value=best_value, grad_evals=self.grad_evals,
+            func_evals=self.func_evals, f_reference=self.f_reference,
+            epoch_phase_gaps=(end_gaps.copy() if self.every_iterate
+                              else columns["value_gap"][polyak]),
+            epoch_end_gaps=end_gaps, **extra)
+
+
+def _check_args(eta: float = 0.0, **counts):
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"{name} must be >= 1, got {n}")
+    if eta < 0:
+        raise ValueError(f"eta must be nonnegative, got {eta}")
+
+
+def _run(x0, K: int, I: int, obj: Objective, f_ref: float, rule,
+         every_iterate: bool, dist_solution, dist_ravine) -> RunTrace:
+    """One engine run of I epochs from x0; the baselines also consider x0."""
+    engine = _Engine(obj, f_ref, I * (K + 1), every_iterate, dist_solution,
+                     dist_ravine)
+    x = np.asarray(x0, dtype=float)
+    if every_iterate:
+        engine.consider(x, engine.value(x))
+    engine.run(x, K, I, rule)
+    return engine.trace(*engine.best)
+
+
+def _short_then_long(eta: float, K: int, long_step):
+    """Step rule of an epoch: constant steps, then ``long_step(f, gnorm2)``."""
+    def rule(slot, f, gnorm2):
+        if slot < K:
+            return eta, False
+        return long_step(f, gnorm2), True
+    return rule
 
 
 def gd_step(x: np.ndarray, eta: float, obj: Objective) -> np.ndarray:
@@ -129,33 +220,6 @@ def gd_step(x: np.ndarray, eta: float, obj: Objective) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient()
     return x - eta * g
-
-
-def _gd_phase(x, eta, K, rec: _Recorder, epoch: int) -> np.ndarray:
-    """K recorded gradient steps starting at x; exactly K gradient evals."""
-    for _ in range(K):
-        f, g = rec.evaluate(x)
-        rec.note(x, f, g, SHORT_GD, epoch, eta)
-        x = x - eta * g
-    return x
-
-
-def gd_run(x0, eta: float, K: int, obj: Objective,
-           f_reference: Optional[float] = None):
-    """Run K constant-stepsize gradient steps; returns (x_K, records).
-
-    Performs exactly K gradient evaluations.  A :class:`NonFiniteGradient`
-    raised mid-run carries the failing iteration index.
-    """
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    if f_reference is None:
-        f_reference = obj.f_star if obj.f_star is not None else 0.0
-    rec = _Recorder(obj, f_reference)
-    x = _gd_phase(np.asarray(x0, dtype=float), eta, K, rec, epoch=1)
-    return x, rec.records
 
 
 def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
@@ -183,10 +247,9 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     return x - (gap / (scale * gnorm * gnorm)) * g
 
 
-def _polyak_stepsize(f, g, f_target, scale):
+def _polyak_stepsize(f, gnorm2, f_target, scale):
     """Stepsize of the guarded Polyak step; 0.0 when the step is skipped."""
     gap = f - f_target
-    gnorm2 = float(g @ g)
     if gap <= 0.0 or gnorm2 <= GRAD_NORM_FLOOR * GRAD_NORM_FLOOR:
         return 0.0
     return gap / (scale * gnorm2)
@@ -213,57 +276,26 @@ def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
     """
     if obj.f_star is None:
         raise MissingFStar("gdpolyak requires obj.f_star")
-    if K < 1 or I < 1:
-        raise ValueError("K and I must be >= 1")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    _check_args(eta, K=K, I=I)
     f_star = float(obj.f_star)
-    rec = _Recorder(obj, f_star, dist_solution, dist_ravine)
 
-    x = np.asarray(x0, dtype=float)
-    candidates = []
-    phase_gaps = np.empty(I)
-    end_gaps = np.empty(I)
-    stepsizes = np.empty(I)
-    for i in range(1, I + 1):
-        x_tilde = _gd_phase(x, eta, K, rec, epoch=i)
-        f_t, g_t = rec.evaluate(x_tilde)
-        if f_star > f_t + _target_tolerance(f_star):
+    def toward_f_star(f, gnorm2):
+        if f_star > f + _target_tolerance(f_star):
             raise TargetAboveValue(
-                f"f_star {f_star} exceeds value {f_t} beyond tolerance")
-        s = _polyak_stepsize(f_t, g_t, f_star, scale=1.0)
-        rec.note(x_tilde, f_t, g_t, POLYAK_LONG, i, s)
-        candidates.append((x_tilde, f_t))
-        x = x_tilde - s * g_t if s > 0.0 else x_tilde.copy()
-        f_end = rec.value(x)
-        candidates.append((x, f_end))
-        phase_gaps[i - 1] = f_t - f_star
-        end_gaps[i - 1] = f_end - f_star
-        stepsizes[i - 1] = s
+                f"f_star {f_star} exceeds value {f} beyond tolerance")
+        return _polyak_stepsize(f, gnorm2, f_star, 1.0)
 
-    x_out, best = best_iterate(candidates)
-    return RunTrace(
-        records=rec.records,
-        x_out=x_out.copy(),
-        best_value=best,
-        grad_evals=rec.grad_evals,
-        func_evals=rec.func_evals,
-        f_reference=f_star,
-        epoch_phase_gaps=phase_gaps,
-        epoch_end_gaps=end_gaps,
-        polyak_stepsizes=stepsizes,
-        inner_best_value=min(best, min(r.value_gap for r in rec.records) + f_star),
-    )
+    return _run(x0, K, I, obj, f_star, _short_then_long(eta, K, toward_f_star),
+                False, dist_solution, dist_ravine)
 
 
 def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
-                obj: Objective, *, warm_start: bool = False,
-                dist_solution=None, dist_ravine=None) -> RunTrace:
+                obj: Objective, *, dist_solution=None,
+                dist_ravine=None) -> RunTrace:
     """J restarted rounds of halved Polyak epochs driven by a lower estimate.
 
-    Round j runs I epochs from the original x0 (or from the previous round's
-    best point when ``warm_start`` is set), using Polyak steps with scale 2
-    and target f_{j-1}; the estimate then updates to the midpoint
+    Round j runs I epochs from the original x0, using Polyak steps with
+    scale 2 and target f_{j-1}; the estimate then updates to the midpoint
     f_j = (f_{j-1} + f(x_j)) / 2 where x_j is the round's best iterate.
     The returned point is the best of the round bests.
 
@@ -271,83 +303,53 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     candidates so far are kept); the next round restarts from x0 regardless.
     Epochs whose target exceeds the current value skip the Polyak step.
     """
-    if K < 1 or I < 1 or J < 1:
-        raise ValueError("K, I and J must be >= 1")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    _check_args(eta, K=K, I=I, J=J)
     x0 = np.asarray(x0, dtype=float)
     f_ref = float(obj.f_star) if obj.f_star is not None else float(f0)
-    rec = _Recorder(obj, f_ref, dist_solution, dist_ravine)
+    engine = _Engine(obj, f_ref, J * I * (K + 1), False, dist_solution,
+                     dist_ravine)
 
     f0 = float(f0)
-    fx0 = rec.value(x0)
+    fx0 = engine.value(x0)
     if f0 > fx0 + _target_tolerance(f0):
         raise ValueError(f"f0 = {f0} exceeds f(x0) = {fx0}")
 
     f_est = f0
+
+    def toward_estimate(f, gnorm2):
+        if f_est > f + _target_tolerance(f_est):
+            return 0.0
+        return _polyak_stepsize(f, gnorm2, f_est, 2.0)
+
+    rule = _short_then_long(eta, K, toward_estimate)
     estimates = np.empty(J)
     round_values = np.empty(J)
     round_bests = []
-    phase_gaps, end_gaps, stepsizes = [], [], []
     aborted = []
-    x_start = x0
     for j in range(1, J + 1):
-        x = x_start.copy()
-        candidates = []
+        engine.best = None
         # A far-below target can catapult an epoch; overflow to inf is the
         # designed failure path (the round aborts, the next one restarts).
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(1, I + 1):
-                    epoch = (j - 1) * I + i
-                    x_tilde = _gd_phase(x, eta, K, rec, epoch=epoch)
-                    f_t, g_t = rec.evaluate(x_tilde)
-                    skip = f_est > f_t + _target_tolerance(f_est)
-                    s = (0.0 if skip
-                         else _polyak_stepsize(f_t, g_t, f_est, scale=2.0))
-                    rec.note(x_tilde, f_t, g_t, POLYAK_LONG, epoch, s)
-                    candidates.append((x_tilde, f_t))
-                    x = x_tilde - s * g_t if s > 0.0 else x_tilde.copy()
-                    f_end = rec.value(x)
-                    if np.isfinite(f_end):
-                        candidates.append((x, f_end))
-                    phase_gaps.append(f_t - f_ref)
-                    end_gaps.append(f_end - f_ref)
-                    stepsizes.append(s)
+                engine.run(x0, K, I, rule, first_epoch=(j - 1) * I + 1)
         except NonFiniteGradient:
             aborted.append(j)
-        if not candidates:
+        if engine.best is None:
             # Diverged before banking any iterate; round contributes nothing.
             estimates[j - 1] = f_est
             round_values[j - 1] = np.inf
             continue
-        x_j, f_xj = best_iterate(candidates)
+        f_xj = engine.best[1]
         f_est = 0.5 * (f_est + f_xj)
         estimates[j - 1] = f_est
         round_values[j - 1] = f_xj
-        round_bests.append((x_j, f_xj))
-        if warm_start:
-            x_start = x_j
+        round_bests.append(engine.best)
     if not round_bests:
         raise EmptyTrace("every round diverged before recording an iterate")
 
-    x_out, best = best_iterate(round_bests)
-    inner_best = min(r.value_gap for r in rec.records) + f_ref
-    return RunTrace(
-        records=rec.records,
-        x_out=x_out.copy(),
-        best_value=best,
-        grad_evals=rec.grad_evals,
-        func_evals=rec.func_evals,
-        f_reference=f_ref,
-        epoch_phase_gaps=np.array(phase_gaps),
-        epoch_end_gaps=np.array(end_gaps),
-        polyak_stepsizes=np.array(stepsizes),
-        f_estimates=estimates,
-        round_values=round_values,
-        inner_best_value=min(best, inner_best),
-        aborted_rounds=aborted,
-    )
+    return engine.trace(*best_iterate(round_bests), f_estimates=estimates,
+                        round_values=round_values, aborted_rounds=aborted)
 
 
 def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,
@@ -357,38 +359,10 @@ def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,
     Iterations are grouped into I blocks of K+1 steps so that per-block
     value gaps are comparable to gdpolyak epochs at equal gradient budget.
     """
-    if K < 1 or I < 1:
-        raise ValueError("K and I must be >= 1")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    _check_args(eta, K=K, I=I)
     f_ref = float(obj.f_star) if obj.f_star is not None else 0.0
-    rec = _Recorder(obj, f_ref, dist_solution, dist_ravine)
-    x = np.asarray(x0, dtype=float)
-    best = (x.copy(), rec.value(x))
-    end_gaps = np.empty(I)
-    for i in range(1, I + 1):
-        for _ in range(K + 1):
-            f, g = rec.evaluate(x)
-            rec.note(x, f, g, SHORT_GD, i, eta)
-            if f < best[1]:
-                best = (x.copy(), f)
-            x = x - eta * g
-        f_end = rec.value(x)
-        end_gaps[i - 1] = f_end - f_ref
-        if f_end < best[1]:
-            best = (x.copy(), f_end)
-    # Block-end gaps double as the rate-fit series for the baseline.
-    return RunTrace(
-        records=rec.records,
-        x_out=best[0],
-        best_value=best[1],
-        grad_evals=rec.grad_evals,
-        func_evals=rec.func_evals,
-        f_reference=f_ref,
-        epoch_phase_gaps=end_gaps.copy(),
-        epoch_end_gaps=end_gaps,
-        polyak_stepsizes=np.empty(0),
-    )
+    return _run(x0, K, I, obj, f_ref, lambda slot, f, gnorm2: (eta, False),
+                True, dist_solution, dist_ravine)
 
 
 def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
@@ -399,36 +373,9 @@ def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
     """
     if obj.f_star is None:
         raise MissingFStar("polyak baseline requires obj.f_star")
-    if K < 1 or I < 1:
-        raise ValueError("K and I must be >= 1")
+    _check_args(K=K, I=I)
     f_star = float(obj.f_star)
-    rec = _Recorder(obj, f_star, dist_solution, dist_ravine)
-    x = np.asarray(x0, dtype=float)
-    best = (x.copy(), rec.value(x))
-    end_gaps = np.empty(I)
-    stepsizes = []
-    for i in range(1, I + 1):
-        for _ in range(K + 1):
-            f, g = rec.evaluate(x)
-            s = _polyak_stepsize(f, g, f_star, scale=1.0)
-            rec.note(x, f, g, POLYAK_LONG, i, s)
-            stepsizes.append(s)
-            if f < best[1]:
-                best = (x.copy(), f)
-            if s > 0.0:
-                x = x - s * g
-        f_end = rec.value(x)
-        end_gaps[i - 1] = f_end - f_star
-        if f_end < best[1]:
-            best = (x.copy(), f_end)
-    return RunTrace(
-        records=rec.records,
-        x_out=best[0],
-        best_value=best[1],
-        grad_evals=rec.grad_evals,
-        func_evals=rec.func_evals,
-        f_reference=f_star,
-        epoch_phase_gaps=end_gaps.copy(),
-        epoch_end_gaps=end_gaps,
-        polyak_stepsizes=np.array(stepsizes),
-    )
+    return _run(
+        x0, K, I, obj, f_star,
+        lambda slot, f, gnorm2: (_polyak_stepsize(f, gnorm2, f_star, 1.0), True),
+        True, dist_solution, dist_ravine)

@@ -139,14 +139,6 @@ def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
                          2 * n_samples, judge)
 
 
-def decompose_tangent_normal(obj: Objective, rav: RavineDescriptor, x):
-    """Split f(x) into (f_N, f_T) with f_T = f(R(x)) and f_N = f(x) - f_T."""
-    x = np.asarray(x, dtype=float)
-    f_t = float(obj.eval(rav.retract(x)))
-    f_n = float(obj.eval(x)) - f_t
-    return f_n, f_t
-
-
 def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
                            n_samples: int, radius: float, seed: int, *,
                            lower_bracket: float,

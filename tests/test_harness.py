@@ -25,10 +25,13 @@ from ravinegd.opt_core import RunTrace
 
 def _synthetic_trace(gaps):
     gaps = np.asarray(gaps, dtype=float)
-    return RunTrace(records=[], x_out=np.zeros(1), best_value=float(gaps[-1]),
-                    grad_evals=0, func_evals=0, f_reference=0.0,
-                    epoch_phase_gaps=gaps, epoch_end_gaps=gaps,
-                    polyak_stepsizes=np.zeros(gaps.size))
+    empty = np.empty(0)
+    return RunTrace(iter=empty, epoch=empty, kind=empty, value_gap=empty,
+                    grad_norm=empty, stepsize=empty, dist_solution=None,
+                    dist_ravine=None, x_out=np.zeros(1),
+                    best_value=float(gaps[-1]), grad_evals=0, func_evals=0,
+                    f_reference=0.0, epoch_phase_gaps=gaps,
+                    epoch_end_gaps=gaps)
 
 
 # ------------------------------------------------------------------ config
@@ -102,6 +105,30 @@ def test_config_rejects_non_integer_counts():
         assert token in text
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"eta": "0.1"}, "eta"),
+    ({"method": "gdpolyak_lb", "J": 2, "f_lb": "-1"}, "f_lb"),
+    ({"init_radius": True}, "init_radius"),
+])
+def test_cli_rejects_non_numeric_real_field(tmp_path, capsys, fields, name):
+    assert _run_config_file(tmp_path, K=5, **fields) == 2
+    assert f"{name}: must be a real number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "factorization", "--param", "d=abc"],
+    ["run", "--problem", "sensing", "--param", "m=-5"],
+    ["run", "--problem", "factorization", "--param", "instance_seed=1.5"],
+    ["run", "--problem", "neuron", "--param", "v_norm=nan"],
+    ["diagnose", "--problem", "rosenbrock", "--suite", "ravine",
+     "--param", "d=0"],
+    ["morse", "--problem", "circle", "--param", "k=0"],
+])
+def test_cli_rejects_bad_problem_param_value(argv, capsys):
+    assert main(argv) == 2
+    assert "problem_params" in capsys.readouterr().err
+
+
 def test_shipped_configs_validate():
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
     assert configs
@@ -156,8 +183,9 @@ def test_run_records_distances(tmp_path):
                            K=5, I=4, init_radius=0.3, seed=1,
                            out_dir=str(out), record_distances=True)
     trace = run_experiment(cfg)
-    assert all(r.dist_solution is not None for r in trace.records)
-    assert all(r.dist_ravine is not None for r in trace.records)
+    assert trace.dist_solution.shape == trace.dist_ravine.shape == (4 * 6,)
+    assert np.all(np.isfinite(trace.dist_solution))
+    assert np.all(np.isfinite(trace.dist_ravine))
     lines = (out / "trace.csv").read_text().strip().split("\n")
     assert lines[1].count(",") == 7
     assert not lines[1].endswith(",")

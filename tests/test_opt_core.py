@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ravinegd import (
     EmptyTrace,
@@ -10,12 +12,14 @@ from ravinegd import (
     Objective,
     TargetAboveValue,
     best_iterate,
-    gd_run,
+    gd_baseline,
     gd_step,
     gdpolyak,
     gdpolyak_lb,
+    polyak_baseline,
     polyak_step,
 )
+from ravinegd.harness import trace_to_csv
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD
 from ravinegd.problems import quartic
 
@@ -79,33 +83,9 @@ def test_gd_step_nonfinite_gradient():
         gd_step(np.array([1.0]), 0.1, bad)
 
 
-# ----------------------------------------------------------------- gd_run
+# ------------------------------------------------------------ gd_baseline
 
-def test_gd_run_two_steps(qobj):
-    x, records = gd_run(np.array([1.0]), 0.1, 2, qobj)
-    # 1 -> 0.9 -> 0.9 - 0.1 * 0.9^3 = 0.8271
-    assert x[0] == pytest.approx(0.8271, rel=1e-12)
-    assert len(records) == 2
-    assert all(r.kind == SHORT_GD for r in records)
-
-
-def test_gd_run_single_step_matches_gd_step(qobj):
-    x, _ = gd_run(np.array([1.3]), 0.07, 1, qobj)
-    assert x[0] == gd_step(np.array([1.3]), 0.07, qobj)[0]
-
-
-def test_gd_run_fixed_point(qobj):
-    x, _ = gd_run(np.zeros(1), 0.1, 7, qobj)
-    assert x[0] == 0.0
-
-
-def test_gd_run_gradient_count(qobj):
-    counting = CountingObjective(qobj)
-    gd_run(np.array([0.5]), 0.05, 9, counting)
-    assert counting.grad_calls == 9
-
-
-def test_gd_run_error_carries_iteration_index():
+def test_gd_baseline_error_carries_iteration_index():
     calls = {"n": 0}
 
     def grad(x):
@@ -116,7 +96,7 @@ def test_gd_run_error_carries_iteration_index():
 
     bad = Objective(dim=1, eval=lambda x: 0.0, grad=grad)
     with pytest.raises(NonFiniteGradient) as exc:
-        gd_run(np.array([1.0]), 0.1, 10, bad)
+        gd_baseline(np.array([1.0]), 0.1, 10, 1, bad)
     assert exc.value.iter_index == 2
 
 
@@ -205,7 +185,7 @@ def test_gdpolyak_budget_identity(qobj, seed):
     trace = gdpolyak(np.array([0.8]), 0.01, K, I, counting)
     assert counting.grad_calls == I * (K + 1)
     assert trace.grad_evals == I * (K + 1)
-    assert len(trace.records) == I * (K + 1)
+    assert len(trace.iter) == I * (K + 1)
 
 
 def test_gdpolyak_epoch_contraction_exact(qobj):
@@ -221,25 +201,25 @@ def test_gdpolyak_epoch_contraction_exact(qobj):
 
 def test_gdpolyak_output_optimality(qobj):
     trace = gdpolyak(np.array([1.1]), 0.05, 5, 8, qobj)
-    recorded = np.array([r.value_gap for r in trace.records]) + qobj.f_star
+    recorded = trace.value_gap + qobj.f_star
     assert trace.best_value <= recorded.min() + 1e-18
 
 
 def test_gdpolyak_record_schema(qobj):
     trace = gdpolyak(np.array([1.0]), 0.02, 3, 2, qobj)
-    kinds = [r.kind for r in trace.records]
+    kinds = trace.kind.tolist()
     assert kinds == [SHORT_GD] * 3 + [POLYAK_LONG] + [SHORT_GD] * 3 + [POLYAK_LONG]
-    iters = [r.iter_index for r in trace.records]
+    iters = trace.iter.tolist()
     assert iters == sorted(iters) and len(set(iters)) == len(iters)
-    assert [r.epoch for r in trace.records] == [1] * 4 + [2] * 4
+    assert trace.epoch.tolist() == [1] * 4 + [2] * 4
 
 
 def test_gdpolyak_deterministic(qobj):
     t1 = gdpolyak(np.array([0.9]), 0.03, 4, 6, qobj)
     t2 = gdpolyak(np.array([0.9]), 0.03, 4, 6, qobj)
     assert t1.x_out[0] == t2.x_out[0]
-    assert [r.value_gap for r in t1.records] == [r.value_gap for r in t2.records]
-    assert [r.stepsize for r in t1.records] == [r.stepsize for r in t2.records]
+    assert t1.value_gap.tolist() == t2.value_gap.tolist()
+    assert t1.stepsize.tolist() == t2.stepsize.tolist()
 
 
 # ------------------------------------------------------------- gdpolyak_lb
@@ -294,17 +274,10 @@ def test_gdpolyak_lb_restarts_from_x0(qobj):
     # With eta = 0, the short phase is the identity, so the first record of
     # every round sits at x0: identical value gaps.
     trace = gdpolyak_lb(np.array([1.0]), 0.0, 2, 3, 3, -1.0, qobj)
-    first_gap = trace.records[0].value_gap
+    first_gap = trace.value_gap[0]
     per_round = 3 * (2 + 1)
     for j in range(3):
-        assert trace.records[j * per_round].value_gap == first_gap
-
-
-def test_gdpolyak_lb_warm_start_differs(qobj):
-    cold = gdpolyak_lb(np.array([1.0]), 0.0, 1, 2, 3, 0.0, qobj)
-    warm = gdpolyak_lb(np.array([1.0]), 0.0, 1, 2, 3, 0.0, qobj,
-                       warm_start=True)
-    assert warm.best_value < cold.best_value
+        assert trace.value_gap[j * per_round] == first_gap
 
 
 def test_gdpolyak_lb_rejects_f0_above_value(qobj):
@@ -323,3 +296,51 @@ def test_gdpolyak_lb_survives_diverging_round():
     trace = gdpolyak_lb(x0, 0.0125, 50, 10, 6, -1.0, obj)
     assert np.isfinite(trace.best_value)
     assert np.all(trace.f_estimates <= 1e-10)
+
+
+def test_gdpolyak_lb_aborted_round_leaves_no_row():
+    # f = x^2 / 2; the fifth gradient evaluation (index 4) is infinite,
+    # which aborts round 1 in its second epoch.
+    calls = {"n": 0}
+
+    def grad(x):
+        calls["n"] += 1
+        return np.array([np.inf]) if calls["n"] == 5 else x.copy()
+
+    obj = Objective(dim=1, eval=lambda x: 0.5 * float(x[0]) ** 2, grad=grad,
+                    f_star=0.0)
+    trace = gdpolyak_lb(np.array([1.0]), 0.5, 2, 2, 2, -1.0, obj)
+    assert trace.aborted_rounds == [1]
+    assert trace.grad_evals == 5 + 6
+    assert len(trace.iter) == trace.grad_evals - len(trace.aborted_rounds)
+    assert trace.iter.tolist() == [0, 1, 2, 3] + list(range(5, 11))
+    lines = trace_to_csv(trace).split("\n")
+    # Round 1: 1 -> 0.5 -> 0.25, then a scale-2 Polyak step toward -1 of
+    # stepsize (0.03125 + 1) / (2 * 0.0625) lands at -1.8125.  Round 2
+    # restarts from x0 in epoch 3.
+    assert lines[3:7] == [
+        "2,1,PolyakLong,0.03125,0.25,8.25,,",
+        "3,2,ShortGD,1.642578125,1.8125,0.5,,",
+        "5,3,ShortGD,0.5,1,0.5,,",
+        "6,3,ShortGD,0.125,0.5,0.5,,",
+    ]
+    # Round 1's best is banked: f_1 = (-1 + 0.03125) / 2.
+    assert trace.f_estimates[0] == -0.484375
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 12), I=st.integers(1, 8),
+       method=st.sampled_from(["gd", "polyak", "gdpolyak", "gdpolyak_lb"]))
+def test_budget_rows_and_iter_order_all_methods(K, I, method):
+    qobj = quartic.objective()
+    x0 = np.array([0.8])
+    run = {
+        "gd": lambda: gd_baseline(x0, 0.05, K, I, qobj),
+        "polyak": lambda: polyak_baseline(x0, K, I, qobj),
+        "gdpolyak": lambda: gdpolyak(x0, 0.05, K, I, qobj),
+        "gdpolyak_lb": lambda: gdpolyak_lb(x0, 0.05, K, I, 1, 0.0, qobj),
+    }[method]
+    trace = run()
+    assert trace.grad_evals == I * (K + 1)
+    assert len(trace.iter) == trace.grad_evals
+    assert np.all(np.diff(trace.iter) > 0)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ravinegd import OriginSingularity, ShapeMismatch, ZeroNeuron
-from ravinegd.objective import max_relative_gradient_error
+from ravinegd.objective import max_relative_gradient_error, unit_direction
 from ravinegd.problems import (
     build,
     circle,
@@ -371,6 +371,22 @@ def test_sample_init_factorization_distance(bundles):
     bundle = bundles["factorization"]
     x = sample_init(bundle, 0.01, 5)
     assert dist_to_solution(x, bundle) <= 0.01 + 1e-10
+
+
+def test_unit_direction_rejects_empty_dimension():
+    class FiniteRng:
+        """Stops a redraw loop that would otherwise never end."""
+
+        draws = 0
+
+        def standard_normal(self, dim):
+            self.draws += 1
+            if self.draws > 100:
+                raise RuntimeError("unit_direction keeps redrawing")
+            return np.zeros(dim)
+
+    with pytest.raises(ValueError):
+        unit_direction(FiniteRng(), 0)
 
 
 # ------------------------------------------------------------ serialization

@@ -16,7 +16,6 @@ from ravinegd import (
     check_growth_exponent,
     check_lojasiewicz,
     check_ravine_quadratic,
-    decompose_tangent_normal,
     morse_ravine_solve,
 )
 from ravinegd.objective import _central_differences, central_difference_gradient
@@ -141,45 +140,6 @@ def test_retraction_comparable_to_manifold_distance(fact_inst):
                                     1e-6))
             best = min(best, np.linalg.norm(B - other))
         assert moved <= 2.0 * best + 1e-12
-
-
-# ------------------------------------------------------------- decompose
-
-def test_decompose_on_manifold_zero_normal(bundles):
-    bundle = bundles["rosenbrock"]
-    x = np.array([0.4, 0.16])
-    f_n, f_t = decompose_tangent_normal(bundle.objective, bundle.descriptor, x)
-    assert f_n == 0.0
-    assert f_t == pytest.approx(0.4 ** 4, rel=1e-12)
-
-
-def test_decompose_rosenbrock_example(bundles):
-    bundle = bundles["rosenbrock"]
-    x = np.array([0.5, 0.25 + 0.01])
-    f_n, f_t = decompose_tangent_normal(bundle.objective, bundle.descriptor, x)
-    assert f_t == pytest.approx(0.5 ** 4, rel=1e-12)
-    assert f_n == pytest.approx(10.0 * 0.01 ** 2, rel=1e-10)
-
-
-def test_decompose_exactness(bundles):
-    for name in RAVINE_PROBLEMS:
-        bundle = bundles[name]
-        for seed in range(10):
-            x = sample_init(bundle, 0.05, seed)
-            f_n, f_t = decompose_tangent_normal(bundle.objective,
-                                                bundle.descriptor, x)
-            f = bundle.objective.eval(x)
-            assert abs((f_n + f_t) - f) <= 1e-14 * max(1.0, abs(f))
-
-
-def test_decompose_normal_part_nonnegative(bundles):
-    for name in RAVINE_PROBLEMS:
-        bundle = bundles[name]
-        for seed in range(30):
-            x = sample_init(bundle, 0.02, seed)
-            f_n, _ = decompose_tangent_normal(bundle.objective,
-                                              bundle.descriptor, x)
-            assert f_n >= -1e-12
 
 
 # ----------------------------------------------------------------- checks
