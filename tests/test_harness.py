@@ -27,8 +27,7 @@ def _synthetic_trace(gaps):
     gaps = np.asarray(gaps, dtype=float)
     empty = np.empty(0)
     return RunTrace(iter=empty, epoch=empty, kind=empty, value_gap=empty,
-                    grad_norm=empty, stepsize=empty, dist_solution=None,
-                    dist_ravine=None, x_out=np.zeros(1),
+                    grad_norm=empty, stepsize=empty, x_out=np.zeros(1),
                     best_value=float(gaps[-1]), grad_evals=0, func_evals=0,
                     f_reference=0.0, epoch_phase_gaps=gaps,
                     epoch_end_gaps=gaps)
