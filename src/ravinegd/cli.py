@@ -20,13 +20,11 @@ from .errors import ConfigInvalid, RavineGDError
 from .harness import (
     ALL_CHECKS,
     ExperimentConfig,
-    check_problem_params,
     compare_methods,
     diagnose,
     run_experiment,
 )
-from .morse import morse_ravine_solve
-from .problems import circle as circle_mod
+from .morse import morse_ravine_solve, tangent_grid
 
 
 def _parse_param(text: str):
@@ -120,30 +118,28 @@ def _cmd_diagnose(args) -> int:
 
 def _parse_grid(text: str) -> np.ndarray:
     try:
-        a, b, step = (float(t) for t in text.split(":"))
-    except ValueError as exc:
+        return tangent_grid(*(float(t) for t in text.split(":")))
+    except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected a:b:step, got {text!r}") from exc
-    return np.arange(a, b + step / 2.0, step)
+            f"expected a:b:step with a <= b and step > 0, got {text!r}") from exc
 
 
 def _cmd_morse(args) -> int:
     params = dict(args.param) if args.param else {}
-    check_problem_params(params)
+    errors = problems.param_errors(args.problem, params)
+    if not (np.isfinite(args.tol) and args.tol > 0):
+        errors.append(f"tol: must be finite and > 0, got {args.tol}")
+    if errors:
+        raise ConfigInvalid(errors)
     bundle = problems.build(args.problem, params)
+    spec = bundle.spec.morse
     solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
                                 tol=args.tol, max_iter=100)
     rows = []
     for u in args.u_grid:
-        u_vec = np.full(solver.tangent_dim, float(u))
-        point = solver.point(u_vec)
-        row = {"u": float(u), "point": point.tolist()}
-        if args.problem == "rosenbrock":
-            row["graph_error"] = abs(float(point[1]) - float(u) ** 2)
-        if args.problem == "circle":
-            row["implicit_residual"] = abs(
-                circle_mod.morse_implicit_residual(point))
-        rows.append(row)
+        point = solver.point(np.full(solver.tangent_dim, float(u)))
+        rows.append({"u": float(u), "point": point.tolist(),
+                     spec.output: spec.residual(point)})
     payload = {"problem": args.problem, "tol": args.tol, "points": rows}
     if args.out_dir:
         out = Path(args.out_dir)
@@ -151,11 +147,8 @@ def _cmd_morse(args) -> int:
         (out / "morse.json").write_text(json.dumps(payload, indent=2) + "\n",
                                         encoding="utf-8")
         print(f"wrote {out / 'morse.json'}")
-    errs = [row.get("graph_error", row.get("implicit_residual"))
-            for row in rows]
-    errs = [e for e in errs if e is not None]
-    if errs:
-        print(f"max deviation over grid: {max(errs):.3e}")
+    print("max deviation over grid: "
+          f"{max(row[spec.output] for row in rows):.3e}")
     return 0
 
 
@@ -187,8 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.set_defaults(func=_cmd_diagnose)
 
     p_morse = sub.add_parser("morse", help="trace a Morse ravine")
-    p_morse.add_argument("--problem", required=True,
-                         choices=("rosenbrock", "circle"))
+    p_morse.add_argument("--problem", required=True, choices=[
+        name for name, module in problems.PROBLEMS.items()
+        if module.SPEC.morse is not None])
     p_morse.add_argument("--u-grid", type=_parse_grid, dest="u_grid",
                          default=_parse_grid("-0.5:0.5:0.05"))
     p_morse.add_argument("--tol", type=float, default=1e-12)

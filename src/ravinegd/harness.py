@@ -3,7 +3,9 @@
 One experiment run is fully described by an :class:`ExperimentConfig` and
 is deterministic given it.  ``run_experiment`` writes a per-run directory
 with ``config.json``, ``trace.csv`` and ``manifest.json``; ``diagnose``
-writes one JSON report per requested check under ``reports/``.
+writes one JSON report per requested check under ``reports/``.  What
+differs between problems (parameters, supported checks, brackets, Morse
+grid) is read from ``problems.PROBLEMS`` and the built bundle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import problems
 from .errors import ConfigInvalid, InsufficientData, UnsupportedCheck
-from .morse import morse_ravine_solve
+from .morse import morse_ravine_solve, tangent_grid
 from .opt_core import (
     RunTrace,
     gd_baseline,
@@ -25,7 +27,7 @@ from .opt_core import (
     gdpolyak_lb,
     polyak_baseline,
 )
-from .problems import circle as circle_mod
+from .problems.spec import is_integer, is_real
 from .ravine import (
     DiagnosticsReport,
     check_aiming,
@@ -44,62 +46,8 @@ CSV_HEADER = "iter,epoch,kind,value_gap,grad_norm,stepsize,dist_solution,dist_ra
 # excluded from log-linear rate fits.
 GAP_FLOOR = 1e-30
 
-SUPPORTED_CHECKS = {
-    "quartic1d": {"growth", "lojasiewicz"},
-    "rosenbrock": {"ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
-                   "morse"},
-    "circle": {"ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
-               "morse"},
-    "factorization": {"ravine", "aiming", "growth", "lojasiewicz",
-                      "gradcontrol"},
-    # Sensing has no closed-form ravine (only the Morse ravine exists), so
-    # anchored clouds cannot probe the near-manifold region; only the
-    # restricted-isometry measurement applies.
-    "sensing": {"rip"},
-    "neuron": {"ravine", "aiming", "growth", "lojasiewicz", "gradcontrol"},
-}
-
 ALL_CHECKS = ("ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
               "morse", "rip")
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_integer(value) or isinstance(value, (float, np.floating))
-
-
-_POSITIVE = (lambda v: _is_integer(v) and v >= 1, "a positive integer")
-
-# Keys accepted in problem_params and by --param, each with the check its
-# value must pass and the rule that check enforces.
-PARAM_RULES = {
-    "d": _POSITIVE, "r": _POSITIVE, "k": _POSITIVE, "m": _POSITIVE,
-    "v_norm": (lambda v: _is_real(v) and np.isfinite(v), "a finite number"),
-    "instance_seed": (lambda v: _is_integer(v) and v >= 0,
-                      "a nonnegative integer"),
-}
-
-
-def _param_errors(params) -> list:
-    params = params or {}
-    unknown = sorted(set(params) - set(PARAM_RULES))
-    if unknown:
-        return [f"problem_params: unknown keys {unknown}; "
-                f"choose from {list(PARAM_RULES)}"]
-    return [f"problem_params: {key} must be {PARAM_RULES[key][1]}, "
-            f"got {value!r}"
-            for key, value in params.items() if not PARAM_RULES[key][0](value)]
-
-
-def check_problem_params(params) -> None:
-    """Raise :class:`ConfigInvalid` on unknown problem parameters or on
-    values outside their type and range."""
-    errors = _param_errors(params)
-    if errors:
-        raise ConfigInvalid(errors)
 
 
 @dataclass
@@ -120,24 +68,20 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def validate(self):
-        errors = _param_errors(self.problem_params)
+        errors = problems.param_errors(self.problem, self.problem_params)
         integers = {"K": self.K, "I": self.I, "seed": self.seed}
         if self.J is not None:
             integers["J"] = self.J
-        for name, value in integers.items():
-            if not _is_integer(value):
-                errors.append(f"{name}: must be an integer, got {value!r}")
         reals = {"eta": self.eta, "init_radius": self.init_radius}
         if self.f_lb is not None:
             reals["f_lb"] = self.f_lb
-        for name, value in reals.items():
-            if not _is_real(value):
-                errors.append(f"{name}: must be a real number, got {value!r}")
-        if errors:
+        types = [f"{name}: must be an integer, got {value!r}"
+                 for name, value in integers.items() if not is_integer(value)]
+        types += [f"{name}: must be a real number, got {value!r}"
+                  for name, value in reals.items() if not is_real(value)]
+        if types:
             # The range checks below assume numeric fields.
-            raise ConfigInvalid(errors)
-        if self.problem not in problems.PROBLEM_NAMES:
-            errors.append(f"problem: unknown {self.problem!r}")
+            raise ConfigInvalid(errors + types)
         if self.method not in METHODS:
             errors.append(f"method: unknown {self.method!r}")
         if not np.isfinite(self.eta) or self.eta < 0:
@@ -146,6 +90,8 @@ class ExperimentConfig:
             errors.append(f"K: must be >= 1, got {self.K}")
         if self.I < 1:
             errors.append(f"I: must be >= 1, got {self.I}")
+        if self.seed < 0:
+            errors.append(f"seed: must be >= 0, got {self.seed}")
         if self.method == "gdpolyak_lb":
             if self.J is None or self.J < 1:
                 errors.append("J: required (>= 1) for gdpolyak_lb")
@@ -353,67 +299,22 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
     return table
 
 
-def _ravine_brackets(bundle) -> tuple:
-    if bundle.name == "rosenbrock":
-        return 5.0, 20.0       # the sampled ratio is exactly 10
-    if bundle.name == "circle":
-        return 0.5, 2.0        # the sampled ratio is exactly 1
-    if bundle.name == "factorization":
-        inst = bundle.instance
-        return inst.sigmar / 16.0, 36.0 * inst.sigma1
-    if bundle.name == "neuron":
-        return 1e-3, 1e3
-    raise UnsupportedCheck(f"no ravine bracket for {bundle.name}")
-
-
-def _run_morse_check(bundle, tol: float) -> DiagnosticsReport:
-    """Problem-specific Morse-ravine verification against known geometry."""
-    obj = bundle.objective
-    if bundle.name == "rosenbrock":
-        solver = morse_ravine_solve(obj, np.zeros(2), tol=1e-12, max_iter=50)
-        grid = np.arange(-0.5, 0.5 + 1e-12, 0.05)
-        errs = [abs(float(solver(np.array([u]))[0]) - u * u) for u in grid]
-        worst = max(errs)
-        return DiagnosticsReport(
-            check="morse", samples_tested=len(errs), skipped=0,
-            measured_lower=min(errs), measured_upper=worst,
-            passed=bool(worst <= 1e-10),
-            extras={"grid": [float(u) for u in grid], "tolerance": 1e-10})
-    if bundle.name == "circle":
-        solver = morse_ravine_solve(obj, np.array([0.0, 1.0]), tol=1e-12,
-                                    max_iter=50)
-        grid = np.arange(-0.2, 0.2 + 1e-12, 0.02)
-        resids = [abs(circle_mod.morse_implicit_residual(
-            solver.point(np.array([u])))) for u in grid]
-        worst = max(resids)
-        return DiagnosticsReport(
-            check="morse", samples_tested=len(resids), skipped=0,
-            measured_lower=min(resids), measured_upper=worst,
-            passed=bool(worst <= 1e-6),
-            extras={"grid": [float(u) for u in grid], "tolerance": 1e-6})
-    raise UnsupportedCheck(f"morse check not available for {bundle.name}")
-
-
 def run_check(bundle, check: str, n_samples: int, radius: float,
               seed: int) -> DiagnosticsReport:
-    """Run one named diagnostic on a problem bundle."""
-    if check not in SUPPORTED_CHECKS.get(bundle.name, set()):
-        raise UnsupportedCheck(f"{check} is not supported for {bundle.name}")
+    """Run one named diagnostic on a bundle; ``diagnose`` checks first
+    that the bundle's problem supports it."""
     obj = bundle.objective
     rav = bundle.descriptor
     if check == "ravine":
-        lo, hi = _ravine_brackets(bundle)
+        lo, hi = bundle.ravine_bracket
         return check_ravine_quadratic(obj, rav, n_samples, radius, seed,
                                       lower_bracket=lo, upper_bracket=hi)
     if check == "aiming":
         return check_aiming(obj, rav, n_samples, radius, seed)
     if check == "growth":
         grid = np.geomspace(radius / 30.0, radius, 4)
-        bracket = None
-        if bundle.name == "factorization":
-            bracket = (1.0 / bundle.instance.k, 1.0)
         return check_growth_exponent(obj, rav, n_samples, grid, seed,
-                                     exact_bracket=bracket)
+                                     exact_bracket=bundle.growth_bracket)
     if check == "lojasiewicz":
         return check_lojasiewicz(
             obj, obj.p_growth, n_samples, radius, seed,
@@ -422,13 +323,24 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
     if check == "gradcontrol":
         return check_gradient_control(obj, rav, n_samples, radius, seed)
     if check == "morse":
-        return _run_morse_check(bundle, tol=1e-12)
+        spec = bundle.spec.morse
+        solver = morse_ravine_solve(obj, bundle.base_solution, tol=1e-12,
+                                    max_iter=50)
+        grid = tangent_grid(*spec.grid)
+        errs = [spec.residual(solver.point(np.array([u]))) for u in grid]
+        worst = max(errs)
+        return DiagnosticsReport(
+            check="morse", samples_tested=len(errs), skipped=0,
+            measured_lower=min(errs), measured_upper=worst,
+            passed=bool(worst <= spec.tolerance),
+            extras={"grid": [float(u) for u in grid],
+                    "tolerance": spec.tolerance})
     if check == "rip":
         inst = bundle.instance
         rank_l = inst.fac.k + inst.fac.r
-        delta = measure_rip(inst, rank_l, trials=max(n_samples, 1), seed=seed)
+        delta = measure_rip(inst, rank_l, trials=n_samples, seed=seed)
         return DiagnosticsReport(
-            check="rip", samples_tested=max(n_samples, 1), skipped=0,
+            check="rip", samples_tested=n_samples, skipped=0,
             measured_lower=delta, measured_upper=delta,
             passed=bool(delta < 0.5),
             extras={"rank_l": rank_l, "threshold": 0.5})
@@ -446,13 +358,21 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
     suite = list(suite)
     if not suite:
         raise ValueError("suite must be nonempty")
-    check_problem_params(problem_params)
-    bundle = problems.build(problem, problem_params)
+    errors = problems.param_errors(problem, problem_params)
+    if not (is_integer(seed) and seed >= 0):
+        errors.append(f"seed: must be a nonnegative integer, got {seed!r}")
+    if not (is_integer(n_samples) and n_samples >= 1):
+        errors.append(f"samples: must be a positive integer, got {n_samples!r}")
+    if not (is_real(radius) and np.isfinite(radius) and radius > 0):
+        errors.append(f"radius: must be finite and > 0, got {radius!r}")
+    if errors:
+        raise ConfigInvalid(errors)
     for check in suite:
         if check not in ALL_CHECKS:
             raise UnsupportedCheck(f"unknown check {check!r}")
-        if check not in SUPPORTED_CHECKS[problem]:
+        if check not in problems.PROBLEMS[problem].SPEC.checks:
             raise UnsupportedCheck(f"{check} is not supported for {problem}")
+    bundle = problems.build(problem, problem_params)
     reports = {}
     for check in suite:
         reports[check] = run_check(bundle, check, n_samples, radius, seed)

@@ -168,3 +168,13 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
     tangent = _canonical_signs(eigvecs[:, null_mask])
     normal = _canonical_signs(eigvecs[:, ~null_mask])
     return MorseRavineSolver(obj, basepoint, tangent, normal, tol, max_iter)
+
+
+def tangent_grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Tangent coordinates ``start, start + step, ...`` up to ``stop``
+    within half a step; ValueError unless the grid is finite and nonempty."""
+    if not (np.isfinite([start, stop, step]).all() and step > 0
+            and start <= stop):
+        raise ValueError(f"need finite start <= stop and step > 0, got "
+                         f"{start}:{stop}:{step}")
+    return np.arange(start, stop + step / 2.0, step)

@@ -30,7 +30,6 @@ class Objective:
     eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
         for bit to ``eval`` on each row; the gradient-control check needs
         it to evaluate all finite-difference points of a sample in one call.
-    name : short identifier used in traces and manifests.
     """
 
     dim: int
@@ -41,7 +40,6 @@ class Objective:
     dist_solution: Optional[Callable[[np.ndarray], float]] = None
     value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
 
     def both(self, x: np.ndarray) -> tuple:
         """Value and gradient at ``x`` in one call."""

@@ -1,97 +1,70 @@
 """Benchmark problems with analytic gradients and ravine data.
 
-``build`` assembles a :class:`ProblemBundle` (objective, ravine descriptor
-where a closed form exists, instance, base solution) from a problem name
-and parameters.  ``sample_init`` draws initial points at an exact distance
-from a known solution.
+``PROBLEMS`` maps each problem name to its module, which states the
+problem's facts once in its ``SPEC`` (see :mod:`.spec`) and builds its
+:class:`ProblemBundle`.  ``build`` and ``param_errors`` read that table.
+``sample_init`` draws initial points at an exact distance from a known
+solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from ..objective import Objective, unit_direction
-from ..ravine import RavineDescriptor
+from ..objective import unit_direction
 from . import circle, factorization, neuron, quartic, rosenbrock, sensing
 from .serialize import instance_from_dict, instance_to_dict
+from .spec import ProblemBundle
 
-PROBLEM_NAMES = ("quartic1d", "rosenbrock", "circle", "factorization",
-                 "sensing", "neuron")
+PROBLEMS = {module.SPEC.name: module for module in (
+    quartic, rosenbrock, circle, factorization, sensing, neuron)}
+PROBLEM_NAMES = tuple(PROBLEMS)
 
 __all__ = [
-    "PROBLEM_NAMES", "ProblemBundle", "build", "sample_init",
-    "dist_to_solution", "instance_to_dict", "instance_from_dict",
+    "PROBLEMS", "PROBLEM_NAMES", "ProblemBundle", "build", "param_errors",
+    "sample_init", "dist_to_solution", "instance_to_dict", "instance_from_dict",
     "quartic", "rosenbrock", "circle", "factorization", "sensing", "neuron",
 ]
-
-
-@dataclass
-class ProblemBundle:
-    """Everything the harness needs to run and diagnose one problem."""
-
-    name: str
-    objective: Objective
-    descriptor: Optional[RavineDescriptor]
-    instance: object
-    base_solution: np.ndarray
-    params: dict
-
-    def sample_solution(self, rng: np.random.Generator) -> np.ndarray:
-        if self.descriptor is not None:
-            return self.descriptor.sample_solution(rng)
-        if self.name == "sensing":
-            return sensing.sample_solution(self.instance, rng)
-        return self.base_solution.copy()
 
 
 def build(name: str, params: Optional[dict] = None) -> ProblemBundle:
     """Construct a problem bundle by name.
 
-    ``params`` may carry dimensions (d, r, k, m, v_norm) and the instance
-    seed (``instance_seed``, default 0) for the randomized families.
+    ``params`` overrides the problem's defaults; see each ``SPEC.params``.
     """
-    params = dict(params or {})
-    seed = int(params.get("instance_seed", 0))
-    if name == "quartic1d":
-        return ProblemBundle(name, quartic.objective(),
-                             quartic.ravine_descriptor(), None,
-                             quartic.base_solution(), params)
-    if name == "rosenbrock":
-        return ProblemBundle(name, rosenbrock.objective(),
-                             rosenbrock.ravine_descriptor(), None,
-                             rosenbrock.base_solution(), params)
-    if name == "circle":
-        return ProblemBundle(name, circle.objective(),
-                             circle.ravine_descriptor(), None,
-                             circle.base_solution(), params)
-    if name == "factorization":
-        d = int(params.get("d", 5))
-        r = int(params.get("r", 2))
-        k = int(params.get("k", 3))
-        inst = factorization.random_instance(d, r, k, seed)
-        return ProblemBundle(name, factorization.objective(inst),
-                             factorization.ravine_descriptor(inst), inst,
-                             factorization.base_solution(inst), params)
-    if name == "sensing":
-        d = int(params.get("d", 20))
-        r = int(params.get("r", 2))
-        k = int(params.get("k", 4))
-        m = int(params.get("m", 10 * d * k))
-        inst = sensing.make_sensing_instance(d, r, k, m, seed)
-        # No closed-form ravine: only the Morse ravine exists here.
-        return ProblemBundle(name, sensing.objective(inst), None, inst,
-                             sensing.base_solution(inst), params)
-    if name == "neuron":
-        d = int(params.get("d", 10))
-        v_norm = float(params.get("v_norm", 1.0))
-        inst = neuron.make_neuron_instance(d, seed, v_norm=v_norm)
-        return ProblemBundle(name, neuron.objective(inst),
-                             neuron.ravine_descriptor(inst), inst,
-                             neuron.base_solution(inst), params)
-    raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    if name not in PROBLEMS:
+        raise ValueError(f"unknown problem {name!r}; choose from {PROBLEM_NAMES}")
+    module = PROBLEMS[name]
+    return module.bundle(_with_defaults(module.SPEC, params or {}))
+
+
+def _with_defaults(spec, params: dict) -> dict:
+    return {key: params.get(key, default)
+            for key, (default, _) in spec.params.items()}
+
+
+def param_errors(name: str, params: Optional[dict]) -> list:
+    """Messages for an unknown problem, keys it does not take, values that
+    break their rule and combinations outside its ``ordered`` keys."""
+    if name not in PROBLEMS:
+        return [f"problem: unknown {name!r}"]
+    spec = PROBLEMS[name].SPEC
+    params = params or {}
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        return [f"problem_params: {name} does not take {unknown}; it takes "
+                f"{list(spec.params) or 'no parameters'}"]
+    errors = [f"problem_params: {key} must be {spec.params[key][1][1]}, "
+              f"got {value!r}" for key, value in params.items()
+              if not spec.params[key][1][0](value)]
+    full = _with_defaults(spec, params)
+    values = [full[key] for key in spec.ordered]
+    if not errors and values != sorted(values):
+        errors.append(f"problem_params: need {' <= '.join(spec.ordered)}, got "
+                      + ", ".join(f"{key}={full[key]}" for key in spec.ordered))
+    return errors
 
 
 def sample_init(bundle: ProblemBundle, radius: float, seed: int) -> np.ndarray:

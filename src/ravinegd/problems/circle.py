@@ -14,6 +14,7 @@ import numpy as np
 from ..errors import OriginSingularity
 from ..objective import Objective
 from ..ravine import RavineDescriptor
+from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
 _MINIMIZER = np.array([0.0, 1.0])
 _ORIGIN_TOL = 1e-6
@@ -77,7 +78,6 @@ def objective() -> Objective:
                                                      - _MINIMIZER)),
         value_and_grad=circle_eval,
         eval_rows=_eval_rows,
-        name="circle",
     )
 
 
@@ -88,17 +88,6 @@ def _retract(z):
 
 def _retract_rows(Z):
     return Z / _norms_or_raise(Z)[:, None]
-
-
-def ravine_descriptor(tol: float = 1e-8) -> RavineDescriptor:
-    return RavineDescriptor(
-        retract=_retract,
-        on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= tol,
-        p_growth=4.0,
-        sample_solution=lambda rng: _MINIMIZER.copy(),
-        retract_rows=_retract_rows,
-        name="circle",
-    )
 
 
 def morse_implicit_residual(z) -> float:
@@ -114,5 +103,19 @@ def morse_implicit_residual(z) -> float:
     return y * n ** 4 - y * n ** 3 - 4.0 * x * x * n + 4.0 * x * x * y
 
 
-def base_solution() -> np.ndarray:
-    return _MINIMIZER.copy()
+SPEC = ProblemSpec(
+    "circle", CLOUD_CHECKS | {"morse"},
+    morse=MorseSpec((-0.2, 0.2, 0.02), 1e-6, "implicit_residual",
+                    lambda z: abs(morse_implicit_residual(z))))
+
+
+def bundle(params: dict) -> ProblemBundle:
+    rav = RavineDescriptor(
+        retract=_retract,
+        on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= 1e-8,
+        sample_solution=lambda rng: _MINIMIZER.copy(),
+        retract_rows=_retract_rows,
+    )
+    # The sampled ravine ratio is exactly 1.
+    return ProblemBundle(SPEC, objective(), rav, None, _MINIMIZER.copy(),
+                         rav.sample_solution, ravine_bracket=(0.5, 2.0))

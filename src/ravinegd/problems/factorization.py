@@ -18,9 +18,17 @@ import numpy as np
 from ..errors import DegenerateProjection, ShapeMismatch
 from ..objective import Objective
 from ..ravine import RavineDescriptor
+from .spec import (
+    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
 
 RANK_TOL = 1e-10
 DEGENERATE_TOL = 1e-10
+
+SPEC = ProblemSpec(
+    "factorization", CLOUD_CHECKS,
+    params={"d": (5, POSITIVE), "r": (2, POSITIVE), "k": (3, POSITIVE),
+            "instance_seed": (0, NONNEGATIVE)},
+    ordered=("r", "k", "d"))
 
 
 @dataclass(frozen=True)
@@ -75,8 +83,8 @@ def from_matrix(X, k: int, r: Optional[int] = None,
         L=L, basis=v, evals=w, seed=seed)
 
 
-def random_instance(d: int, r: int, k: int, seed: int,
-                    rescale: bool = True) -> FactorizationInstance:
+def random_instance(d: int, r: int, k: int,
+                    seed: int) -> FactorizationInstance:
     """Gaussian-factor ground truth X = G G^T, rescaled so sigma1 = 1.
 
     The rescaling keeps default stepsizes transferable across seeds.
@@ -84,12 +92,11 @@ def random_instance(d: int, r: int, k: int, seed: int,
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, r))
     X = g @ g.T
-    if rescale:
-        X = X / np.linalg.eigvalsh(X)[-1]
+    X = X / np.linalg.eigvalsh(X)[-1]
     return from_matrix(X, k, r=r, seed=seed)
 
 
-def _as_matrix(B, inst: FactorizationInstance) -> np.ndarray:
+def as_matrix(B, inst: FactorizationInstance) -> np.ndarray:
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
         if B.size != inst.d * inst.k:
@@ -115,7 +122,7 @@ def _block_residual(B, inst):
 
 def factorization_eval(B, inst: FactorizationInstance):
     """Value ||B B^T - X||_F^2 and gradient 4 (B B^T - X) B."""
-    B = _as_matrix(B, inst)
+    B = as_matrix(B, inst)
     Bp, resid = _block_residual(B, inst)
     value = float(np.sum(resid * resid))
     grad = inst.basis @ (4.0 * resid @ Bp)
@@ -130,7 +137,7 @@ def factorization_project_solution(B, inst: FactorizationInstance) -> np.ndarray
     :class:`DegenerateProjection` when L^T B is nearly singular (the
     nearest point is not unique).
     """
-    B = _as_matrix(B, inst)
+    B = as_matrix(B, inst)
     u, s, vt = np.linalg.svd(inst.L.T @ B, full_matrices=False)
     if s[-1] < DEGENERATE_TOL:
         raise DegenerateProjection(
@@ -146,7 +153,7 @@ def factorization_retraction(B, inst: FactorizationInstance) -> np.ndarray:
     (a scaled Procrustes, P~ = D^(1/2) U V^T from the SVD of D^(1/2) P)
     and each row of Q is projected onto ker(P~).
     """
-    B = _as_matrix(B, inst)
+    B = as_matrix(B, inst)
     return factorization_retraction_rows(B[None], inst)[0]
 
 
@@ -173,13 +180,13 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
 
 def dist_to_solution(B, inst: FactorizationInstance) -> float:
     """Frobenius distance to S; equals ||Q||_F on the ravine."""
-    B = _as_matrix(B, inst)
+    B = as_matrix(B, inst)
     return float(np.linalg.norm(B - factorization_project_solution(B, inst)))
 
 
 def manifold_residuals(B, inst: FactorizationInstance):
     """(||P P^T - D||_F, ||P Q^T||_F) in the eigenbasis of X."""
-    B = _as_matrix(B, inst)
+    B = as_matrix(B, inst)
     r = inst.r
     Bp = inst.basis.T @ B
     P, Q = Bp[:r], Bp[r:]
@@ -238,32 +245,35 @@ def objective(inst: FactorizationInstance) -> Objective:
         dist_solution=lambda x: dist_to_solution(x.reshape(inst.d, inst.k), inst),
         value_and_grad=_both,
         eval_rows=_eval_rows,
-        name="factorization",
-    )
-
-
-def ravine_descriptor(inst: FactorizationInstance,
-                      tol: float = 1e-8) -> RavineDescriptor:
-    scale = 1.0 + float(np.linalg.norm(inst.evals[:inst.r]))
-
-    def _on_manifold(x):
-        res_p, res_pq = manifold_residuals(x.reshape(inst.d, inst.k), inst)
-        return res_p <= tol * scale and res_pq <= tol * scale
-
-    def _retract_rows(X):
-        return factorization_retraction_rows(
-            X.reshape(-1, inst.d, inst.k), inst).reshape(len(X), -1)
-
-    return RavineDescriptor(
-        retract=lambda x: _retract_rows(x.reshape(1, -1))[0],
-        on_manifold=_on_manifold,
-        p_growth=4.0,
-        sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
-        retract_rows=_retract_rows,
-        name="factorization",
     )
 
 
 def base_solution(inst: FactorizationInstance) -> np.ndarray:
     """The canonical solution (L | 0), flattened."""
     return np.hstack([inst.L, np.zeros((inst.d, inst.k - inst.r))]).reshape(-1)
+
+
+def bundle(params: dict) -> ProblemBundle:
+    inst = random_instance(int(params["d"]), int(params["r"]),
+                           int(params["k"]), int(params["instance_seed"]))
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(inst.evals[:inst.r])))
+
+    def _on_manifold(x):
+        res_p, res_pq = manifold_residuals(x.reshape(inst.d, inst.k), inst)
+        return res_p <= tol and res_pq <= tol
+
+    def _retract_rows(X):
+        return factorization_retraction_rows(
+            X.reshape(-1, inst.d, inst.k), inst).reshape(len(X), -1)
+
+    rav = RavineDescriptor(
+        retract=lambda x: _retract_rows(x.reshape(1, -1))[0],
+        on_manifold=_on_manifold,
+        sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
+        retract_rows=_retract_rows,
+    )
+    # On the ravine (1/k) dist^4 <= f <= dist^4 exactly; see the docstring.
+    return ProblemBundle(SPEC, objective(inst), rav, inst, base_solution(inst),
+                         rav.sample_solution,
+                         ravine_bracket=(inst.sigmar / 16.0, 36.0 * inst.sigma1),
+                         growth_bracket=(1.0 / inst.k, 1.0))

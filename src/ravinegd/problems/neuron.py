@@ -24,8 +24,15 @@ import numpy as np
 from ..errors import ShapeMismatch, ZeroNeuron
 from ..objective import Objective
 from ..ravine import RavineDescriptor
+from .spec import (
+    CLOUD_CHECKS, FINITE, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
 
 NORM_FLOOR = 1e-8
+
+SPEC = ProblemSpec(
+    "neuron", CLOUD_CHECKS,
+    params={"d": (10, POSITIVE), "v_norm": (1.0, FINITE),
+            "instance_seed": (0, NONNEGATIVE)})
 
 
 @dataclass(frozen=True)
@@ -183,7 +190,6 @@ def objective(inst: NeuronInstance) -> Objective:
         dist_solution=lambda x: neuron_dist_proxy(*_split(x, inst), inst),
         value_and_grad=_both,
         eval_rows=lambda W: neuron_values(W, inst),
-        name="neuron",
     )
 
 
@@ -199,25 +205,23 @@ def _retract_rows(X, inst):
     return np.concatenate([W1 - shift, W2 - shift], axis=1)
 
 
-def ravine_descriptor(inst: NeuronInstance,
-                      tol: float = 1e-8) -> RavineDescriptor:
-    scale = 1.0 + float(np.linalg.norm(inst.v))
+def bundle(params: dict) -> ProblemBundle:
+    inst = make_neuron_instance(int(params["d"]), int(params["instance_seed"]),
+                                v_norm=float(params["v_norm"]))
+    tol = 1e-8 * (1.0 + float(np.linalg.norm(inst.v)))
 
     def _sample_solution(rng):
         c = rng.uniform(0.25, 0.75)
         return np.concatenate([c * inst.v, (1.0 - c) * inst.v])
 
-    return RavineDescriptor(
+    rav = RavineDescriptor(
         retract=lambda x: _retract_rows(np.reshape(x, (1, -1)), inst)[0],
         on_manifold=lambda x: float(np.linalg.norm(
-            x[:inst.d] + x[inst.d:] - inst.v)) <= tol * scale,
-        p_growth=3.0,
+            x[:inst.d] + x[inst.d:] - inst.v)) <= tol,
         sample_solution=_sample_solution,
         retract_rows=lambda X: _retract_rows(X, inst),
-        name="neuron",
     )
-
-
-def base_solution(inst: NeuronInstance) -> np.ndarray:
-    """The balanced split (v/2, v/2), flattened."""
-    return np.concatenate([inst.v / 2.0, inst.v / 2.0])
+    # The balanced split (v/2, v/2) is the base solution.
+    return ProblemBundle(SPEC, objective(inst), rav, inst,
+                         np.concatenate([inst.v / 2.0, inst.v / 2.0]),
+                         _sample_solution, ravine_bracket=(1e-3, 1e3))

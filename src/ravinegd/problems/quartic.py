@@ -12,6 +12,10 @@ import numpy as np
 
 from ..objective import Objective
 from ..ravine import RavineDescriptor
+from .spec import ProblemBundle, ProblemSpec
+
+# The ravine is the whole line (R is the identity): only growth checks apply.
+SPEC = ProblemSpec("quartic1d", frozenset({"growth", "lojasiewicz"}))
 
 
 def quartic_eval(x: float):
@@ -42,21 +46,16 @@ def objective() -> Objective:
         p_growth=4.0,
         dist_solution=lambda x: abs(float(x[0])),
         value_and_grad=_both,
-        name="quartic1d",
     )
 
 
-def ravine_descriptor() -> RavineDescriptor:
+def bundle(params: dict) -> ProblemBundle:
     # The Hessian at 0 is zero, so the ravine is the whole line and the
     # retraction is the identity.
-    return RavineDescriptor(
+    rav = RavineDescriptor(
         retract=lambda x: np.asarray(x, dtype=float).copy(),
         on_manifold=lambda x: True,
-        p_growth=4.0,
         sample_solution=lambda rng: np.zeros(1),
-        name="quartic1d",
     )
-
-
-def base_solution() -> np.ndarray:
-    return np.zeros(1)
+    return ProblemBundle(SPEC, objective(), rav, None, np.zeros(1),
+                         rav.sample_solution)

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..objective import Objective
 from ..ravine import RavineDescriptor
+from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
 
 def rosenbrock_eval(x: float, y: float):
@@ -56,7 +57,6 @@ def objective() -> Objective:
         dist_solution=lambda z: float(np.linalg.norm(z)),
         value_and_grad=_both,
         eval_rows=_eval_rows,
-        name="rosenbrock",
     )
 
 
@@ -70,17 +70,21 @@ def _retract_rows(Z):
     return np.stack([x, x * x], axis=1)
 
 
-def ravine_descriptor(tol: float = 1e-8) -> RavineDescriptor:
-    return RavineDescriptor(
+# The Morse ravine at the origin is the parabola itself.
+SPEC = ProblemSpec(
+    "rosenbrock", CLOUD_CHECKS | {"morse"},
+    morse=MorseSpec((-0.5, 0.5, 0.05), 1e-10, "graph_error",
+                    lambda z: abs(float(z[1]) - float(z[0]) * float(z[0]))))
+
+
+def bundle(params: dict) -> ProblemBundle:
+    rav = RavineDescriptor(
         retract=_retract,
         on_manifold=lambda z: abs(float(z[1]) - float(z[0]) ** 2)
-        <= tol * (1.0 + float(z[0]) ** 2),
-        p_growth=4.0,
+        <= 1e-8 * (1.0 + float(z[0]) ** 2),
         sample_solution=lambda rng: np.zeros(2),
         retract_rows=_retract_rows,
-        name="rosenbrock",
     )
-
-
-def base_solution() -> np.ndarray:
-    return np.zeros(2)
+    # The sampled ravine ratio is exactly 10.
+    return ProblemBundle(SPEC, objective(), rav, None, np.zeros(2),
+                         rav.sample_solution, ravine_bracket=(5.0, 20.0))

@@ -24,6 +24,16 @@ import numpy as np
 from ..errors import ShapeMismatch
 from ..objective import Objective
 from . import factorization as fact
+from .spec import NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec
+
+# No closed-form ravine exists here (only the Morse ravine), so anchored
+# clouds cannot probe the near-manifold region; only the
+# restricted-isometry measurement applies.  ``m`` defaults to 10 d k.
+SPEC = ProblemSpec(
+    "sensing", frozenset({"rip"}),
+    params={"d": (20, POSITIVE), "r": (2, POSITIVE), "k": (4, POSITIVE),
+            "m": (None, POSITIVE), "instance_seed": (0, NONNEGATIVE)},
+    ordered=fact.SPEC.ordered)
 
 
 @dataclass(frozen=True)
@@ -145,8 +155,8 @@ def orthonormal_symmetric_basis(d: int) -> np.ndarray:
     return np.array(mats)
 
 
-def complete_sensing_instance(fac_inst: fact.FactorizationInstance,
-                              parseval_scaled: bool = True) -> SensingInstance:
+def complete_sensing_instance(
+        fac_inst: fact.FactorizationInstance) -> SensingInstance:
     """Complete measurements from the orthonormal symmetric basis.
 
     With the basis scaled by sqrt(m), sum_i <A_i, Z>^2 / m = ||Z||_F^2 for
@@ -154,21 +164,7 @@ def complete_sensing_instance(fac_inst: fact.FactorizationInstance,
     the objective coincides with the factorization objective.
     """
     basis = orthonormal_symmetric_basis(fac_inst.d)
-    if parseval_scaled:
-        basis = basis * np.sqrt(len(basis))
-    return from_operator(fac_inst, basis, op_scale=1.0)
-
-
-def _as_matrix(B, inst: SensingInstance) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    d, k = inst.fac.d, inst.fac.k
-    if B.ndim == 1:
-        if B.size != d * k:
-            raise ShapeMismatch(f"expected {d * k} entries, got {B.size}")
-        return B.reshape(d, k)
-    if B.shape != (d, k):
-        raise ShapeMismatch(f"expected shape {(d, k)}, got {B.shape}")
-    return B
+    return from_operator(fac_inst, basis * np.sqrt(len(basis)), op_scale=1.0)
 
 
 def sensing_eval(B, inst: SensingInstance):
@@ -176,7 +172,7 @@ def sensing_eval(B, inst: SensingInstance):
 
     Residuals r_i = y_i - ||B^T a_i||^2 + ||B^T a~_i||^2.
     """
-    B = _as_matrix(B, inst)
+    B = fact.as_matrix(B, inst.fac)
     aB = inst.a @ B
     atB = inst.at @ B
     resid = inst.y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1))
@@ -202,15 +198,17 @@ def objective(inst: SensingInstance) -> Objective:
         dist_solution=lambda x: fact.dist_to_solution(
             x.reshape(d, k), inst.fac),
         value_and_grad=_both,
-        name="sensing",
     )
-
-
-def sample_solution(inst: SensingInstance,
-                    rng: np.random.Generator) -> np.ndarray:
-    """Random point of S = {B : B B^T = X}, flattened."""
-    return fact.sample_solution(inst.fac, rng).reshape(-1)
 
 
 def base_solution(inst: SensingInstance) -> np.ndarray:
     return fact.base_solution(inst.fac)
+
+
+def bundle(params: dict) -> ProblemBundle:
+    d, r, k = int(params["d"]), int(params["r"]), int(params["k"])
+    m = 10 * d * k if params["m"] is None else int(params["m"])
+    inst = make_sensing_instance(d, r, k, m, int(params["instance_seed"]))
+    return ProblemBundle(
+        SPEC, objective(inst), None, inst, base_solution(inst),
+        lambda rng: fact.sample_solution(inst.fac, rng).reshape(-1))

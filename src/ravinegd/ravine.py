@@ -31,7 +31,6 @@ class RavineDescriptor:
     ----------
     retract : map from a point near the manifold onto the manifold.
     on_manifold : membership predicate with tolerance.
-    p_growth : growth exponent of the value along the manifold away from S.
     sample_solution : rng -> a random point of S, used to anchor clouds.
     retract_rows : optional row-batched retraction, ``(n, dim) -> (n, dim)``,
         equal bit for bit to ``retract`` on each row; the gradient-control
@@ -40,10 +39,8 @@ class RavineDescriptor:
 
     retract: Callable[[np.ndarray], np.ndarray]
     on_manifold: Callable[[np.ndarray], bool]
-    p_growth: float
     sample_solution: Callable[[np.random.Generator], np.ndarray]
     retract_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    name: str = ""
 
 
 @dataclass
@@ -185,26 +182,23 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
 
 def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
                           n_samples: int, radius_grid, seed: int, *,
-                          dist_fn=None,
                           exact_bracket=None,
                           slope_tol: float = 0.1) -> DiagnosticsReport:
     """Log-log regression of the value gap against distance to S on the manifold.
 
     Manifold points are produced by retracting perturbed solution points at
     each radius in ``radius_grid`` (which must span at least one decade).
-    Passes when |slope - p_growth| <= slope_tol and, if ``exact_bracket``
+    Passes when |slope - obj.p_growth| <= slope_tol and, if ``exact_bracket``
     = (lo_coef, hi_coef) is given, when every sample satisfies
     lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
     """
     radius_grid = np.asarray(list(radius_grid), dtype=float)
     if radius_grid.max() < 10.0 * radius_grid.min():
         raise ValueError("radius_grid must span at least one decade")
-    if dist_fn is None:
-        dist_fn = obj.dist_solution
-    if dist_fn is None:
+    if obj.dist_solution is None:
         raise ValueError("no distance oracle available for growth check")
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
-    p = rav.p_growth
+    p = obj.p_growth
 
     rng = np.random.default_rng(seed)
     per_radius = max(1, n_samples // len(radius_grid))
@@ -216,7 +210,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         for x in _cloud(rav, per_radius, radius, rng, obj.dim):
             y = rav.retract(x)
             gap = float(obj.eval(y)) - f_star
-            dist = float(dist_fn(y))
+            dist = float(obj.dist_solution(y))
             if dist < SKIP_DISTANCE or gap <= 0.0:
                 skipped += 1
                 continue

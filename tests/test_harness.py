@@ -19,8 +19,9 @@ from ravinegd import (
     run_experiment,
 )
 from ravinegd.cli import main
-from ravinegd.harness import CSV_HEADER, trace_to_csv
+from ravinegd.harness import ALL_CHECKS, CSV_HEADER, trace_to_csv
 from ravinegd.opt_core import RunTrace
+from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
 
 
 def _synthetic_trace(gaps):
@@ -126,6 +127,78 @@ def test_cli_rejects_non_numeric_real_field(tmp_path, capsys, fields, name):
 def test_cli_rejects_bad_problem_param_value(argv, capsys):
     assert main(argv) == 2
     assert "problem_params" in capsys.readouterr().err
+
+
+def test_config_with_unknown_problem_collects_every_error():
+    cfg = ExperimentConfig(problem="nope", eta=-1.0, K=0,
+                           problem_params={"d": 5})
+    with pytest.raises(ConfigInvalid) as exc:
+        cfg.validate()
+    text = " ".join(exc.value.errors)
+    for token in ("problem: unknown", "eta", "K"):
+        assert token in text
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "factorization", "--param", "m=5"],
+    ["run", "--problem", "rosenbrock", "--param", "d=7"],
+    ["run", "--problem", "sensing", "--param", "v_norm=3"],
+    ["diagnose", "--problem", "circle", "--suite", "ravine",
+     "--param", "instance_seed=1"],
+])
+def test_cli_rejects_key_the_problem_does_not_take(argv, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "does not take" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("problem, params", [
+    ("factorization", ["d=2", "r=5"]),
+    ("factorization", ["r=4"]),
+    ("factorization", ["d=2"]),
+    ("sensing", ["r=5"]),
+    ("sensing", ["d=3"]),
+])
+def test_cli_rejects_ranks_out_of_order(problem, params, capsys):
+    argv = ["run", "--problem", problem]
+    for param in params:
+        argv += ["--param", param]
+    assert main(argv) == 2
+    assert "problem_params: need r <= k <= d" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run", "--problem", "quartic1d", "--seed", "-1", "--K", "1",
+      "--I", "1"], "seed"),
+    (["diagnose", "--problem", "quartic1d", "--suite", "growth",
+      "--seed", "-1"], "seed"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", "growth",
+      "--samples", "0"], "samples"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", "growth",
+      "--radius", "0"], "radius"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", "growth",
+      "--radius", "nan"], "radius"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", "growth",
+      "--radius", "-0.05"], "radius"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", "growth",
+      "--radius", "inf"], "radius"),
+])
+def test_cli_rejects_negative_seed_and_degenerate_cloud(argv, field, capsys):
+    assert main(argv) == 2
+    assert f"{field}: must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--u-grid=0:1:0", "--u-grid=1:0:0.1",
+                                  "--u-grid=0:nan:0.1", "--tol=-1",
+                                  "--tol=0", "--tol=nan"])
+def test_cli_morse_rejects_malformed_input(flag, tmp_path):
+    out = tmp_path / "morse"
+    try:
+        rc = main(["morse", "--problem", "rosenbrock", flag, "--out", str(out)])
+    except SystemExit as exc:          # argparse rejects the value itself
+        rc = exc.code
+    assert rc == 2
+    assert not out.exists()
 
 
 def test_shipped_configs_validate():
@@ -329,6 +402,25 @@ def test_diagnose_rejects_unsupported_pair():
         diagnose("quartic1d", ["ravine"])
     with pytest.raises(UnsupportedCheck):
         diagnose("rosenbrock", ["rip"])
+
+
+DECLARED = [(problem, check) for problem in PROBLEM_NAMES
+            for check in ALL_CHECKS if check in PROBLEMS[problem].SPEC.checks]
+
+
+def test_problem_table_declares_every_supported_pair():
+    assert len(DECLARED) == 25
+
+
+@pytest.mark.parametrize("problem", PROBLEM_NAMES)
+@pytest.mark.parametrize("check", ALL_CHECKS)
+def test_problem_table_pair(problem, check):
+    if (problem, check) in DECLARED:
+        ok, reports = diagnose(problem, [check], n_samples=40, seed=0)
+        assert ok and reports[check].passed
+    else:
+        with pytest.raises(UnsupportedCheck):
+            diagnose(problem, [check], n_samples=40, seed=0)
 
 
 def test_diagnose_rejects_empty_suite():

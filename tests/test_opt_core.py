@@ -38,7 +38,6 @@ class CountingObjective:
         self.f_star = obj.f_star
         self.p_growth = obj.p_growth
         self.dist_solution = obj.dist_solution
-        self.name = obj.name
         self.grad_calls = 0
 
     def eval(self, x):

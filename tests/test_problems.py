@@ -6,10 +6,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from ravinegd import OriginSingularity, ShapeMismatch, ZeroNeuron
+from ravinegd import (
+    ConfigInvalid,
+    ExperimentConfig,
+    OriginSingularity,
+    ShapeMismatch,
+    ZeroNeuron,
+)
 from ravinegd.objective import max_relative_gradient_error, unit_direction
 from ravinegd.problems import (
+    PROBLEMS,
     build,
     circle,
     dist_to_solution,
@@ -17,11 +26,13 @@ from ravinegd.problems import (
     instance_from_dict,
     instance_to_dict,
     neuron,
+    param_errors,
     quartic,
     rosenbrock,
     sample_init,
     sensing,
 )
+from ravinegd.problems.spec import FINITE, NONNEGATIVE, POSITIVE
 from ravinegd.ravine import measure_rip
 
 
@@ -354,6 +365,53 @@ def test_solution_certification(bundles, name):
         s = bundle.sample_solution(rng)
         assert dist_to_solution(s, bundle) <= 1e-7
         assert bundle.objective.eval(s) <= tol
+
+
+# A small draw for each parameter rule of the problem table.
+RULE_DRAWS = {
+    POSITIVE: st.integers(1, 6),
+    NONNEGATIVE: st.integers(0, 2 ** 32 - 1),
+    FINITE: st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+}
+
+
+@st.composite
+def valid_params(draw, name):
+    """Every key the problem takes, drawn by its rule, with the ``ordered``
+    keys sorted so the combination admits an instance."""
+    spec = PROBLEMS[name].SPEC
+    params = {key: draw(RULE_DRAWS[rule])
+              for key, (_, rule) in spec.params.items()}
+    if "m" in params:
+        # With one or two measurements the gradient near S is so small that
+        # the finite-difference comparison, not the gradient, loses digits.
+        params["m"] = draw(st.integers(6, 60))
+    params.update(zip(spec.ordered,
+                      sorted(params[key] for key in spec.ordered)))
+    return params
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_gradient_consistent_over_random_dimensions(data):
+    name = data.draw(st.sampled_from(["factorization", "sensing", "neuron"]))
+    params = data.draw(valid_params(name))
+    assert param_errors(name, params) == []
+    bundle = build(name, params)
+    points = [sample_init(bundle, 0.1, seed) for seed in range(3)]
+    assert max_relative_gradient_error(bundle.objective, points) <= 1e-5
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["factorization", "sensing"]),
+       values=st.lists(st.integers(1, 8), min_size=3, max_size=3))
+def test_ranks_out_of_order_are_rejected(name, values):
+    assume(values != sorted(values))
+    ordered = PROBLEMS[name].SPEC.ordered
+    config = ExperimentConfig(problem=name,
+                              problem_params=dict(zip(ordered, values)))
+    with pytest.raises(ConfigInvalid, match="need r <= k <= d"):
+        config.validate()
 
 
 def test_dist_to_solution_examples(bundles):
