@@ -38,9 +38,7 @@ from .opt_core import (
     POLYAK_LONG,
     SHORT_GD,
     RunTrace,
-    best_iterate,
     gd_baseline,
-    gd_step,
     gdpolyak,
     gdpolyak_lb,
     polyak_baseline,
@@ -61,8 +59,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Objective", "RunTrace", "SHORT_GD", "POLYAK_LONG",
-    "gd_step", "polyak_step", "gdpolyak", "gdpolyak_lb",
-    "gd_baseline", "polyak_baseline", "best_iterate",
+    "polyak_step", "gdpolyak", "gdpolyak_lb", "gd_baseline",
+    "polyak_baseline",
     "RavineDescriptor", "DiagnosticsReport",
     "check_ravine_quadratic", "check_aiming", "check_growth_exponent",
     "check_lojasiewicz", "check_gradient_control", "measure_rip",

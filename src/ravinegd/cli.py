@@ -19,6 +19,7 @@ from . import problems
 from .errors import ConfigInvalid, RavineGDError
 from .harness import (
     ALL_CHECKS,
+    METHODS,
     ExperimentConfig,
     compare_methods,
     diagnose,
@@ -44,8 +45,7 @@ def _parse_param(text: str):
 def _add_run_flags(p: argparse.ArgumentParser, with_method: bool):
     p.add_argument("--problem", choices=problems.PROBLEM_NAMES)
     if with_method:
-        p.add_argument("--method",
-                       choices=("gd", "polyak", "gdpolyak", "gdpolyak_lb"))
+        p.add_argument("--method", choices=METHODS)
     p.add_argument("--eta", type=float)
     p.add_argument("--K", type=int, dest="K")
     p.add_argument("--I", type=int, dest="I")

@@ -319,7 +319,7 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
         return check_lojasiewicz(
             obj, obj.p_growth, n_samples, radius, seed,
             sample_solution=bundle.sample_solution,
-            retract=None if rav is None else rav.retract)
+            retract=rav.retract)
     if check == "gradcontrol":
         return check_gradient_control(obj, rav, n_samples, radius, seed)
     if check == "morse":
@@ -337,7 +337,8 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
                     "tolerance": spec.tolerance})
     if check == "rip":
         inst = bundle.instance
-        rank_l = inst.fac.k + inst.fac.r
+        # BB^T - X has rank at most k + r, and never more than d.
+        rank_l = min(inst.fac.k + inst.fac.r, inst.fac.d)
         delta = measure_rip(inst, rank_l, trials=n_samples, seed=seed)
         return DiagnosticsReport(
             check="rip", samples_tested=n_samples, skipped=0,

@@ -1,8 +1,8 @@
 """Steppers and the one epoch engine behind every method.
 
-Two building blocks (a constant-stepsize gradient step and a Polyak step)
-are interlaced by ``gdpolyak``: each epoch runs K short steps and then one
-long Polyak step targeting the known minimal value.  ``gdpolyak_lb`` runs
+``gdpolyak`` interlaces constant-stepsize gradient steps with Polyak
+steps: each epoch runs K short steps and then one long Polyak step
+targeting the known minimal value.  ``gdpolyak_lb`` runs
 the same epochs in outer rounds that maintain a lower estimate of the
 minimal value, restarting from the original initial point each round and
 halving the gap between the estimate and the incumbent value.  The
@@ -211,17 +211,6 @@ def _short_then_long(eta: float, K: int, long_step):
     return rule
 
 
-def gd_step(x: np.ndarray, eta: float, obj: Objective) -> np.ndarray:
-    """One constant-stepsize gradient step x - eta * grad f(x)."""
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(obj.grad(x), dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradient()
-    return x - eta * g
-
-
 def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     """One Polyak step x - (f(x) - f_target) / (scale * ||grad f(x)||^2) * grad f(x).
 
@@ -240,11 +229,8 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     if f_target > f + _target_tolerance(f_target):
         raise TargetAboveValue(
             f"target {f_target} exceeds value {f} beyond tolerance")
-    gap = f - f_target
-    gnorm = np.linalg.norm(g)
-    if gap <= 0.0 or gnorm <= GRAD_NORM_FLOOR:
-        return x.copy()
-    return x - (gap / (scale * gnorm * gnorm)) * g
+    step = _polyak_stepsize(f, float(g @ g), f_target, scale)
+    return x - step * g if step > 0.0 else x.copy()
 
 
 def _polyak_stepsize(f, gnorm2, f_target, scale):
@@ -253,17 +239,6 @@ def _polyak_stepsize(f, gnorm2, f_target, scale):
     if gap <= 0.0 or gnorm2 <= GRAD_NORM_FLOOR * GRAD_NORM_FLOOR:
         return 0.0
     return gap / (scale * gnorm2)
-
-
-def best_iterate(records):
-    """Earliest pair (point, value) with minimal value."""
-    best = None
-    for point, value in records:
-        if best is None or value < best[1]:
-            best = (point, value)
-    if best is None:
-        raise EmptyTrace("no iterates to select from")
-    return best
 
 
 def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
@@ -348,8 +323,9 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     if not round_bests:
         raise EmptyTrace("every round diverged before recording an iterate")
 
-    return engine.trace(*best_iterate(round_bests), f_estimates=estimates,
-                        round_values=round_values, aborted_rounds=aborted)
+    return engine.trace(*min(round_bests, key=lambda b: b[1]),
+                        f_estimates=estimates, round_values=round_values,
+                        aborted_rounds=aborted)
 
 
 def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,

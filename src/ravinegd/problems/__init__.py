@@ -24,7 +24,7 @@ PROBLEM_NAMES = tuple(PROBLEMS)
 
 __all__ = [
     "PROBLEMS", "PROBLEM_NAMES", "ProblemBundle", "build", "param_errors",
-    "sample_init", "dist_to_solution", "instance_to_dict", "instance_from_dict",
+    "sample_init", "instance_to_dict", "instance_from_dict",
     "quartic", "rosenbrock", "circle", "factorization", "sensing", "neuron",
 ]
 
@@ -75,9 +75,3 @@ def sample_init(bundle: ProblemBundle, radius: float, seed: int) -> np.ndarray:
     base = np.asarray(bundle.base_solution, dtype=float)
     return base + radius * unit_direction(rng, bundle.objective.dim)
 
-
-def dist_to_solution(point, bundle: ProblemBundle) -> float:
-    """Distance (or proxy) from a flattened point to the solution set."""
-    if bundle.objective.dist_solution is None:
-        raise ValueError(f"{bundle.name} has no solution-distance oracle")
-    return float(bundle.objective.dist_solution(np.asarray(point, dtype=float)))

@@ -25,13 +25,17 @@ from ..errors import ShapeMismatch, ZeroNeuron
 from ..objective import Objective
 from ..ravine import RavineDescriptor
 from .spec import (
-    CLOUD_CHECKS, FINITE, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
+    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_real)
 
 NORM_FLOOR = 1e-8
 
+# A teacher norm below the floor makes every evaluation raise ZeroNeuron.
+_V_NORM = (lambda v: is_real(v) and NORM_FLOOR <= abs(v) < np.inf,
+           f"a finite number with magnitude >= {NORM_FLOOR:.0e}")
+
 SPEC = ProblemSpec(
     "neuron", CLOUD_CHECKS,
-    params={"d": (10, POSITIVE), "v_norm": (1.0, FINITE),
+    params={"d": (10, POSITIVE), "v_norm": (1.0, _V_NORM),
             "instance_seed": (0, NONNEGATIVE)})
 
 

@@ -9,9 +9,7 @@ an instance stores only the two (m, d) factor arrays ``a`` and ``at``
 O(m d k) instead of O(m d^2).  The default ensemble draws a_i and a~_i as
 standard Gaussian vectors; for it E <A_i, Z>^2 = 4 ||Z||_F^2 on symmetric
 Z, so the operator is a near-isometry only after dividing by
-op_scale = 2.  The RIP measurement accounts for this.  Explicit dense
-operators (``from_operator``) are split into this form by an eigen
-decomposition of each A_i.
+op_scale = 2.  The RIP measurement accounts for this.
 """
 
 from __future__ import annotations
@@ -105,66 +103,23 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     return from_factors(fac_inst, a, at, op_scale=2.0, seed=seed)
 
 
-def from_operator(fac_inst: fact.FactorizationInstance, A,
-                  op_scale: float = 1.0,
-                  seed: Optional[int] = None) -> SensingInstance:
-    """Instance with explicit dense measurement matrices (targets recomputed).
-
-    Each A_i must be symmetric with at most one positive and at most one
-    negative eigenvalue; it is split as a_i = sqrt(lam_max) v_max and
-    a~_i = sqrt(-lam_min) v_min.  Eigenvalues within 1e-10 of the largest
-    magnitude count as zero.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 3:
-        raise ShapeMismatch(f"measurements must be (m, d, d), got {A.shape}")
-    m, d1, d2 = A.shape
-    if d1 != fac_inst.d or d2 != fac_inst.d:
-        raise ShapeMismatch(f"measurements must be {fac_inst.d} x {fac_inst.d}")
-    scale = np.abs(A).max(axis=(1, 2))
-    asym = np.abs(A - A.transpose(0, 2, 1)).max(axis=(1, 2))
-    bad = np.flatnonzero(asym > 1e-12 * scale)
-    if bad.size:
-        raise ValueError(f"measurement {bad[0]} is not symmetric")
-    lam, vecs = np.linalg.eigh(A)
-    tol = 1e-10 * np.abs(lam).max(axis=1, keepdims=True)
-    lam = np.where(np.abs(lam) > tol, lam, 0.0)
-    for count, sign in (((lam > 0).sum(axis=1), "positive"),
-                        ((lam < 0).sum(axis=1), "negative")):
-        bad = np.flatnonzero(count > 1)
-        if bad.size:
-            raise ValueError(f"measurement {bad[0]} has {count[bad[0]]} "
-                             f"{sign} eigenvalues; need at most one")
-    a = np.sqrt(np.maximum(lam[:, -1], 0.0))[:, None] * vecs[:, :, -1]
-    at = np.sqrt(np.maximum(-lam[:, 0], 0.0))[:, None] * vecs[:, :, 0]
-    return from_factors(fac_inst, a, at, op_scale=op_scale, seed=seed)
-
-
-def orthonormal_symmetric_basis(d: int) -> np.ndarray:
-    """The m = d(d+1)/2 orthonormal basis matrices of symmetric d x d space."""
-    mats = []
-    for i in range(d):
-        e = np.zeros((d, d))
-        e[i, i] = 1.0
-        mats.append(e)
-    for i in range(d):
-        for j in range(i + 1, d):
-            e = np.zeros((d, d))
-            e[i, j] = e[j, i] = 1.0 / np.sqrt(2.0)
-            mats.append(e)
-    return np.array(mats)
-
-
 def complete_sensing_instance(
         fac_inst: fact.FactorizationInstance) -> SensingInstance:
     """Complete measurements from the orthonormal symmetric basis.
 
     With the basis scaled by sqrt(m), sum_i <A_i, Z>^2 / m = ||Z||_F^2 for
     symmetric Z, so the operator is an exact isometry (op_scale = 1) and
-    the objective coincides with the factorization objective.
+    the objective coincides with the factorization objective.  As factor
+    pairs: a = m^(1/4) e_i, a~ = 0 for the diagonal basis matrices and
+    a, a~ = (m/8)^(1/4) (e_i +- e_j) for the off-diagonal ones, i < j.
     """
-    basis = orthonormal_symmetric_basis(fac_inst.d)
-    return from_operator(fac_inst, basis * np.sqrt(len(basis)), op_scale=1.0)
+    d = fac_inst.d
+    i, j = np.triu_indices(d, k=1)
+    m, eye = d + len(i), np.eye(d)
+    c = (m / 8.0) ** 0.25
+    a = np.vstack([m ** 0.25 * eye, c * (eye[i] + eye[j])])
+    at = np.vstack([np.zeros((d, d)), c * (eye[i] - eye[j])])
+    return from_factors(fac_inst, a, at, op_scale=1.0)
 
 
 def sensing_eval(B, inst: SensingInstance):

@@ -3,7 +3,7 @@
 Instances serialize to plain dictionaries (dimensions, seed, dense arrays
 as nested number lists) so that runs replay without re-drawing randomness.
 Sensing instances store their (m, d) measurement factors as ``"a"`` and
-``"at"``; dictionaries holding a dense ``"A"`` tensor still load.
+``"at"``.
 """
 
 from __future__ import annotations
@@ -52,13 +52,10 @@ def instance_from_dict(data: dict):
     if kind == "sensing":
         fac_inst = fact.from_matrix(np.array(data["X"]), data["k"],
                                     r=data["r"], seed=data.get("seed"))
-        op_scale, seed = data.get("op_scale", 1.0), data.get("seed")
-        if "A" in data:
-            return sens.from_operator(fac_inst, np.array(data["A"]),
-                                      op_scale=op_scale, seed=seed)
         return sens.from_factors(fac_inst, np.array(data["a"]),
                                  np.array(data["at"]),
-                                 op_scale=op_scale, seed=seed)
+                                 op_scale=data.get("op_scale", 1.0),
+                                 seed=data.get("seed"))
     if kind == "neuron":
         return neur.NeuronInstance(d=data["d"], v=np.array(data["v"]),
                                    n=data.get("n", 2), seed=data.get("seed"))

@@ -27,7 +27,6 @@ def is_real(value) -> bool:
 # Rules for parameter values: a predicate and the phrase it enforces.
 POSITIVE = (lambda v: is_integer(v) and v >= 1, "a positive integer")
 NONNEGATIVE = (lambda v: is_integer(v) and v >= 0, "a nonnegative integer")
-FINITE = (lambda v: is_real(v) and bool(np.isfinite(v)), "a finite number")
 
 # The checks that sample clouds around a closed-form ravine.
 CLOUD_CHECKS = frozenset({"ravine", "aiming", "growth", "lojasiewicz",

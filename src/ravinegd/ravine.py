@@ -22,6 +22,9 @@ from .objective import Objective, _central_differences, unit_direction
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
 
+# Largest |fitted slope - p_growth| the growth-exponent check accepts.
+GROWTH_SLOPE_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class RavineDescriptor:
@@ -182,15 +185,14 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
 
 def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
                           n_samples: int, radius_grid, seed: int, *,
-                          exact_bracket=None,
-                          slope_tol: float = 0.1) -> DiagnosticsReport:
+                          exact_bracket=None) -> DiagnosticsReport:
     """Log-log regression of the value gap against distance to S on the manifold.
 
     Manifold points are produced by retracting perturbed solution points at
     each radius in ``radius_grid`` (which must span at least one decade).
-    Passes when |slope - obj.p_growth| <= slope_tol and, if ``exact_bracket``
-    = (lo_coef, hi_coef) is given, when every sample satisfies
-    lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
+    Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
+    ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
+    satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
     """
     radius_grid = np.asarray(list(radius_grid), dtype=float)
     if radius_grid.max() < 10.0 * radius_grid.min():
@@ -227,7 +229,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
         slope, intercept = np.polyfit(ld, lg, 1)
         resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))
-        return abs(slope - p) <= slope_tol and bracket_ok, {
+        return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
             "slope": float(slope), "expected_exponent": p,
             "fit_residual": resid,
             "exact_bracket": list(exact_bracket) if exact_bracket else None,
@@ -239,12 +241,12 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
 
 def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
                       seed: int, *, sample_solution,
-                      retract=None) -> DiagnosticsReport:
+                      retract) -> DiagnosticsReport:
     """Stability of (f - f*)^((p-1)/p) / ||grad f|| over shrinking clouds.
 
-    Ratios are collected at ``radius`` and ``radius / 10``; when a retraction
-    is available each sampled point also contributes its retracted companion,
-    so the cloud probes the near-manifold region where the ratio peaks.
+    Ratios are collected at ``radius`` and ``radius / 10``; each sampled
+    point also contributes its ``retract``-ed companion, so the cloud
+    probes the near-manifold region where the ratio peaks.
     Passes when both maxima are finite and within a factor 2 of each other.
     """
     if obj.f_star is None:
@@ -258,10 +260,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
         for _ in range(n_samples):
             s = np.asarray(sample_solution(rng), dtype=float)
             x = s + rad * unit_direction(rng, obj.dim)
-            points = [x]
-            if retract is not None:
-                points.append(np.asarray(retract(x), dtype=float))
-            for pt in points:
+            for pt in (x, np.asarray(retract(x), dtype=float)):
                 value, grad = obj.both(pt)
                 gap = float(value) - f_star
                 gnorm = float(np.linalg.norm(grad))
@@ -333,7 +332,7 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     d = inst.fac.d
     if rank_l > d:
         raise ValueError(f"rank_l = {rank_l} exceeds dimension {d}")
-    scale2 = float(getattr(inst, "op_scale", 1.0)) ** 2
+    scale2 = float(inst.op_scale) ** 2
     worst = 0.0
     for _ in range(trials):
         u = rng.standard_normal((d, rank_l))

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ravinegd
 from ravinegd import (
     ConfigInvalid,
     ExperimentConfig,
@@ -21,6 +22,7 @@ from ravinegd import (
 from ravinegd.cli import main
 from ravinegd.harness import ALL_CHECKS, CSV_HEADER, trace_to_csv
 from ravinegd.opt_core import RunTrace
+from ravinegd import problems
 from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
 
 
@@ -120,6 +122,7 @@ def test_cli_rejects_non_numeric_real_field(tmp_path, capsys, fields, name):
     ["run", "--problem", "sensing", "--param", "m=-5"],
     ["run", "--problem", "factorization", "--param", "instance_seed=1.5"],
     ["run", "--problem", "neuron", "--param", "v_norm=nan"],
+    ["run", "--problem", "neuron", "--param", "v_norm=0"],
     ["diagnose", "--problem", "rosenbrock", "--suite", "ravine",
      "--param", "d=0"],
     ["morse", "--problem", "circle", "--param", "k=0"],
@@ -464,6 +467,17 @@ def test_cli_diagnose_exit_codes(tmp_path):
     assert (tmp_path / "diag" / "reports" / "ravine.json").exists()
 
 
+def test_cli_diagnose_rip_caps_rank_at_dimension(tmp_path):
+    # k + r = 6 exceeds d = 5; the rank of BB^T - X is at most d.
+    rc = main(["diagnose", "--problem", "sensing", "--suite", "rip",
+               "--param", "d=5", "--param", "r=2", "--param", "k=4",
+               "--param", "m=1000", "--samples", "50",
+               "--out", str(tmp_path / "diag")])
+    assert rc == 0
+    report = tmp_path / "diag" / "reports" / "rip.json"
+    assert json.loads(report.read_text())["extras"]["rank_l"] == 5
+
+
 def test_cli_invalid_config_exit_code(tmp_path):
     rc = main(["run", "--problem", "quartic1d", "--method", "gdpolyak",
                "--eta", "-1", "--out", str(tmp_path / "x")])
@@ -486,3 +500,9 @@ def test_cli_compare(tmp_path):
     assert rc == 0
     text = (tmp_path / "cmp" / "comparison.csv").read_text()
     assert text.startswith("method,final_gap,best_gap,grad_evals,slope,r2")
+
+
+def test_every_export_resolves():
+    for module in (ravinegd, problems):
+        assert [name for name in module.__all__
+                if not hasattr(module, name)] == []

@@ -11,9 +11,7 @@ from ravinegd import (
     NonFiniteGradient,
     Objective,
     TargetAboveValue,
-    best_iterate,
     gd_baseline,
-    gd_step,
     gdpolyak,
     gdpolyak_lb,
     polyak_baseline,
@@ -52,34 +50,6 @@ class CountingObjective:
         return self._obj.both(x)
 
     value_and_grad = None
-
-
-# ---------------------------------------------------------------- gd_step
-
-def test_gd_step_quartic(qobj):
-    # f'(1) = 1, so x+ = 1 - 0.1.
-    assert gd_step(np.array([1.0]), 0.1, qobj)[0] == pytest.approx(0.9, abs=0)
-
-
-def test_gd_step_reaches_zero(qobj):
-    # f'(2) = 8: 2 - 0.25 * 8 = 0 exactly.
-    assert gd_step(np.array([2.0]), 0.25, qobj)[0] == 0.0
-
-
-def test_gd_step_fixed_point_at_minimizer(qobj):
-    assert gd_step(np.array([0.0]), 0.5, qobj)[0] == 0.0
-
-
-def test_gd_step_rejects_negative_eta(qobj):
-    with pytest.raises(ValueError):
-        gd_step(np.array([1.0]), -0.1, qobj)
-
-
-def test_gd_step_nonfinite_gradient():
-    bad = Objective(dim=1, eval=lambda x: float(x[0]),
-                    grad=lambda x: np.array([np.nan]))
-    with pytest.raises(NonFiniteGradient):
-        gd_step(np.array([1.0]), 0.1, bad)
 
 
 # ------------------------------------------------------------ gd_baseline
@@ -131,25 +101,6 @@ def test_polyak_step_rejects_other_scales(qobj):
 def test_polyak_step_stationary_guard(qobj):
     # At the minimizer both the gap and gradient vanish.
     assert polyak_step(np.zeros(1), qobj, 0.0)[0] == 0.0
-
-
-# ------------------------------------------------------------ best_iterate
-
-def test_best_iterate_minimum():
-    assert best_iterate([("a", 3.0), ("b", 1.0), ("c", 2.0)]) == ("b", 1.0)
-
-
-def test_best_iterate_tie_breaks_earliest():
-    assert best_iterate([("a", 1.0), ("b", 1.0)]) == ("a", 1.0)
-
-
-def test_best_iterate_single():
-    assert best_iterate([("only", 4.2)]) == ("only", 4.2)
-
-
-def test_best_iterate_empty():
-    with pytest.raises(EmptyTrace):
-        best_iterate([])
 
 
 # ---------------------------------------------------------------- gdpolyak
@@ -295,6 +246,13 @@ def test_gdpolyak_lb_survives_diverging_round():
     trace = gdpolyak_lb(x0, 0.0125, 50, 10, 6, -1.0, obj)
     assert np.isfinite(trace.best_value)
     assert np.all(trace.f_estimates <= 1e-10)
+
+
+def test_gdpolyak_lb_every_round_diverged():
+    bad = Objective(dim=1, eval=lambda x: 0.0,
+                    grad=lambda x: np.array([np.inf]))
+    with pytest.raises(EmptyTrace):
+        gdpolyak_lb(np.array([1.0]), 0.1, 2, 2, 3, 0.0, bad)
 
 
 def test_gdpolyak_lb_aborted_round_leaves_no_row():

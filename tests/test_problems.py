@@ -21,7 +21,6 @@ from ravinegd.problems import (
     PROBLEMS,
     build,
     circle,
-    dist_to_solution,
     factorization,
     instance_from_dict,
     instance_to_dict,
@@ -32,7 +31,7 @@ from ravinegd.problems import (
     sample_init,
     sensing,
 )
-from ravinegd.problems.spec import FINITE, NONNEGATIVE, POSITIVE
+from ravinegd.problems.spec import NONNEGATIVE, POSITIVE
 from ravinegd.ravine import measure_rip
 
 
@@ -139,11 +138,11 @@ def test_sensing_zero_at_solution(sens_inst):
 
 
 def test_sensing_scalar_case():
-    # d = k = r = 1 with a single measurement A = [[1]], X = [[1]]:
-    # f(t) = (1 - t^2)^2, f'(t) = -4 t (1 - t^2).
-    inst = sensing.from_operator(
+    # d = k = r = 1 with a single measurement A = [[1]] (a = 1, a~ = 0),
+    # X = [[1]]: f(t) = (1 - t^2)^2, f'(t) = -4 t (1 - t^2).
+    inst = sensing.from_factors(
         factorization.from_matrix(np.array([[1.0]]), k=1),
-        np.array([[[1.0]]]))
+        np.array([[1.0]]), np.array([[0.0]]))
     for t in (0.3, 1.7):
         v, g = sensing.sensing_eval(np.array([[t]]), inst)
         assert v == pytest.approx((1 - t ** 2) ** 2, rel=1e-12)
@@ -210,22 +209,6 @@ def test_sensing_rank_one_matches_dense(kind):
         v_ref, g_ref = _dense_sensing_eval(B, inst)
         assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
-
-
-def test_sensing_from_operator_rejects_asymmetric():
-    fac = factorization.random_instance(d=3, r=1, k=2, seed=0)
-    A = np.zeros((2, 3, 3))
-    A[0, 0, 0] = 1.0
-    A[1, 0, 1] = 1.0
-    with pytest.raises(ValueError, match="symmetric"):
-        sensing.from_operator(fac, A)
-
-
-def test_sensing_from_operator_rejects_two_positive_eigenvalues():
-    fac = factorization.random_instance(d=3, r=1, k=2, seed=0)
-    A = np.diag([1.0, 2.0, -1.0])[None]
-    with pytest.raises(ValueError, match="positive"):
-        sensing.from_operator(fac, A)
 
 
 def test_sensing_instance_holds_no_dense_tensor():
@@ -363,7 +346,7 @@ def test_solution_certification(bundles, name):
     rng = np.random.default_rng(0)
     for _ in range(100):
         s = bundle.sample_solution(rng)
-        assert dist_to_solution(s, bundle) <= 1e-7
+        assert bundle.objective.dist_solution(s) <= 1e-7
         assert bundle.objective.eval(s) <= tol
 
 
@@ -371,7 +354,8 @@ def test_solution_certification(bundles, name):
 RULE_DRAWS = {
     POSITIVE: st.integers(1, 6),
     NONNEGATIVE: st.integers(0, 2 ** 32 - 1),
-    FINITE: st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
+    neuron.SPEC.params["v_norm"][1]:
+        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
 }
 
 
@@ -416,7 +400,7 @@ def test_ranks_out_of_order_are_rejected(name, values):
 
 def test_dist_to_solution_examples(bundles):
     q = bundles["quartic1d"]
-    assert dist_to_solution(np.array([-3.0]), q) == 3.0
+    assert q.objective.dist_solution(np.array([-3.0])) == 3.0
     X = np.zeros((2, 2))
     X[0, 0] = 1.0
     inst = factorization.from_matrix(X, k=2)
@@ -428,7 +412,7 @@ def test_dist_to_solution_examples(bundles):
 def test_sample_init_factorization_distance(bundles):
     bundle = bundles["factorization"]
     x = sample_init(bundle, 0.01, 5)
-    assert dist_to_solution(x, bundle) <= 0.01 + 1e-10
+    assert bundle.objective.dist_solution(x) <= 0.01 + 1e-10
 
 
 def test_unit_direction_rejects_empty_dimension():
@@ -466,19 +450,6 @@ def test_sensing_roundtrip(sens_inst):
     B = np.ones((8, 3)) * 0.2
     assert sensing.sensing_eval(B, back)[0] == sensing.sensing_eval(
         B, sens_inst)[0]
-
-
-def test_sensing_legacy_dense_roundtrip(sens_inst):
-    data = json.loads(json.dumps(instance_to_dict(sens_inst)))
-    del data["a"], data["at"]
-    data["A"] = sens_inst.A.tolist()
-    back = instance_from_dict(data)
-    assert back.op_scale == sens_inst.op_scale and back.m == sens_inst.m
-    assert np.allclose(back.A, sens_inst.A, rtol=0, atol=1e-12)
-    assert np.allclose(back.y, sens_inst.y, rtol=1e-12)
-    B = np.ones((8, 3)) * 0.2
-    assert sensing.sensing_eval(B, back)[0] == pytest.approx(
-        sensing.sensing_eval(B, sens_inst)[0], rel=1e-10)
 
 
 def test_neuron_roundtrip(neuron_inst):
