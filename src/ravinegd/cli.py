@@ -105,6 +105,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     suite = [s.strip() for s in args.suite.split(",") if s.strip()]
+    if not suite:
+        raise ConfigInvalid([f"suite: must name a check, got {args.suite!r}"])
     params = dict(args.param) if args.param else {}
     ok, reports = diagnose(args.problem, suite, n_samples=args.samples,
                            radius=args.radius, seed=args.seed,

@@ -38,7 +38,7 @@ class OriginSingularity(RavineGDError):
 
 
 class ZeroNeuron(RavineGDError):
-    """A neuron weight (or the teacher vector) has a norm too small for angles."""
+    """A student weight is too small, relative to the teacher, for angles."""
 
 
 class DegenerateProjection(RavineGDError):

@@ -11,7 +11,8 @@ grid) is read from ``problems.PROBLEMS`` and the built bundle.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -104,6 +105,12 @@ class ExperimentConfig:
                 errors.append(f"f_lb: only valid for gdpolyak_lb, got {self.f_lb}")
         if not np.isfinite(self.init_radius) or self.init_radius <= 0:
             errors.append(f"init_radius: must be > 0, got {self.init_radius}")
+        if not isinstance(self.record_distances, bool):
+            errors.append(f"record_distances: must be a boolean, got "
+                          f"{self.record_distances!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            errors.append(f"out_dir: must be a path string, got "
+                          f"{self.out_dir!r}")
         if errors:
             raise ConfigInvalid(errors)
         return self
@@ -264,19 +271,16 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
     instrumented count column.  Files are written when out_dir is set.
     """
     methods = ["gd", "polyak", "gdpolyak"]
-    run_lb = config.J is not None and config.f_lb is not None
-    if run_lb:
+    if config.J is not None and config.f_lb is not None:
         methods.append("gdpolyak_lb")
     rows = []
-    base = config.to_dict()
-    base.pop("method", None)
-    out_root = base.pop("out_dir", None)
     for method in methods:
-        cfg = ExperimentConfig(method=method, out_dir=None, **base)
+        cfg = replace(config, method=method)
         if method != "gdpolyak_lb":
             cfg.J, cfg.f_lb = None, None
-        if out_root is not None:
-            cfg.out_dir = str(Path(out_root) / method)
+        cfg.validate()          # before out_dir gets a method subdirectory
+        if config.out_dir is not None:
+            cfg.out_dir = str(Path(config.out_dir) / method)
         trace = run_experiment(cfg)
         try:
             slope, r2 = fit_linear_rate(trace)
@@ -291,8 +295,8 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
             "r2": r2,
         })
     table = ComparisonTable(rows)
-    if out_root is not None:
-        out = Path(out_root)
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
         (out / "comparison.txt").write_text(table.to_text(), encoding="utf-8")

@@ -89,7 +89,7 @@ class MorseRavineSolver:
         for _ in range(self.max_iter):
             if gnorm <= self.tol:
                 return v
-            jac = self._jacobian(u, v)
+            jac = self._jacobian(u, v, g)
             try:
                 step = np.linalg.solve(jac, g)
             except np.linalg.LinAlgError as exc:
@@ -111,10 +111,9 @@ class MorseRavineSolver:
             f"residual {gnorm:.3e} above tol {self.tol:.3e} after "
             f"{self.max_iter} iterations")
 
-    def _jacobian(self, u, v):
-        """Forward-difference Jacobian of the normal residual in v."""
+    def _jacobian(self, u, v, g0):
+        """Forward-difference Jacobian in v of the normal residual ``g0``."""
         h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
-        g0 = self._residual(u, v)
         jac = np.empty((self.normal_dim, self.normal_dim))
         for i in range(self.normal_dim):
             e = np.zeros(self.normal_dim)

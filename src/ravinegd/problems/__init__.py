@@ -2,9 +2,10 @@
 
 ``PROBLEMS`` maps each problem name to its module, which states the
 problem's facts once in its ``SPEC`` (see :mod:`.spec`) and builds its
-:class:`ProblemBundle`.  ``build`` and ``param_errors`` read that table.
-``sample_init`` draws initial points at an exact distance from a known
-solution.
+:class:`ProblemBundle`.  ``build`` and ``param_errors`` read that table;
+``build`` redraws an instance bit for bit from its name and parameters,
+which a run's ``config.json`` records.  ``sample_init`` draws initial
+points at an exact distance from a known solution.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from ..objective import unit_direction
 from . import circle, factorization, neuron, quartic, rosenbrock, sensing
-from .serialize import instance_from_dict, instance_to_dict
 from .spec import ProblemBundle
 
 PROBLEMS = {module.SPEC.name: module for module in (
@@ -24,7 +24,7 @@ PROBLEM_NAMES = tuple(PROBLEMS)
 
 __all__ = [
     "PROBLEMS", "PROBLEM_NAMES", "ProblemBundle", "build", "param_errors",
-    "sample_init", "instance_to_dict", "instance_from_dict",
+    "sample_init",
     "quartic", "rosenbrock", "circle", "factorization", "sensing", "neuron",
 ]
 
@@ -46,10 +46,13 @@ def _with_defaults(spec, params: dict) -> dict:
 
 
 def param_errors(name: str, params: Optional[dict]) -> list:
-    """Messages for an unknown problem, keys it does not take, values that
-    break their rule and combinations outside its ``ordered`` keys."""
-    if name not in PROBLEMS:
+    """Messages for an unknown problem or a non-dict ``params``, keys it
+    does not take, values that break their rule and combinations outside
+    its ``ordered`` keys."""
+    if not isinstance(name, str) or name not in PROBLEMS:
         return [f"problem: unknown {name!r}"]
+    if not isinstance(params, (dict, type(None))):
+        return [f"problem_params: must be a dict, got {params!r}"]
     spec = PROBLEMS[name].SPEC
     params = params or {}
     unknown = sorted(set(params) - set(spec.params))

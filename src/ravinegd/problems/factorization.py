@@ -44,15 +44,9 @@ class FactorizationInstance:
     L: np.ndarray          # (d, r) with L L^T = X, columns by descending eigenvalue
     basis: np.ndarray      # (d, d) eigenvectors of X, descending eigenvalues
     evals: np.ndarray      # (d,) eigenvalues, descending
-    seed: Optional[int] = None
-
-    @property
-    def dim(self) -> int:
-        return self.d * self.k
 
 
-def from_matrix(X, k: int, r: Optional[int] = None,
-                seed: Optional[int] = None) -> FactorizationInstance:
+def from_matrix(X, k: int, r: Optional[int] = None) -> FactorizationInstance:
     """Build an instance from a dense symmetric psd matrix.
 
     The rank is inferred from the spectrum when not given: eigenvalues
@@ -80,7 +74,7 @@ def from_matrix(X, k: int, r: Optional[int] = None,
     L = v[:, :r] * np.sqrt(w[:r])
     return FactorizationInstance(
         d=d, k=k, r=r, X=X, sigma1=sigma1, sigmar=float(w[r - 1]),
-        L=L, basis=v, evals=w, seed=seed)
+        L=L, basis=v, evals=w)
 
 
 def random_instance(d: int, r: int, k: int,
@@ -93,7 +87,7 @@ def random_instance(d: int, r: int, k: int,
     g = rng.standard_normal((d, r))
     X = g @ g.T
     X = X / np.linalg.eigvalsh(X)[-1]
-    return from_matrix(X, k, r=r, seed=seed)
+    return from_matrix(X, k, r=r)
 
 
 def as_matrix(B, inst: FactorizationInstance) -> np.ndarray:

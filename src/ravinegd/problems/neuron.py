@@ -17,7 +17,6 @@ serves as an independent oracle for the closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -29,7 +28,8 @@ from .spec import (
 
 NORM_FLOOR = 1e-8
 
-# A teacher norm below the floor makes every evaluation raise ZeroNeuron.
+# The objective is homogeneous in (w, v), so students are compared with
+# NORM_FLOOR * ||v||; this rule keeps ||v|| itself away from zero.
 _V_NORM = (lambda v: is_real(v) and NORM_FLOOR <= abs(v) < np.inf,
            f"a finite number with magnitude >= {NORM_FLOOR:.0e}")
 
@@ -45,12 +45,6 @@ class NeuronInstance:
 
     d: int
     v: np.ndarray
-    n: int = 2                    # student width; the closed form is for n = 2
-    seed: Optional[int] = None
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.d
 
 
 def make_neuron_instance(d: int, seed: int,
@@ -59,20 +53,24 @@ def make_neuron_instance(d: int, seed: int,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d)
     v = v / np.linalg.norm(v) * v_norm
-    return NeuronInstance(d=d, v=v, seed=seed)
+    return NeuronInstance(d=d, v=v)
 
 
 def _angle(a, b, na, nb):
     return float(np.arccos(np.clip((a @ b) / (na * nb), -1.0, 1.0)))
 
 
+def _check_floor(n1, n2, nv):
+    if min(n1, n2) < NORM_FLOOR * nv:
+        raise ZeroNeuron(f"student norms ({n1:.2e}, {n2:.2e}) below "
+                         f"{NORM_FLOOR:.0e} * ||v|| = {NORM_FLOOR * nv:.2e}")
+
+
 def _norms(w1, w2, inst):
     n1 = float(np.linalg.norm(w1))
     n2 = float(np.linalg.norm(w2))
     nv = float(np.linalg.norm(inst.v))
-    if min(n1, n2, nv) < NORM_FLOOR:
-        raise ZeroNeuron(
-            f"norms ({n1:.2e}, {n2:.2e}, {nv:.2e}) below {NORM_FLOOR:.0e}")
+    _check_floor(n1, n2, nv)
     return n1, n2, nv
 
 
@@ -160,10 +158,7 @@ def neuron_values(W, inst: NeuronInstance) -> np.ndarray:
     n1 = np.sqrt(_rowdot(W1, W1))
     n2 = np.sqrt(_rowdot(W2, W2))
     nv = float(np.linalg.norm(inst.v))
-    if min(n1.min(), n2.min(), nv) < NORM_FLOOR:
-        raise ZeroNeuron(
-            f"norms ({n1.min():.2e}, {n2.min():.2e}, {nv:.2e}) below "
-            f"{NORM_FLOOR:.0e}")
+    _check_floor(n1.min(), n2.min(), nv)
 
     def angle(dots, na, nb):
         return np.arccos(np.clip(dots / (na * nb), -1.0, 1.0))

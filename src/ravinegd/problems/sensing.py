@@ -15,7 +15,6 @@ op_scale = 2.  The RIP measurement accounts for this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -44,11 +43,6 @@ class SensingInstance:
     at: np.ndarray             # (m, d) negative factors a~_i
     y: np.ndarray              # (m,) targets <A_i, X>
     op_scale: float            # analytic isometry normalization of the ensemble
-    seed: Optional[int] = None
-
-    @property
-    def dim(self) -> int:
-        return self.fac.dim
 
     def measure(self, Z: np.ndarray) -> np.ndarray:
         """Measurements <A_i, Z> of a d x d matrix Z, shape (m,)."""
@@ -69,8 +63,7 @@ def _quadratic_forms(a: np.ndarray, at: np.ndarray,
 
 
 def from_factors(fac_inst: fact.FactorizationInstance, a, at,
-                 op_scale: float = 1.0,
-                 seed: Optional[int] = None) -> SensingInstance:
+                 op_scale: float = 1.0) -> SensingInstance:
     """Instance with measurements a_i a_i^T - a~_i a~_i^T (targets computed)."""
     a = np.asarray(a, dtype=float)
     at = np.asarray(at, dtype=float)
@@ -79,7 +72,7 @@ def from_factors(fac_inst: fact.FactorizationInstance, a, at,
                             f"(m, {fac_inst.d}), got {a.shape} and {at.shape}")
     return SensingInstance(fac=fac_inst, m=a.shape[0], a=a, at=at,
                            y=_quadratic_forms(a, at, fac_inst.X),
-                           op_scale=op_scale, seed=seed)
+                           op_scale=op_scale)
 
 
 def make_sensing_instance(d: int, r: int, k: int, m: int,
@@ -97,10 +90,10 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     g = rng.standard_normal((d, r))
     X = g @ g.T
     X = X / np.linalg.eigvalsh(X)[-1]
-    fac_inst = fact.from_matrix(X, k, r=r, seed=seed)
+    fac_inst = fact.from_matrix(X, k, r=r)
     a = rng.standard_normal((m, d))
     at = rng.standard_normal((m, d))
-    return from_factors(fac_inst, a, at, op_scale=2.0, seed=seed)
+    return from_factors(fac_inst, a, at, op_scale=2.0)
 
 
 def complete_sensing_instance(

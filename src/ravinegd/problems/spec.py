@@ -81,7 +81,3 @@ class ProblemBundle:
     sample_solution: Callable[[np.random.Generator], np.ndarray]
     ravine_bracket: Optional[tuple] = None
     growth_bracket: Optional[tuple] = None
-
-    @property
-    def name(self) -> str:
-        return self.spec.name

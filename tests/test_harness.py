@@ -478,6 +478,65 @@ def test_cli_diagnose_rip_caps_rank_at_dimension(tmp_path):
     assert json.loads(report.read_text())["extras"]["rank_l"] == 5
 
 
+@pytest.mark.parametrize("argv, fields, name", [
+    (["run"], {"record_distances": "false"}, "record_distances"),
+    (["run"], {"out_dir": 5}, "out_dir"),
+    (["compare"], {"out_dir": 5}, "out_dir"),
+    (["run"], {"problem": ["rosenbrock"]}, "problem"),
+    (["run"], {"problem": "factorization", "problem_params": "dk"},
+     "problem_params"),
+    (["diagnose", "--problem", "rosenbrock", "--suite", ",", "--out", "out"],
+     None, "suite"),
+])
+def test_cli_rejects_mistyped_input(argv, fields, name, tmp_path,
+                                    monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    if fields is not None:
+        Path("cfg.json").write_text(json.dumps(
+            {"problem": "rosenbrock", "K": 2, "I": 2, "out_dir": "out",
+             **fields}))
+        argv = argv + ["--config", "cfg.json"]
+    assert main(argv) == 2
+    assert f"invalid config: {name}: " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] in ([], ["cfg.json"])
+
+
+@pytest.mark.parametrize("v_norm", ["1e-8", "-1e-8"])
+def test_cli_runs_neuron_at_the_smallest_teacher_norm(v_norm, tmp_path):
+    # The objective is homogeneous in (w, v): students are floored
+    # relative to ||v||, not at an absolute norm.
+    assert main(["run", "--problem", "neuron", "--param", f"v_norm={v_norm}",
+                 "--out", str(tmp_path / "run")]) == 0
+
+
+@pytest.mark.parametrize("problem, flags", [
+    ("quartic1d", ["--eta", "0.05"]),
+    ("rosenbrock", ["--method", "gdpolyak_lb", "--eta", "0.0125", "--J", "2",
+                    "--f-lb", "-1"]),
+    ("circle", ["--eta", "0.05", "--init-radius", "0.3"]),
+    ("factorization", ["--eta", "0.05", "--init-radius", "0.1",
+                       "--record-distances", "--param", "instance_seed=2"]),
+    ("sensing", ["--eta", "0.05", "--init-radius", "0.1",
+                 "--param", "d=6", "--param", "m=100"]),
+    ("neuron", ["--eta", "1.5", "--init-radius", "0.1",
+                "--param", "v_norm=2.5", "--param", "instance_seed=3"]),
+])
+def test_run_replays_bitwise_from_its_config(problem, flags, tmp_path):
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["run", "--problem", problem, "--K", "5", "--I", "3",
+                 "--seed", "4", "--out", str(first)] + flags) == 0
+    assert main(["run", "--config", str(first / "config.json"),
+                 "--out", str(again)]) == 0
+    assert (again / "trace.csv").read_bytes() == \
+        (first / "trace.csv").read_bytes()
+    manifests = []
+    for out in (first, again):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"].pop("out_dir") == str(out)
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]
+
+
 def test_cli_invalid_config_exit_code(tmp_path):
     rc = main(["run", "--problem", "quartic1d", "--method", "gdpolyak",
                "--eta", "-1", "--out", str(tmp_path / "x")])

@@ -103,6 +103,35 @@ def test_polyak_step_stationary_guard(qobj):
     assert polyak_step(np.zeros(1), qobj, 0.0)[0] == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(h=st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3),
+       u=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       exponent=st.integers(-40, 1),
+       ratio=st.floats(-2.0, 2.0),
+       shift=st.sampled_from([0.0, -1.0, 1.0]),
+       scale=st.sampled_from([1.0, 2.0]))
+def test_polyak_step_formula_and_guards_on_quadratic(h, u, exponent, ratio,
+                                                     shift, scale):
+    # f(x) = x^T H x / 2; tiny exponents reach the vanishing-gradient guard
+    # and targets near f reach the closed-gap guard.
+    h = np.array(h)
+    obj = Objective(dim=3, eval=lambda z: 0.5 * float(z @ (h * z)),
+                    grad=lambda z: h * z)
+    x = np.array(u) * 10.0 ** exponent
+    f, g = obj.both(x)
+    f_target = f * (1.0 - ratio) + shift
+    if f_target > f + 1e-10 * (1.0 + abs(f_target)):
+        with pytest.raises(TargetAboveValue):
+            polyak_step(x, obj, f_target, scale=scale)
+        return
+    out = polyak_step(x, obj, f_target, scale=scale)
+    if f_target >= f or float(g @ g) <= 1e-30 * 1e-30:
+        assert np.array_equal(out, x)
+    else:
+        assert np.array_equal(
+            out, x - (f - f_target) / (scale * float(g @ g)) * g)
+
+
 # ---------------------------------------------------------------- gdpolyak
 
 def test_gdpolyak_two_epoch_contraction(qobj):

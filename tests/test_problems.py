@@ -1,8 +1,7 @@
 """Problem objective tests: closed-form examples, gradient consistency,
-instance generation and serialization."""
+instance generation and parameter validation."""
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -22,8 +21,6 @@ from ravinegd.problems import (
     build,
     circle,
     factorization,
-    instance_from_dict,
-    instance_to_dict,
     neuron,
     param_errors,
     quartic,
@@ -430,30 +427,3 @@ def test_unit_direction_rejects_empty_dimension():
     with pytest.raises(ValueError):
         unit_direction(FiniteRng(), 0)
 
-
-# ------------------------------------------------------------ serialization
-
-def test_factorization_roundtrip(fact_inst):
-    data = json.loads(json.dumps(instance_to_dict(fact_inst)))
-    back = instance_from_dict(data)
-    assert np.array_equal(back.X, fact_inst.X)
-    assert np.array_equal(back.L, fact_inst.L)
-    assert (back.d, back.k, back.r) == (fact_inst.d, fact_inst.k, fact_inst.r)
-
-
-def test_sensing_roundtrip(sens_inst):
-    data = json.loads(json.dumps(instance_to_dict(sens_inst)))
-    back = instance_from_dict(data)
-    assert np.array_equal(back.A, sens_inst.A)
-    assert np.array_equal(back.y, sens_inst.y)
-    assert back.op_scale == sens_inst.op_scale
-    B = np.ones((8, 3)) * 0.2
-    assert sensing.sensing_eval(B, back)[0] == sensing.sensing_eval(
-        B, sens_inst)[0]
-
-
-def test_neuron_roundtrip(neuron_inst):
-    data = json.loads(json.dumps(instance_to_dict(neuron_inst)))
-    back = instance_from_dict(data)
-    assert np.array_equal(back.v, neuron_inst.v)
-    assert back.d == neuron_inst.d and back.n == neuron_inst.n
