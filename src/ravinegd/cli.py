@@ -21,6 +21,7 @@ from .harness import (
     ALL_CHECKS,
     METHODS,
     ExperimentConfig,
+    check_input,
     compare_methods,
     diagnose,
     run_experiment,
@@ -62,29 +63,28 @@ def _add_run_flags(p: argparse.ArgumentParser, with_method: bool):
                    help="JSON config file; explicit flags override it")
 
 
-def _config_from_args(args, with_method: bool) -> ExperimentConfig:
-    data = {}
-    if args.config_file:
-        data = json.loads(Path(args.config_file).read_text(encoding="utf-8"))
-    fields = ["problem", "eta", "K", "I", "J", "f_lb", "init_radius", "seed",
-              "out_dir", "record_distances"]
-    if with_method:
-        fields.append("method")
-    for name in fields:
+def _config_from_args(args) -> ExperimentConfig:
+    data, path = {}, args.config_file
+    if path:
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalid([f"config: {path}: {exc}"]) from exc
+    if not isinstance(data, dict):
+        raise ConfigInvalid([f"config: {path}: not a JSON object: {data!r}"])
+    for name in ExperimentConfig.__dataclass_fields__:   # flag dest = field
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    if args.param:
-        params = dict(data.get("problem_params", {}))
-        params.update(dict(args.param))
-        data["problem_params"] = params
-    if "problem" not in data:
-        raise ConfigInvalid(["problem: required (flag or config file)"])
+    params = data.get("problem_params")
+    if args.param and isinstance(params, (dict, type(None))):
+        # Anything else is left for validation to report.
+        data["problem_params"] = {**(params or {}), **dict(args.param)}
     return ExperimentConfig.from_dict(data)
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args, with_method=True)
+    config = _config_from_args(args)
     trace = run_experiment(config)
     gap = trace.best_value - trace.f_reference
     print(f"{config.problem}/{config.method}: best gap {gap:.6e} "
@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    config = _config_from_args(args, with_method=False)
+    config = _config_from_args(args)
     table = compare_methods(config)
     print(table.to_text(), end="")
     if config.out_dir:
@@ -105,12 +105,10 @@ def _cmd_compare(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     suite = [s.strip() for s in args.suite.split(",") if s.strip()]
-    if not suite:
-        raise ConfigInvalid([f"suite: must name a check, got {args.suite!r}"])
-    params = dict(args.param) if args.param else {}
     ok, reports = diagnose(args.problem, suite, n_samples=args.samples,
                            radius=args.radius, seed=args.seed,
-                           out_dir=args.out_dir, problem_params=params)
+                           out_dir=args.out_dir,
+                           problem_params=dict(args.param))
     for name, rep in reports.items():
         verdict = "pass" if rep.passed else "FAIL"
         print(f"{name}: {verdict}  range [{rep.measured_lower:.6g}, "
@@ -127,12 +125,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def _cmd_morse(args) -> int:
-    params = dict(args.param) if args.param else {}
-    errors = problems.param_errors(args.problem, params)
-    if not (np.isfinite(args.tol) and args.tol > 0):
-        errors.append(f"tol: must be finite and > 0, got {args.tol}")
-    if errors:
-        raise ConfigInvalid(errors)
+    params = dict(args.param)
+    check_input(args.problem, params, tol=args.tol)
     bundle = problems.build(args.problem, params)
     spec = bundle.spec.morse
     solver = morse_ravine_solve(bundle.objective, bundle.base_solution,

@@ -61,8 +61,8 @@ class InsufficientData(RavineGDError):
     """Not enough usable records to fit a convergence rate."""
 
 
-class ConfigInvalid(RavineGDError):
-    """An experiment configuration failed validation.
+class ConfigInvalid(RavineGDError, ValueError):
+    """User input failed validation before any work started.
 
     Carries a list of per-field messages in ``errors``.
     """
@@ -72,5 +72,5 @@ class ConfigInvalid(RavineGDError):
         super().__init__("invalid config: " + "; ".join(self.errors))
 
 
-class UnsupportedCheck(RavineGDError):
+class UnsupportedCheck(ConfigInvalid):
     """The requested diagnostic does not apply to this problem."""

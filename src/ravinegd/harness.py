@@ -5,7 +5,8 @@ is deterministic given it.  ``run_experiment`` writes a per-run directory
 with ``config.json``, ``trace.csv`` and ``manifest.json``; ``diagnose``
 writes one JSON report per requested check under ``reports/``.  What
 differs between problems (parameters, supported checks, brackets, Morse
-grid) is read from ``problems.PROBLEMS`` and the built bundle.
+grid) is read from ``problems.PROBLEMS`` and the built bundle.  Every
+command's input passes ``check_input`` before any work starts.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from .opt_core import (
     gdpolyak_lb,
     polyak_baseline,
 )
-from .problems.spec import is_integer, is_real
+from .problems.spec import (
+    NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL, optional,
+    rule_errors)
 from .ravine import (
     DiagnosticsReport,
     check_aiming,
@@ -50,6 +53,29 @@ GAP_FLOOR = 1e-30
 ALL_CHECKS = ("ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
               "morse", "rip")
 
+# The rule of every user-set field of run, compare, diagnose and morse;
+# problem parameters follow their problem's SPEC.
+FIELD_RULES = {
+    "method": (lambda v: v in METHODS, f"one of {', '.join(METHODS)}"),
+    "eta": NONNEGATIVE_REAL, "K": POSITIVE, "I": POSITIVE,
+    "J": optional(POSITIVE), "f_lb": optional(REAL),
+    "init_radius": POSITIVE_REAL, "seed": NONNEGATIVE,
+    "out_dir": optional((lambda v: isinstance(v, (str, os.PathLike)),
+                         "a path string")),
+    "record_distances": (lambda v: isinstance(v, bool), "a boolean"),
+    "samples": POSITIVE, "radius": POSITIVE_REAL, "tol": POSITIVE_REAL,
+}
+
+
+def check_input(problem, problem_params, cross=(), **fields):
+    """The one input gate: raise :class:`ConfigInvalid` with every message
+    for the problem, its parameters, each field judged by ``FIELD_RULES``
+    and ``cross``, from rules that tie fields together."""
+    errors = (problems.param_errors(problem, problem_params)
+              + rule_errors(fields, FIELD_RULES) + list(cross))
+    if errors:
+        raise ConfigInvalid(errors)
+
 
 @dataclass
 class ExperimentConfig:
@@ -69,50 +95,14 @@ class ExperimentConfig:
     problem_params: dict = field(default_factory=dict)
 
     def validate(self):
-        errors = problems.param_errors(self.problem, self.problem_params)
-        integers = {"K": self.K, "I": self.I, "seed": self.seed}
-        if self.J is not None:
-            integers["J"] = self.J
-        reals = {"eta": self.eta, "init_radius": self.init_radius}
-        if self.f_lb is not None:
-            reals["f_lb"] = self.f_lb
-        types = [f"{name}: must be an integer, got {value!r}"
-                 for name, value in integers.items() if not is_integer(value)]
-        types += [f"{name}: must be a real number, got {value!r}"
-                  for name, value in reals.items() if not is_real(value)]
-        if types:
-            # The range checks below assume numeric fields.
-            raise ConfigInvalid(errors + types)
-        if self.method not in METHODS:
-            errors.append(f"method: unknown {self.method!r}")
-        if not np.isfinite(self.eta) or self.eta < 0:
-            errors.append(f"eta: must be >= 0, got {self.eta}")
-        if self.K < 1:
-            errors.append(f"K: must be >= 1, got {self.K}")
-        if self.I < 1:
-            errors.append(f"I: must be >= 1, got {self.I}")
-        if self.seed < 0:
-            errors.append(f"seed: must be >= 0, got {self.seed}")
-        if self.method == "gdpolyak_lb":
-            if self.J is None or self.J < 1:
-                errors.append("J: required (>= 1) for gdpolyak_lb")
-            if self.f_lb is None or not np.isfinite(self.f_lb):
-                errors.append("f_lb: required (finite) for gdpolyak_lb")
-        else:
-            if self.J is not None:
-                errors.append(f"J: only valid for gdpolyak_lb, got {self.J}")
-            if self.f_lb is not None:
-                errors.append(f"f_lb: only valid for gdpolyak_lb, got {self.f_lb}")
-        if not np.isfinite(self.init_radius) or self.init_radius <= 0:
-            errors.append(f"init_radius: must be > 0, got {self.init_radius}")
-        if not isinstance(self.record_distances, bool):
-            errors.append(f"record_distances: must be a boolean, got "
-                          f"{self.record_distances!r}")
-        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
-            errors.append(f"out_dir: must be a path string, got "
-                          f"{self.out_dir!r}")
-        if errors:
-            raise ConfigInvalid(errors)
+        fields = dict(vars(self))
+        # gdpolyak_lb needs J and f_lb; no other method takes them.
+        lb = self.method == "gdpolyak_lb"
+        cross = [f"{name}: required for gdpolyak_lb" if lb else
+                 f"{name}: only valid for gdpolyak_lb, got {fields[name]!r}"
+                 for name in ("J", "f_lb") if (fields[name] is None) == lb]
+        check_input(fields.pop("problem"), fields.pop("problem_params"),
+                    cross=cross, **fields)
         return self
 
     def to_dict(self) -> dict:
@@ -122,12 +112,14 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+        errors = []
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ConfigInvalid([f"unknown config keys: {sorted(unknown)}"])
+            errors.append(f"unknown config keys: {sorted(unknown)}")
         if "problem" not in data:
-            raise ConfigInvalid(["problem: required"])
+            errors.append("problem: required")
+        if errors:
+            raise ConfigInvalid(errors)
         return cls(**data)
 
 
@@ -193,11 +185,9 @@ def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:
     if config.method == "gdpolyak":
         return gdpolyak(x0, config.eta, config.K, config.I, obj,
                         dist_solution=dist_solution, dist_ravine=dist_ravine)
-    if config.method == "gdpolyak_lb":
-        return gdpolyak_lb(x0, config.eta, config.K, config.I, config.J,
-                           config.f_lb, obj, dist_solution=dist_solution,
-                           dist_ravine=dist_ravine)
-    raise ConfigInvalid([f"method: unknown {config.method!r}"])
+    return gdpolyak_lb(x0, config.eta, config.K, config.I, config.J,
+                       config.f_lb, obj, dist_solution=dist_solution,
+                       dist_ravine=dist_ravine)
 
 
 def run_experiment(config: ExperimentConfig) -> RunTrace:
@@ -270,24 +260,25 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
     the lower-bound variant runs its own J*I*(K+1) budget, visible in the
     instrumented count column.  Files are written when out_dir is set.
     """
-    methods = ["gd", "polyak", "gdpolyak"]
+    configs = [replace(config, method=method, J=None, f_lb=None)
+               for method in ("gd", "polyak", "gdpolyak")]
     if config.J is not None and config.f_lb is not None:
-        methods.append("gdpolyak_lb")
+        configs.append(replace(config, method="gdpolyak_lb"))
+    # Every config before the first run; the last holds every field the
+    # others hold, so its errors come first and in full.
+    for cfg in reversed(configs):
+        cfg.validate()
     rows = []
-    for method in methods:
-        cfg = replace(config, method=method)
-        if method != "gdpolyak_lb":
-            cfg.J, cfg.f_lb = None, None
-        cfg.validate()          # before out_dir gets a method subdirectory
+    for cfg in configs:
         if config.out_dir is not None:
-            cfg.out_dir = str(Path(config.out_dir) / method)
+            cfg.out_dir = str(Path(config.out_dir) / cfg.method)
         trace = run_experiment(cfg)
         try:
             slope, r2 = fit_linear_rate(trace)
         except InsufficientData:
             slope, r2 = None, None
         rows.append({
-            "method": method,
+            "method": cfg.method,
             "final_gap": float(trace.epoch_end_gaps[-1]),
             "best_gap": trace.best_value - trace.f_reference,
             "grad_evals": trace.grad_evals,
@@ -349,7 +340,7 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
             measured_lower=delta, measured_upper=delta,
             passed=bool(delta < 0.5),
             extras={"rank_l": rank_l, "threshold": 0.5})
-    raise UnsupportedCheck(f"unknown check {check!r}")
+    raise UnsupportedCheck([f"suite: unknown check {check!r}"])
 
 
 def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
@@ -358,25 +349,19 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
     """Run a suite of checks; returns (all_passed, {check: report}).
 
     Writes one JSON report per check under ``out_dir/reports`` when an
-    output directory is given.
+    output directory is given.  Bad input raises :class:`ConfigInvalid`
+    (:class:`UnsupportedCheck` for a check) before any work starts.
     """
     suite = list(suite)
-    if not suite:
-        raise ValueError("suite must be nonempty")
-    errors = problems.param_errors(problem, problem_params)
-    if not (is_integer(seed) and seed >= 0):
-        errors.append(f"seed: must be a nonnegative integer, got {seed!r}")
-    if not (is_integer(n_samples) and n_samples >= 1):
-        errors.append(f"samples: must be a positive integer, got {n_samples!r}")
-    if not (is_real(radius) and np.isfinite(radius) and radius > 0):
-        errors.append(f"radius: must be finite and > 0, got {radius!r}")
-    if errors:
-        raise ConfigInvalid(errors)
-    for check in suite:
-        if check not in ALL_CHECKS:
-            raise UnsupportedCheck(f"unknown check {check!r}")
-        if check not in problems.PROBLEMS[problem].SPEC.checks:
-            raise UnsupportedCheck(f"{check} is not supported for {problem}")
+    check_input(problem, problem_params,
+                cross=[] if suite else ["suite: must name a check"],
+                samples=n_samples, radius=radius, seed=seed, out_dir=out_dir)
+    supported = problems.PROBLEMS[problem].SPEC.checks
+    unsupported = [check for check in suite if check not in supported]
+    if unsupported:
+        raise UnsupportedCheck([f"suite: {problem} does not support "
+                                f"{unsupported}; it supports "
+                                f"{[c for c in ALL_CHECKS if c in supported]}"])
     bundle = problems.build(problem, problem_params)
     reports = {}
     for check in suite:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..objective import unit_direction
 from . import circle, factorization, neuron, quartic, rosenbrock, sensing
-from .spec import ProblemBundle
+from .spec import ProblemBundle, rule_errors
 
 PROBLEMS = {module.SPEC.name: module for module in (
     quartic, rosenbrock, circle, factorization, sensing, neuron)}
@@ -59,9 +59,8 @@ def param_errors(name: str, params: Optional[dict]) -> list:
     if unknown:
         return [f"problem_params: {name} does not take {unknown}; it takes "
                 f"{list(spec.params) or 'no parameters'}"]
-    errors = [f"problem_params: {key} must be {spec.params[key][1][1]}, "
-              f"got {value!r}" for key, value in params.items()
-              if not spec.params[key][1][0](value)]
+    rules = {key: rule for key, (_, rule) in spec.params.items()}
+    errors = rule_errors(params, rules, "problem_params: {}")
     full = _with_defaults(spec, params)
     values = [full[key] for key in spec.ordered]
     if not errors and values != sorted(values):

@@ -24,13 +24,13 @@ from ..errors import ShapeMismatch, ZeroNeuron
 from ..objective import Objective
 from ..ravine import RavineDescriptor
 from .spec import (
-    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_real)
+    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_finite)
 
 NORM_FLOOR = 1e-8
 
 # The objective is homogeneous in (w, v), so students are compared with
 # NORM_FLOOR * ||v||; this rule keeps ||v|| itself away from zero.
-_V_NORM = (lambda v: is_real(v) and NORM_FLOOR <= abs(v) < np.inf,
+_V_NORM = (lambda v: is_finite(v) and abs(v) >= NORM_FLOOR,
            f"a finite number with magnitude >= {NORM_FLOOR:.0e}")
 
 SPEC = ProblemSpec(

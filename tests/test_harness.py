@@ -3,10 +3,13 @@ diagnostics dispatch and the CLI."""
 
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ravinegd
 from ravinegd import (
@@ -20,7 +23,7 @@ from ravinegd import (
     run_experiment,
 )
 from ravinegd.cli import main
-from ravinegd.harness import ALL_CHECKS, CSV_HEADER, trace_to_csv
+from ravinegd.harness import ALL_CHECKS, CSV_HEADER, METHODS, trace_to_csv
 from ravinegd.opt_core import RunTrace
 from ravinegd import problems
 from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
@@ -117,6 +120,17 @@ def test_cli_rejects_non_numeric_real_field(tmp_path, capsys, fields, name):
     assert f"{name}: must be a real number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fields, name", [
+    ({"eta": 10 ** 400}, "eta"),
+    ({"init_radius": -10 ** 400}, "init_radius"),
+    ({"method": "gdpolyak_lb", "J": 2, "f_lb": -10 ** 400}, "f_lb"),
+])
+def test_cli_rejects_real_field_beyond_float64(tmp_path, capsys, fields, name):
+    assert _run_config_file(tmp_path, K=5, **fields) == 2
+    assert f"{name}: must be a real number" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "factorization", "--param", "d=abc"],
     ["run", "--problem", "sensing", "--param", "m=-5"],
@@ -204,6 +218,52 @@ def test_cli_morse_rejects_malformed_input(flag, tmp_path):
     assert not out.exists()
 
 
+def test_cli_compare_checks_every_method_before_the_first_run(tmp_path,
+                                                             capsys):
+    out = tmp_path / "cmp"
+    assert main(["compare", "--problem", "rosenbrock", "--J", "0",
+                 "--f-lb", "-1", "--K", "2", "--I", "2",
+                 "--out", str(out)]) == 2
+    assert "J: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", ["dk", 5, ["d", 5]])
+def test_cli_param_merges_only_into_a_dict(params, tmp_path, capsys):
+    config_file = tmp_path / "cfg.json"
+    config_file.write_text(json.dumps(
+        {"problem": "factorization", "problem_params": params}))
+    assert main(["run", "--config", str(config_file), "--param", "d=5",
+                 "--out", str(tmp_path / "run")]) == 2
+    assert "problem_params: must be a dict" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("text", [None, "{bad", "5", "[]", "null"])
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_cli_rejects_unreadable_config_file(command, text, tmp_path, capsys):
+    config_file = tmp_path / "cfg.json"
+    if text is not None:
+        config_file.write_text(text)
+    assert main([command, "--config", str(config_file), "--problem",
+                 "rosenbrock", "--out", str(tmp_path / "run")]) == 2
+    assert "invalid config: config: " in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("problem, suite", [
+    ("rosenbrock", "bogus"),
+    ("rosenbrock", "rip"),
+    ("quartic1d", "growth,ravine"),
+])
+def test_cli_unknown_or_unsupported_check_exits_2(problem, suite, tmp_path,
+                                                  capsys):
+    assert main(["diagnose", "--problem", problem, "--suite", suite,
+                 "--out", str(tmp_path / "diag")]) == 2
+    assert "invalid config: suite: " in capsys.readouterr().err
+    assert not (tmp_path / "diag").exists()
+
+
 def test_shipped_configs_validate():
     configs = sorted((Path(__file__).parent.parent / "configs").glob("*.json"))
     assert configs
@@ -281,6 +341,35 @@ def test_run_experiment_lb_manifest(tmp_path):
     lines = (out / "trace.csv").read_text().strip().split("\n")[1:]
     epochs = [int(line.split(",")[1]) for line in lines]
     assert epochs[0] == 1 and epochs[-1] == 50
+
+
+@settings(max_examples=30, deadline=None)
+@given(method=st.sampled_from(METHODS), K=st.integers(1, 8),
+       I=st.integers(1, 6), record_distances=st.booleans())
+def test_trace_csv_and_manifest_parse_back_exactly(method, K, I,
+                                                   record_distances):
+    lb = {"J": 2, "f_lb": -1.0} if method == "gdpolyak_lb" else {}
+    with tempfile.TemporaryDirectory() as out:
+        cfg = ExperimentConfig(problem="rosenbrock", method=method, eta=0.0125,
+                               K=K, I=I, seed=K + I, out_dir=out,
+                               record_distances=record_distances, **lb)
+        trace = run_experiment(cfg)
+        header, *rows = Path(out, "trace.csv").read_text().splitlines()
+        manifest = json.loads(Path(out, "manifest.json").read_text())
+    assert header == CSV_HEADER
+    cells = zip(*(row.split(",") for row in rows))
+    for name, column in zip(CSV_HEADER.split(","), cells):
+        expected = getattr(trace, name)
+        if expected is None:
+            assert set(column) == {""}
+        elif expected.dtype.kind == "f":
+            # 17 significant digits round-trip float64 bit for bit.
+            assert np.array(column, dtype=np.float64).tobytes() == \
+                expected.astype(np.float64).tobytes()
+        else:
+            assert np.array_equal(np.array(column, dtype=expected.dtype),
+                                  expected)
+    assert ExperimentConfig.from_dict(manifest["config"]) == cfg
 
 
 def test_csv_optional_columns_empty_not_absent():
