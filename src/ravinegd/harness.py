@@ -22,6 +22,7 @@ import numpy as np
 from . import problems
 from .errors import ConfigInvalid, InsufficientData, UnsupportedCheck
 from .morse import morse_ravine_solve, tangent_grid
+from .objective import row_norms
 from .opt_core import (
     RunTrace,
     gd_baseline,
@@ -171,10 +172,10 @@ def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:
     obj = bundle.objective
     dist_solution = dist_ravine = None
     if config.record_distances:
-        dist_solution = obj.dist_solution
+        dist_solution = obj.dist_rows
         if bundle.descriptor is not None:
-            retract = bundle.descriptor.retract
-            dist_ravine = lambda x: float(np.linalg.norm(x - retract(x)))  # noqa: E731
+            retract_rows = bundle.descriptor.retract_rows
+            dist_ravine = lambda X: row_norms(X - retract_rows(X))  # noqa: E731
     if config.method == "gd":
         return gd_baseline(x0, config.eta, config.K, config.I, obj,
                            dist_solution=dist_solution, dist_ravine=dist_ravine)
@@ -259,10 +260,11 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
     The three mandatory methods share the gradient budget I*(K+1) exactly;
     the lower-bound variant runs its own J*I*(K+1) budget, visible in the
     instrumented count column.  Files are written when out_dir is set.
+    Either of J and f_lb without the other is rejected as gdpolyak_lb's.
     """
     configs = [replace(config, method=method, J=None, f_lb=None)
                for method in ("gd", "polyak", "gdpolyak")]
-    if config.J is not None and config.f_lb is not None:
+    if config.J is not None or config.f_lb is not None:
         configs.append(replace(config, method="gdpolyak_lb"))
     # Every config before the first run; the last holds every field the
     # others hold, so its errors come first and in full.

@@ -24,12 +24,17 @@ class Objective:
     grad : point -> gradient vector of length ``dim``.
     f_star : known minimal value, if any.
     p_growth : growth exponent p of the value away from the solution set.
-    dist_solution : point -> distance (or proxy) to the minimizer set.
+    dist_solution : point -> distance (or proxy) to the minimizer set;
+        each problem builds it as ``dist_rows`` applied to one row.
     value_and_grad : optional fused evaluation returning ``(value, grad)``,
         used by the steppers to avoid recomputing shared intermediates.
     eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
         for bit to ``eval`` on each row; the gradient-control check needs
         it to evaluate all finite-difference points of a sample in one call.
+    dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``, equal
+        bit for bit to ``dist_solution`` on each row; a run that records
+        distances evaluates it once per epoch, on the block of the epoch's
+        departure iterates.
     """
 
     dim: int
@@ -40,12 +45,30 @@ class Objective:
     dist_solution: Optional[Callable[[np.ndarray], float]] = None
     value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    dist_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def both(self, x: np.ndarray) -> tuple:
         """Value and gradient at ``x`` in one call."""
         if self.value_and_grad is not None:
             return self.value_and_grad(x)
         return self.eval(x), self.grad(x)
+
+
+def on_row(rows_fn):
+    """``rows_fn`` at one point: its first entry on the one-row stack of x."""
+    return lambda x: rows_fn(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0]
+
+
+def _rowdot(A, B):
+    # Row-wise dot products as a stacked matmul: bitwise equal to the 1-D
+    # ``a @ b`` of each row pair (and so to np.linalg.norm), which a
+    # matrix-vector product or an einsum is not.
+    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+
+
+def row_norms(A):
+    """Euclidean norm of each row, bitwise equal to np.linalg.norm per row."""
+    return np.sqrt(_rowdot(A, A))
 
 
 def central_difference_gradient(func, x, h=None):

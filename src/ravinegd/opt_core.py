@@ -13,7 +13,10 @@ All four run on one engine: I epochs of K+1 fused value/gradient
 evaluations, where the method's step rule gives each slot's stepsize and
 whether it is a Polyak step.  Every completed evaluation writes one row of
 the :class:`RunTrace` columns, describing the iterate the step departs
-from: its value gap, gradient norm and the stepsize taken there.
+from: its value gap, gradient norm and the stepsize taken there.  Distance
+oracles, when given, are row-batched: ``(n, dim) -> (n,)``.  The engine
+evaluates them once per epoch, on the stacked block of that epoch's
+departure iterates.
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ class RunTrace:
     ``iter`` is the evaluation counter, so it skips the index of an
     evaluation that aborted a gdpolyak_lb round.  ``kind`` holds
     ``SHORT_GD`` or ``POLYAK_LONG``; the distance columns are ``None``
-    unless distances were recorded.
+    unless distances were recorded, and are filled an epoch at a time (up
+    to the abort, for an aborted round) from one oracle call on the block
+    of its departure iterates.
 
     ``best_value`` is the minimum of f over the algorithm's argmin candidates
     (x0 and every iterate for the baselines, the long steps' departure and
@@ -93,6 +98,8 @@ class _Engine:
     with a long step) the candidates are the long step's departure and
     arrival points and the phase gap is the departure's gap.  ``best`` is
     the earliest minimal candidate seen, ``None`` before the first.
+    ``oracles`` maps each recorded distance column to its row-batched
+    oracle.
     """
 
     def __init__(self, obj: Objective, f_reference: float, budget: int,
@@ -131,42 +138,61 @@ class _Engine:
         moves, even at eta = 0, where ``x - 0 * g`` can turn -0.0 into 0.0;
         a Polyak step moves only when its stepsize is positive.  Raises
         :class:`NonFiniteGradient` carrying the evaluation's index, after
-        counting it and before writing its row.
+        counting it and before writing its row; the distances of the rows
+        written before it are filled first.
         """
-        obj, f_ref, columns = self.obj, self.f_reference, self.columns
+        obj, f_ref, oracles = self.obj, self.f_reference, self.oracles
         iters, epochs, kinds, gaps, norms, steps = (
-            columns[name] for name in ("iter", "epoch", "kind", "value_gap",
-                                       "grad_norm", "stepsize"))
+            self.columns[name] for name in (
+                "iter", "epoch", "kind", "value_gap", "grad_norm", "stepsize"))
         for epoch in range(first_epoch, first_epoch + I):
-            for slot in range(K + 1):
-                f, g = obj.both(x)
-                f = float(f)
-                g = np.asarray(g, dtype=float)
-                self.grad_evals += 1
-                self.func_evals += 1
-                gnorm2 = float(g @ g)
-                # A sum of squares is finite only when every term is.
-                if not math.isfinite(gnorm2) and not np.isfinite(g).all():
-                    raise NonFiniteGradient(iter_index=self.grad_evals - 1)
-                s, polyak = rule(slot, f, gnorm2)
-                row = self.rows
-                self.rows += 1
-                iters[row] = self.grad_evals - 1
-                epochs[row] = epoch
-                kinds[row] = polyak
-                gaps[row] = f - f_ref
-                norms[row] = math.sqrt(gnorm2)
-                steps[row] = s
-                for name, oracle in self.oracles.items():
-                    columns[name][row] = oracle(x)
-                if self.every_iterate or slot == K:
-                    self.consider(x, f)
-                if s > 0.0 or not polyak:
-                    x = x - s * g
+            # x is rebound at every step and never mutated, so the list
+            # keeps each departure iterate as it was.
+            departures = []
+            try:
+                for slot in range(K + 1):
+                    f, g = obj.both(x)
+                    f = float(f)
+                    g = np.asarray(g, dtype=float)
+                    self.grad_evals += 1
+                    self.func_evals += 1
+                    gnorm2 = float(g @ g)
+                    # A sum of squares is finite only when every term is.
+                    if not math.isfinite(gnorm2) and not np.isfinite(g).all():
+                        raise NonFiniteGradient(iter_index=self.grad_evals - 1)
+                    s, polyak = rule(slot, f, gnorm2)
+                    row = self.rows
+                    self.rows += 1
+                    iters[row] = self.grad_evals - 1
+                    epochs[row] = epoch
+                    kinds[row] = polyak
+                    gaps[row] = f - f_ref
+                    norms[row] = math.sqrt(gnorm2)
+                    steps[row] = s
+                    if oracles:
+                        departures.append(x)
+                    if self.every_iterate or slot == K:
+                        self.consider(x, f)
+                    if s > 0.0 or not polyak:
+                        x = x - s * g
+            except NonFiniteGradient:
+                self.fill_distances(departures)
+                raise
+            self.fill_distances(departures)
             f_end = self.value(x)
             if math.isfinite(f_end):
                 self.consider(x, f_end)
             self.end_gaps.append(f_end - f_ref)
+
+    def fill_distances(self, departures):
+        """Fill the distance columns of the last ``len(departures)`` rows
+        with one oracle call each on the stacked departure iterates."""
+        if not departures:
+            return
+        block = np.stack(departures)
+        rows = slice(self.rows - len(departures), self.rows)
+        for name, oracle in self.oracles.items():
+            self.columns[name][rows] = oracle(block)
 
     def trace(self, x_out, best_value, **extra) -> RunTrace:
         columns = {name: c[:self.rows] for name, c in self.columns.items()}

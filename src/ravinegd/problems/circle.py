@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import OriginSingularity
-from ..objective import Objective
+from ..objective import Objective, on_row, row_norms
 from ..ravine import RavineDescriptor
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
@@ -67,6 +67,10 @@ def _grad(z):
     return circle_eval(z)[1]
 
 
+def _dist_rows(Z):
+    return row_norms(Z - _MINIMIZER)
+
+
 def objective() -> Objective:
     return Objective(
         dim=2,
@@ -74,10 +78,10 @@ def objective() -> Objective:
         grad=_grad,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=lambda z: float(np.linalg.norm(np.asarray(z, float)
-                                                     - _MINIMIZER)),
+        dist_solution=on_row(_dist_rows),
         value_and_grad=circle_eval,
         eval_rows=_eval_rows,
+        dist_rows=_dist_rows,
     )
 
 

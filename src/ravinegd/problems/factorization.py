@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DegenerateProjection, ShapeMismatch
-from ..objective import Objective
+from ..objective import Objective, on_row, row_norms
 from ..ravine import RavineDescriptor
 from .spec import (
     CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
@@ -132,10 +132,17 @@ def factorization_project_solution(B, inst: FactorizationInstance) -> np.ndarray
     nearest point is not unique).
     """
     B = as_matrix(B, inst)
-    u, s, vt = np.linalg.svd(inst.L.T @ B, full_matrices=False)
-    if s[-1] < DEGENERATE_TOL:
+    return factorization_project_solution_rows(B[None], inst)[0]
+
+
+def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
+    """:func:`factorization_project_solution` of each matrix of an (n, d, k)
+    stack; raises :class:`DegenerateProjection` when any is degenerate."""
+    u, s, vt = np.linalg.svd(inst.L.T @ Bs, full_matrices=False)
+    smallest = float(s[:, -1].min())
+    if smallest < DEGENERATE_TOL:
         raise DegenerateProjection(
-            f"smallest singular value {s[-1]:.2e} of L^T B below "
+            f"smallest singular value {smallest:.2e} of L^T B below "
             f"{DEGENERATE_TOL:.0e}")
     return inst.L @ (u @ vt)
 
@@ -174,8 +181,15 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
 
 def dist_to_solution(B, inst: FactorizationInstance) -> float:
     """Frobenius distance to S; equals ||Q||_F on the ravine."""
-    B = as_matrix(B, inst)
-    return float(np.linalg.norm(B - factorization_project_solution(B, inst)))
+    return float(dist_to_solution_rows(as_matrix(B, inst)[None], inst)[0])
+
+
+def dist_to_solution_rows(X, inst: FactorizationInstance) -> np.ndarray:
+    """:func:`dist_to_solution` of each matrix of an (n, d, k) stack, or of
+    each row of its (n, d * k) flattening."""
+    Bs = np.reshape(X, (-1, inst.d, inst.k))
+    D = Bs - factorization_project_solution_rows(Bs, inst)
+    return row_norms(D.reshape(len(Bs), -1))
 
 
 def manifold_residuals(B, inst: FactorizationInstance):
@@ -230,15 +244,19 @@ def objective(inst: FactorizationInstance) -> Objective:
         _, resid = _block_residual(X.reshape(-1, inst.d, inst.k), inst)
         return np.sum(resid * resid, axis=(1, 2))
 
+    def _dist_rows(X):
+        return dist_to_solution_rows(X, inst)
+
     return Objective(
         dim=inst.d * inst.k,
         eval=_eval,
         grad=_grad,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=lambda x: dist_to_solution(x.reshape(inst.d, inst.k), inst),
+        dist_solution=on_row(_dist_rows),
         value_and_grad=_both,
         eval_rows=_eval_rows,
+        dist_rows=_dist_rows,
     )
 
 
@@ -261,7 +279,7 @@ def bundle(params: dict) -> ProblemBundle:
             X.reshape(-1, inst.d, inst.k), inst).reshape(len(X), -1)
 
     rav = RavineDescriptor(
-        retract=lambda x: _retract_rows(x.reshape(1, -1))[0],
+        retract=on_row(_retract_rows),
         on_manifold=_on_manifold,
         sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
         retract_rows=_retract_rows,

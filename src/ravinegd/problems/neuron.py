@@ -16,12 +16,14 @@ serves as an independent oracle for the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from ..errors import ShapeMismatch, ZeroNeuron
-from ..objective import Objective
+from ..objective import Objective, _rowdot, on_row, row_norms
 from ..ravine import RavineDescriptor
 from .spec import (
     CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_finite)
@@ -46,6 +48,11 @@ class NeuronInstance:
     d: int
     v: np.ndarray
 
+    @cached_property
+    def norm_v(self) -> float:
+        """||v||, computed once per instance."""
+        return math.sqrt(self.v @ self.v)
+
 
 def make_neuron_instance(d: int, seed: int,
                          v_norm: float = 1.0) -> NeuronInstance:
@@ -57,7 +64,9 @@ def make_neuron_instance(d: int, seed: int,
 
 
 def _angle(a, b, na, nb):
-    return float(np.arccos(np.clip((a @ b) / (na * nb), -1.0, 1.0)))
+    # A scalar clamp, but np.arccos: math.acos can differ from it in the
+    # last bit, and neuron_values must match these values bit for bit.
+    return float(np.arccos(min(max((a @ b) / (na * nb), -1.0), 1.0)))
 
 
 def _check_floor(n1, n2, nv):
@@ -67,9 +76,10 @@ def _check_floor(n1, n2, nv):
 
 
 def _norms(w1, w2, inst):
-    n1 = float(np.linalg.norm(w1))
-    n2 = float(np.linalg.norm(w2))
-    nv = float(np.linalg.norm(inst.v))
+    # numpy computes a 1-D float norm as exactly sqrt(w @ w).
+    n1 = math.sqrt(w1 @ w1)
+    n2 = math.sqrt(w2 @ w2)
+    nv = inst.norm_v
     _check_floor(n1, n2, nv)
     return n1, n2, nv
 
@@ -107,15 +117,20 @@ def neuron_dist_proxy(w1, w2, inst: NeuronInstance) -> float:
     Vanishes exactly on aligned splits of the teacher; proportional to the
     distance to the solution set near it.
     """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    _norms(w1, w2, inst)
+    return float(neuron_dist_rows(np.concatenate([w1, w2])[None], inst)[0])
+
+
+def neuron_dist_rows(W, inst: NeuronInstance) -> np.ndarray:
+    """:func:`neuron_dist_proxy` at each row of an (n, 2d) stack of
+    flattened weights."""
+    W1, W2 = _halves(W, inst)
     v = inst.v
+    _check_floor(row_norms(W1).min(), row_norms(W2).min(), inst.norm_v)
+    V = np.broadcast_to(v, W1.shape)
     vv = float(v @ v)
-    perp1 = w1 - (w1 @ v) / vv * v
-    perp2 = w2 - (w2 @ v) / vv * v
-    return (float(np.linalg.norm(w1 + w2 - v))
-            + float(np.linalg.norm(perp1)) + float(np.linalg.norm(perp2)))
+    perp1 = W1 - (_rowdot(W1, V) / vv)[:, None] * v
+    perp2 = W2 - (_rowdot(W2, V) / vv)[:, None] * v
+    return row_norms(W1 + W2 - v) + row_norms(perp1) + row_norms(perp2)
 
 
 def monte_carlo_value(w1, w2, inst: NeuronInstance, n_samples: int,
@@ -137,11 +152,12 @@ def _split(x, inst):
     return x[:inst.d], x[inst.d:]
 
 
-def _rowdot(A, B):
-    # Row-wise dot products as a stacked matmul: bitwise equal to the 1-D
-    # ``a @ b`` of each row pair (and so to np.linalg.norm), which a
-    # matrix-vector product or an einsum is not.
-    return (A[:, None, :] @ B[:, :, None])[:, 0, 0]
+def _halves(W, inst):
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != 2 * inst.d:
+        raise ShapeMismatch(f"expected rows of {2 * inst.d} entries, "
+                            f"got shape {W.shape}")
+    return W[:, :inst.d], W[:, inst.d:]
 
 
 def neuron_values(W, inst: NeuronInstance) -> np.ndarray:
@@ -149,15 +165,11 @@ def neuron_values(W, inst: NeuronInstance) -> np.ndarray:
 
     Equal bit for bit to the value of :func:`neuron_eval` on each row.
     """
-    W = np.asarray(W, dtype=float)
-    if W.ndim != 2 or W.shape[1] != 2 * inst.d:
-        raise ShapeMismatch(f"expected rows of {2 * inst.d} entries, "
-                            f"got shape {W.shape}")
-    W1, W2 = W[:, :inst.d], W[:, inst.d:]
+    W1, W2 = _halves(W, inst)
     V = np.broadcast_to(inst.v, W1.shape)
-    n1 = np.sqrt(_rowdot(W1, W1))
-    n2 = np.sqrt(_rowdot(W2, W2))
-    nv = float(np.linalg.norm(inst.v))
+    n1 = row_norms(W1)
+    n2 = row_norms(W2)
+    nv = inst.norm_v
     _check_floor(n1.min(), n2.min(), nv)
 
     def angle(dots, na, nb):
@@ -180,26 +192,26 @@ def objective(inst: NeuronInstance) -> Objective:
         w1, w2 = _split(x, inst)
         return neuron_eval(w1, w2, inst)
 
+    def dist_rows(W):
+        return neuron_dist_rows(W, inst)
+
     return Objective(
         dim=2 * inst.d,
         eval=lambda x: _both(x)[0],
         grad=lambda x: _both(x)[1],
         f_star=0.0,
         p_growth=3.0,
-        dist_solution=lambda x: neuron_dist_proxy(*_split(x, inst), inst),
+        dist_solution=on_row(dist_rows),
         value_and_grad=_both,
         eval_rows=lambda W: neuron_values(W, inst),
+        dist_rows=dist_rows,
     )
 
 
 def _retract_rows(X, inst):
     # The ravine {w1 + w2 = v} is affine; the orthogonal projection shifts
     # each neuron by half the constraint violation.
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 2 * inst.d:
-        raise ShapeMismatch(f"expected rows of {2 * inst.d} entries, "
-                            f"got shape {X.shape}")
-    W1, W2 = X[:, :inst.d], X[:, inst.d:]
+    W1, W2 = _halves(X, inst)
     shift = 0.5 * (W1 + W2 - inst.v)
     return np.concatenate([W1 - shift, W2 - shift], axis=1)
 
@@ -207,7 +219,7 @@ def _retract_rows(X, inst):
 def bundle(params: dict) -> ProblemBundle:
     inst = make_neuron_instance(int(params["d"]), int(params["instance_seed"]),
                                 v_norm=float(params["v_norm"]))
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(inst.v)))
+    tol = 1e-8 * (1.0 + inst.norm_v)
 
     def _sample_solution(rng):
         c = rng.uniform(0.25, 0.75)

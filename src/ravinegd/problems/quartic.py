@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..objective import Objective
+from ..objective import Objective, on_row
 from ..ravine import RavineDescriptor
 from .spec import ProblemBundle, ProblemSpec
 
@@ -37,6 +37,10 @@ def _both(x):
     return 0.25 * v ** 4, np.array([v ** 3])
 
 
+def _dist_rows(X):
+    return np.abs(X[:, 0])
+
+
 def objective() -> Objective:
     return Objective(
         dim=1,
@@ -44,8 +48,9 @@ def objective() -> Objective:
         grad=_grad,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=lambda x: abs(float(x[0])),
+        dist_solution=on_row(_dist_rows),
         value_and_grad=_both,
+        dist_rows=_dist_rows,
     )
 
 
@@ -56,6 +61,7 @@ def bundle(params: dict) -> ProblemBundle:
         retract=lambda x: np.asarray(x, dtype=float).copy(),
         on_manifold=lambda x: True,
         sample_solution=lambda rng: np.zeros(1),
+        retract_rows=lambda X: np.array(X, dtype=float),
     )
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(1),
                          rav.sample_solution)

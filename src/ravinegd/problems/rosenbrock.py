@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..objective import Objective
+from ..objective import Objective, on_row, row_norms
 from ..ravine import RavineDescriptor
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
@@ -54,9 +54,10 @@ def objective() -> Objective:
         grad=_grad,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=lambda z: float(np.linalg.norm(z)),
+        dist_solution=on_row(row_norms),
         value_and_grad=_both,
         eval_rows=_eval_rows,
+        dist_rows=row_norms,
     )
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..objective import Objective
+from ..objective import Objective, on_row
 from . import factorization as fact
 from .spec import NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec
 
@@ -137,15 +137,18 @@ def objective(inst: SensingInstance) -> Objective:
         value, grad = sensing_eval(x.reshape(d, k), inst)
         return value, grad.reshape(-1)
 
+    def _dist_rows(X):
+        return fact.dist_to_solution_rows(X, inst.fac)
+
     return Objective(
         dim=d * k,
         eval=lambda x: _both(x)[0],
         grad=lambda x: _both(x)[1],
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=lambda x: fact.dist_to_solution(
-            x.reshape(d, k), inst.fac),
+        dist_solution=on_row(_dist_rows),
         value_and_grad=_both,
+        dist_rows=_dist_rows,
     )
 
 

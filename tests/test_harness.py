@@ -576,6 +576,9 @@ def test_cli_diagnose_rip_caps_rank_at_dimension(tmp_path):
      "problem_params"),
     (["diagnose", "--problem", "rosenbrock", "--suite", ",", "--out", "out"],
      None, "suite"),
+    # compare runs gdpolyak_lb from J and f_lb together, never from one.
+    (["compare"], {"J": 3}, "f_lb"),
+    (["compare"], {"f_lb": -1.0}, "J"),
 ])
 def test_cli_rejects_mistyped_input(argv, fields, name, tmp_path,
                                     monkeypatch, capsys):

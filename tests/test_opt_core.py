@@ -1,5 +1,7 @@
 """Stepper and algorithm tests against hand-computed oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from ravinegd import (
     NonFiniteGradient,
     Objective,
     TargetAboveValue,
+    ZeroNeuron,
     gd_baseline,
     gdpolyak,
     gdpolyak_lb,
@@ -18,8 +21,9 @@ from ravinegd import (
     polyak_step,
 )
 from ravinegd.harness import trace_to_csv
+from ravinegd.objective import row_norms
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD
-from ravinegd.problems import quartic
+from ravinegd.problems import build, quartic, sample_init
 
 
 @pytest.fixture
@@ -330,3 +334,75 @@ def test_budget_rows_and_iter_order_all_methods(K, I, method):
     assert trace.grad_evals == I * (K + 1)
     assert len(trace.iter) == trace.grad_evals
     assert np.all(np.diff(trace.iter) > 0)
+
+
+# ------------------------------------------------------- distance oracles
+
+def _recording(obj):
+    """``obj`` with a fused evaluation that keeps a copy of each point."""
+    seen = []
+
+    def value_and_grad(x):
+        seen.append(np.array(x))
+        return obj.both(x)
+
+    return dataclasses.replace(obj, value_and_grad=value_and_grad), seen
+
+
+@pytest.mark.parametrize("method", ["gd", "polyak", "gdpolyak", "gdpolyak_lb"])
+def test_every_distance_cell_is_the_point_oracle(method):
+    # K=20, I=6 with f_lb = -1: every gdpolyak_lb round overflows partway
+    # through an epoch, so its last epoch fills a partial block.
+    bundle = build("rosenbrock")
+    obj, seen = _recording(bundle.objective)
+    rav = bundle.descriptor
+    rows = {"dist_solution": obj.dist_rows,
+            "dist_ravine": lambda X: row_norms(X - rav.retract_rows(X))}
+    points = {"dist_solution": obj.dist_solution,
+              "dist_ravine": lambda x: np.linalg.norm(x - rav.retract(x))}
+    x0 = sample_init(bundle, 0.5, 0)
+    trace = {
+        "gd": lambda: gd_baseline(x0, 0.0125, 20, 6, obj, **rows),
+        "polyak": lambda: polyak_baseline(x0, 20, 6, obj, **rows),
+        "gdpolyak": lambda: gdpolyak(x0, 0.0125, 20, 6, obj, **rows),
+        "gdpolyak_lb": lambda: gdpolyak_lb(x0, 0.0125, 20, 6, 3, -1.0, obj,
+                                           **rows),
+    }[method]()
+    if method == "gdpolyak_lb":
+        assert trace.aborted_rounds == [1, 2, 3]
+        assert len(trace.iter) % 21 != 0
+    assert len(trace.iter) == len(seen) - len(trace.aborted_rounds)
+    for name, oracle in points.items():
+        with np.errstate(over="ignore"):
+            expected = np.array([oracle(seen[i]) for i in trace.iter])
+        assert getattr(trace, name).tobytes() == expected.tobytes()
+
+
+class Unreachable(Exception):
+    pass
+
+
+def _never(X):
+    raise Unreachable("the oracle ran after a failed evaluation")
+
+
+@pytest.mark.parametrize("lb", [False, True])
+def test_other_errors_escape_before_the_distance_fill(lb):
+    # The fifth evaluation, mid-epoch, raises an error of the objective;
+    # the engine must let it out as it is, without filling the epoch.
+    calls = {"n": 0}
+
+    def both(x):
+        calls["n"] += 1
+        if calls["n"] == 5:
+            raise ZeroNeuron("degenerate point")
+        return 0.5 * float(x @ x), x.copy()
+
+    obj = Objective(dim=1, eval=lambda x: 0.5 * float(x @ x), grad=None,
+                    f_star=0.0, value_and_grad=both)
+    x0 = np.array([1.0])
+    with pytest.raises(ZeroNeuron):
+        if lb:
+            gdpolyak_lb(x0, 0.1, 6, 2, 2, -1.0, obj, dist_solution=_never)
+        else:
+            gdpolyak(x0, 0.1, 6, 2, obj, dist_solution=_never)

@@ -412,6 +412,29 @@ def test_sample_init_factorization_distance(bundles):
     assert bundle.objective.dist_solution(x) <= 0.01 + 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(ALL_PROBLEMS), seed=st.integers(0, 2 ** 32 - 1),
+       n_rows=st.integers(1, 9), log_radius=st.floats(-8.0, -0.5))
+def test_row_forms_equal_each_row_as_float64_bytes(bundles, name, seed,
+                                                   n_rows, log_radius):
+    # The engine records distances from the row forms; a trace must read
+    # exactly what the per-point forms give at each of its iterates.
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    rng = np.random.default_rng(seed)
+    X = bundle.base_solution + 10.0 ** log_radius * rng.standard_normal(
+        (n_rows, obj.dim))
+
+    def as_bytes(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    assert as_bytes(obj.dist_rows(X)) == as_bytes(
+        [obj.dist_solution(x) for x in X])
+    if rav is not None:
+        assert as_bytes(rav.retract_rows(X)) == as_bytes(
+            [rav.retract(x) for x in X])
+
+
 def test_unit_direction_rejects_empty_dimension():
     class FiniteRng:
         """Stops a redraw loop that would otherwise never end."""

@@ -292,7 +292,6 @@ def test_row_forms_match_single_point_bitwise(bundles, name):
 
 def test_row_forms_absent_without_gradcontrol(bundles):
     assert bundles["quartic1d"].objective.eval_rows is None
-    assert bundles["quartic1d"].descriptor.retract_rows is None
     sensing = build("sensing", {"d": 4, "r": 1, "k": 2, "m": 40})
     assert sensing.objective.eval_rows is None
 
