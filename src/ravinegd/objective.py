@@ -30,11 +30,13 @@ class Objective:
         used by the steppers to avoid recomputing shared intermediates.
     eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
         for bit to ``eval`` on each row; the gradient-control check needs
-        it to evaluate all finite-difference points of a sample in one call.
+        it to evaluate the finite-difference stencils of a cloud's samples
+        in blocks of rows.
     dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``, equal
         bit for bit to ``dist_solution`` on each row; a run that records
         distances evaluates it once per epoch, on the block of the epoch's
-        departure iterates.
+        departure iterates, and the growth check once per radius, on the
+        retracted cloud.
     """
 
     dim: int
@@ -81,18 +83,23 @@ def central_difference_gradient(func, x, h=None):
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
     return _central_differences(
-        lambda rows: np.array([func(z) for z in rows], dtype=float), x, h)
+        lambda rows: np.array([func(z) for z in rows], dtype=float),
+        x[None], np.array([h]))[0]
 
 
-def _central_differences(func_rows, x, h):
-    """Central differences of a row-batched function at ``x``.
+def _central_differences(func_rows, X, h):
+    """Central differences of a row-batched function at each row of ``X``.
 
-    ``func_rows`` maps an ``(n, dim)`` stack to ``n`` values; it is called
-    once, on the ``2 * dim`` points ``x + h e_i`` followed by ``x - h e_i``.
+    Row i of the result is ``(f(x + h_i e_j) - f(x - h_i e_j)) / (2 h_i)``
+    over j, with ``x = X[i]``.  ``func_rows`` maps an ``(n, dim)`` stack to
+    ``n`` values; it is called once, on the ``2 * dim`` stencil points of
+    every row in turn: ``x + h_i e_j`` for each j, then ``x - h_i e_j``.
     """
-    step = h * np.eye(x.size)
-    values = func_rows(np.concatenate([x + step, x - step]))
-    return (values[:x.size] - values[x.size:]) / (2.0 * h)
+    n, dim = X.shape
+    step = h[:, None, None] * np.eye(dim)
+    rows = np.concatenate([X[:, None] + step, X[:, None] - step], axis=1)
+    values = func_rows(rows.reshape(-1, dim)).reshape(n, 2, dim)
+    return (values[:, 0] - values[:, 1]) / (2.0 * h[:, None])
 
 
 def max_relative_gradient_error(obj: Objective, points) -> float:

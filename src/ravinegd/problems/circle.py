@@ -9,6 +9,8 @@ component; see :func:`morse_implicit_residual`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import OriginSingularity
@@ -37,10 +39,19 @@ def circle_eval(z):
     x, y = float(z[0]), float(z[1])
     n = _norm_or_raise(z)
     w = 2.0 - 2.0 * y / n
-    value = (n - 1.0) ** 2 + w * w
+    # A Python float power raises OverflowError where float64 arithmetic
+    # gives inf; a diverged iterate must reach the run's finiteness checks.
+    try:
+        value = (n - 1.0) ** 2 + w * w
+    except OverflowError:
+        value = math.inf
+    try:
+        n3 = n ** 3
+    except OverflowError:
+        n3 = math.inf
     # d(y/n)/dx = -xy/n^3, d(y/n)/dy = x^2/n^3.
-    gx = 2.0 * (n - 1.0) * x / n + 2.0 * w * (2.0 * x * y / n ** 3)
-    gy = 2.0 * (n - 1.0) * y / n - 2.0 * w * (2.0 * x * x / n ** 3)
+    gx = 2.0 * (n - 1.0) * x / n + 2.0 * w * (2.0 * x * y / n3)
+    gy = 2.0 * (n - 1.0) * y / n - 2.0 * w * (2.0 * x * x / n3)
     return value, np.array([gx, gy])
 
 

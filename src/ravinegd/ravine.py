@@ -5,25 +5,40 @@ grows slowly while growing at least quadratically transverse to it, in the
 retraction sense f(x) - f(R(x)) >= C * ||x - R(x)||^2.  Each problem with a
 closed-form ravine supplies a :class:`RavineDescriptor`; the checks in this
 module sample solution-anchored clouds and measure the extreme ratios of
-the inequality under test.
+the inequality under test.  A cloud is one ``(n, dim)`` array.  The
+aiming, growth and gradient-control checks retract it and measure its
+distances as one row stack, and gradient control evaluates the
+finite-difference stencils of its samples in row blocks; the row forms of
+the descriptor and the objective equal the per-point callables bit for bit.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .errors import InsufficientValidSamples
-from .objective import Objective, _central_differences, unit_direction
+from .objective import (
+    Objective,
+    _central_differences,
+    _rowdot,
+    row_norms,
+    unit_direction,
+)
 
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
 
 # Largest |fitted slope - p_growth| the growth-exponent check accepts.
 GROWTH_SLOPE_TOL = 0.1
+
+# Most rows one composite evaluation of the gradient-control check takes:
+# the stencils of consecutive samples are stacked up to this many rows, and
+# a sample whose stencil alone is larger goes in a block of its own.
+STENCIL_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -35,15 +50,17 @@ class RavineDescriptor:
     retract : map from a point near the manifold onto the manifold.
     on_manifold : membership predicate with tolerance.
     sample_solution : rng -> a random point of S, used to anchor clouds.
-    retract_rows : optional row-batched retraction, ``(n, dim) -> (n, dim)``,
-        equal bit for bit to ``retract`` on each row; the gradient-control
-        check retracts all finite-difference points of a sample in one call.
+    retract_rows : row-batched retraction, ``(n, dim) -> (n, dim)``, equal
+        bit for bit to ``retract`` on each row; the aiming, growth and
+        gradient-control checks retract whole clouds and stencil blocks
+        with it, and a run that records distances retracts each epoch's
+        block of iterates with it.
     """
 
     retract: Callable[[np.ndarray], np.ndarray]
     on_manifold: Callable[[np.ndarray], bool]
     sample_solution: Callable[[np.random.Generator], np.ndarray]
-    retract_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    retract_rows: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -75,12 +92,18 @@ class DiagnosticsReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _cloud(rav: RavineDescriptor, n_samples: int, radius: float,
-           rng: np.random.Generator, dim: int):
-    """Solution-anchored sample cloud: s + radius * (random unit direction)."""
-    for _ in range(n_samples):
-        s = np.asarray(rav.sample_solution(rng), dtype=float)
-        yield s + radius * unit_direction(rng, dim)
+def _cloud(sample_solution, n_samples: int, radius: float,
+           rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Solution-anchored sample cloud, one row s + radius * u per sample.
+
+    Each sample draws its solution s, then its random unit direction u, so
+    the stream of ``rng`` is that of drawing the points one at a time.
+    """
+    X = np.empty((n_samples, dim))
+    for i in range(n_samples):
+        s = np.asarray(sample_solution(rng), dtype=float)
+        X[i] = s + radius * unit_direction(rng, dim)
+    return X
 
 
 def _worst_offenders(items, n=3):
@@ -128,6 +151,10 @@ def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
     small, skip_small = ratios_at(radius / 10.0, rng)
 
     def judge(lo, hi):
+        for rad, kept in ((radius, big), (radius / 10.0, small)):
+            if not kept:
+                raise InsufficientValidSamples(
+                    f"{check}: every sample at radius {rad:g} skipped")
         max_big = max(r for r, _ in big)
         max_small = max(r for r, _ in small)
         return passed(max_big, max_small), {
@@ -150,7 +177,7 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
     rng = np.random.default_rng(seed)
     ratios = []
     skipped = 0
-    for x in _cloud(rav, n_samples, radius, rng, obj.dim):
+    for x in _cloud(rav.sample_solution, n_samples, radius, rng, obj.dim):
         r_x = rav.retract(x)
         den = float(np.sum((x - r_x) ** 2))
         if den < SKIP_DISTANCE ** 2:
@@ -167,19 +194,17 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
 def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
                  radius: float, seed: int) -> DiagnosticsReport:
     """Extremes of <grad f(x), x - R(x)> / ||x - R(x)||^2; passes when min > 0."""
-    rng = np.random.default_rng(seed)
+    X = _cloud(rav.sample_solution, n_samples, radius,
+               np.random.default_rng(seed), obj.dim)
+    D = X - rav.retract_rows(X)
+    den = _rowdot(D, D)
+    kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
     ratios = []
-    skipped = 0
-    for x in _cloud(rav, n_samples, radius, rng, obj.dim):
-        r_x = rav.retract(x)
-        diff = x - r_x
-        den = float(diff @ diff)
-        if den < SKIP_DISTANCE ** 2:
-            skipped += 1
-            continue
-        g = np.asarray(obj.grad(x), dtype=float)
-        ratios.append((float(g @ diff) / den, x))
-    return _cloud_report("aiming", ratios, skipped, n_samples,
+    for i in kept:
+        # The gradient has no row form: it is taken point by point.
+        g = np.asarray(obj.grad(X[i]), dtype=float)
+        ratios.append((float(g @ D[i]) / float(den[i]), X[i]))
+    return _cloud_report("aiming", ratios, n_samples - len(kept), n_samples,
                          lambda lo, hi: (lo > 0.0, {"radius": radius}))
 
 
@@ -197,7 +222,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     radius_grid = np.asarray(list(radius_grid), dtype=float)
     if radius_grid.max() < 10.0 * radius_grid.min():
         raise ValueError("radius_grid must span at least one decade")
-    if obj.dist_solution is None:
+    if obj.dist_rows is None:
         raise ValueError("no distance oracle available for growth check")
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
     p = obj.p_growth
@@ -209,10 +234,10 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     skipped = 0
     bracket_ok = True
     for radius in radius_grid:
-        for x in _cloud(rav, per_radius, radius, rng, obj.dim):
-            y = rav.retract(x)
+        Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius, radius,
+                                    rng, obj.dim))
+        for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
             gap = float(obj.eval(y)) - f_star
-            dist = float(obj.dist_solution(y))
             if dist < SKIP_DISTANCE or gap <= 0.0:
                 skipped += 1
                 continue
@@ -257,9 +282,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
     def max_ratio(rad, rng):
         vals = []
         skipped = 0
-        for _ in range(n_samples):
-            s = np.asarray(sample_solution(rng), dtype=float)
-            x = s + rad * unit_direction(rng, obj.dim)
+        for x in _cloud(sample_solution, n_samples, rad, rng, obj.dim):
             for pt in (x, np.asarray(retract(x), dtype=float)):
                 value, grad = obj.both(pt)
                 gap = float(value) - f_star
@@ -283,34 +306,37 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                            seed: int) -> DiagnosticsReport:
     """Stability of ||grad f(x) - grad (f o R)(x)|| / ||x - R(x)||.
 
-    The composite gradient is computed by batched central differences of
-    x -> f(R(x)): the ``2 * dim`` perturbed points of a sample are
-    retracted by ``rav.retract_rows`` and evaluated by ``obj.eval_rows`` as
-    one stack, so both row forms are required.  Passes when the maximum
-    ratio grows by at most a factor 2 as the sampling radius shrinks
-    tenfold.
+    The composite gradient is computed by central differences of
+    x -> f(R(x)) with step h = 1e-6 * (1 + ||x||): the ``2 * dim`` points
+    ``x + h e_i`` and ``x - h e_i`` of each kept sample are retracted by
+    ``rav.retract_rows`` and evaluated by ``obj.eval_rows`` in blocks of
+    consecutive samples of at most :data:`STENCIL_ROWS` rows, so the
+    objective's row form is required.  Passes when the maximum ratio grows
+    by at most a factor 2 as the sampling radius shrinks tenfold.
     """
-    if obj.eval_rows is None or rav.retract_rows is None:
-        raise ValueError("gradcontrol check requires obj.eval_rows and "
-                         "rav.retract_rows")
+    if obj.eval_rows is None:
+        raise ValueError("gradcontrol check requires obj.eval_rows")
 
     def composite(rows):
         return obj.eval_rows(rav.retract_rows(rows))
 
+    per_block = max(1, STENCIL_ROWS // (2 * obj.dim))
+
     def ratios_at(rad, rng):
+        X = _cloud(rav.sample_solution, n_samples, rad, rng, obj.dim)
+        den = row_norms(X - rav.retract_rows(X))
+        kept = np.flatnonzero(~(den < SKIP_DISTANCE))
+        h = 1e-6 * (1.0 + row_norms(X))
         vals = []
-        skipped = 0
-        for x in _cloud(rav, n_samples, rad, rng, obj.dim):
-            r_x = rav.retract(x)
-            den = float(np.linalg.norm(x - r_x))
-            if den < SKIP_DISTANCE:
-                skipped += 1
-                continue
-            g = np.asarray(obj.grad(x), dtype=float)
-            g_comp = _central_differences(
-                composite, x, h=1e-6 * (1.0 + float(np.linalg.norm(x))))
-            vals.append((float(np.linalg.norm(g - g_comp)) / den, x))
-        return vals, skipped
+        for start in range(0, len(kept), per_block):
+            block = kept[start:start + per_block]
+            g_comp = _central_differences(composite, X[block], h[block])
+            for i, gc in zip(block, g_comp):
+                # The gradient has no row form: it is taken point by point.
+                g = np.asarray(obj.grad(X[i]), dtype=float)
+                vals.append((float(np.linalg.norm(g - gc)) / float(den[i]),
+                             X[i]))
+        return vals, n_samples - len(kept)
 
     return _two_radius_report(
         "gradcontrol", ratios_at, n_samples, radius, seed,

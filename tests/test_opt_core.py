@@ -318,6 +318,16 @@ def test_gdpolyak_lb_aborted_round_leaves_no_row():
     assert trace.f_estimates[0] == -0.484375
 
 
+def test_gdpolyak_lb_circle_overflow_aborts_the_round():
+    # A target far below f* catapults the iterate to ||z|| ~ 1e250, where
+    # circle's powers overflow: each round aborts and the run goes on.
+    bundle = build("circle")
+    trace = gdpolyak_lb(sample_init(bundle, 0.3, 0), 0.05, 5, 3, 2, -1e250,
+                        bundle.objective)
+    assert trace.aborted_rounds == [1, 2]
+    assert np.isfinite(trace.best_value)
+
+
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 12), I=st.integers(1, 8),
        method=st.sampled_from(["gd", "polyak", "gdpolyak", "gdpolyak_lb"]))

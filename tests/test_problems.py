@@ -15,6 +15,7 @@ from ravinegd import (
     ShapeMismatch,
     ZeroNeuron,
 )
+from ravinegd.cli import main
 from ravinegd.objective import max_relative_gradient_error, unit_direction
 from ravinegd.problems import (
     PROBLEMS,
@@ -68,6 +69,25 @@ def test_circle_values():
 def test_circle_origin_singularity():
     with pytest.raises(OriginSingularity):
         circle.circle_eval(np.array([1e-8, 1e-8]))
+
+
+def test_circle_overflow_gives_inf_not_a_raise():
+    # ||z|| ~ 1e200: (n - 1)^2 and n^3 both overflow, so the value is inf
+    # and 2xy / n^3 = inf / inf leaves the gradient non-finite.
+    v, g = circle.circle_eval(np.array([1e200, 1e200]))
+    assert v == np.inf and not np.all(np.isfinite(g))
+    # ||z|| ~ 1e120: only n^3 overflows, and the value is the row form's.
+    z = np.array([1e120, 1e120])
+    v, g = circle.circle_eval(z)
+    assert v == circle.objective().eval_rows(z[None])[0]
+    assert np.all(np.isfinite(g))
+
+
+def test_circle_run_from_a_huge_init_fails_cleanly(tmp_path, capsys):
+    rc = main(["run", "--problem", "circle", "--init-radius", "1e200",
+               "--K", "2", "--I", "2", "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "non-finite gradient at iteration 0" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------- factorization

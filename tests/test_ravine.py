@@ -18,8 +18,21 @@ from ravinegd import (
     check_ravine_quadratic,
     morse_ravine_solve,
 )
-from ravinegd.objective import _central_differences, central_difference_gradient
+from ravinegd.objective import (
+    _central_differences,
+    central_difference_gradient,
+    on_row,
+    row_norms,
+    unit_direction,
+)
 from ravinegd.problems import build, circle, factorization, sample_init
+from ravinegd.ravine import (
+    GROWTH_SLOPE_TOL,
+    SKIP_DISTANCE,
+    STENCIL_ROWS,
+    _cloud_report,
+    _two_radius_report,
+)
 
 SMALL_PARAMS = {
     "factorization": {"d": 5, "r": 2, "k": 3},
@@ -305,7 +318,8 @@ def test_batched_composite_gradient_matches_scalar_bitwise(bundles, name):
         x = _near_solution_stack(bundle, rng, 1, 0.01)[0]
         h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
         batched = _central_differences(
-            lambda Z: obj.eval_rows(rav.retract_rows(Z)), x, h)
+            lambda Z: obj.eval_rows(rav.retract_rows(Z)), x[None],
+            np.array([h]))[0]
         scalar = central_difference_gradient(
             lambda z: float(obj.eval(rav.retract(z))), x, h=h)
         assert np.array_equal(batched, scalar)
@@ -325,6 +339,185 @@ def test_gradient_control_requires_row_forms(bundles):
     plain = dataclasses.replace(bundle.objective, eval_rows=None)
     with pytest.raises(ValueError):
         check_gradient_control(plain, bundle.descriptor, 10, 0.1, seed=0)
+
+
+def test_gradient_control_empty_radius_names_it(bundles):
+    # The retraction is the identity beyond ||z|| = 0.05, so every sample
+    # at radius 0.1 is skipped while those at 0.01 are kept.
+    bundle = bundles["rosenbrock"]
+    retract_rows = bundle.descriptor.retract_rows
+
+    def near_only(Z):
+        Z = np.asarray(Z, dtype=float)
+        return np.where((row_norms(Z) > 0.05)[:, None], Z, retract_rows(Z))
+
+    rav = dataclasses.replace(bundle.descriptor, retract=on_row(near_only),
+                              retract_rows=near_only)
+    with pytest.raises(InsufficientValidSamples, match="at radius 0.1 "):
+        check_gradient_control(bundle.objective, rav, 50, 0.1, seed=0)
+
+
+# ------------------------------------- batched checks against point loops
+
+def _points(rav, n_samples, radius, rng, dim):
+    """The cloud drawn and yielded one point at a time."""
+    for _ in range(n_samples):
+        s = np.asarray(rav.sample_solution(rng), dtype=float)
+        yield s + radius * unit_direction(rng, dim)
+
+
+def _aiming_per_point(obj, rav, n_samples, radius, seed):
+    rng = np.random.default_rng(seed)
+    ratios = []
+    skipped = 0
+    for x in _points(rav, n_samples, radius, rng, obj.dim):
+        r_x = rav.retract(x)
+        diff = x - r_x
+        den = float(diff @ diff)
+        if den < SKIP_DISTANCE ** 2:
+            skipped += 1
+            continue
+        g = np.asarray(obj.grad(x), dtype=float)
+        ratios.append((float(g @ diff) / den, x))
+    return _cloud_report("aiming", ratios, skipped, n_samples,
+                         lambda lo, hi: (lo > 0.0, {"radius": radius}))
+
+
+def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
+                      exact_bracket=None):
+    radius_grid = np.asarray(list(radius_grid), dtype=float)
+    f_star = float(obj.f_star) if obj.f_star is not None else 0.0
+    p = obj.p_growth
+    rng = np.random.default_rng(seed)
+    per_radius = max(1, n_samples // len(radius_grid))
+    logs = []
+    ratios = []
+    skipped = 0
+    bracket_ok = True
+    for radius in radius_grid:
+        for x in _points(rav, per_radius, radius, rng, obj.dim):
+            y = rav.retract(x)
+            gap = float(obj.eval(y)) - f_star
+            dist = float(obj.dist_solution(y))
+            if dist < SKIP_DISTANCE or gap <= 0.0:
+                skipped += 1
+                continue
+            logs.append((np.log(dist), np.log(gap)))
+            ratios.append((gap / dist ** p, y))
+            if exact_bracket is not None:
+                lo_c, hi_c = exact_bracket
+                tol = 1e-10 * max(abs(gap), lo_c * dist ** p)
+                if gap < lo_c * dist ** p - tol or gap > hi_c * dist ** p + tol:
+                    bracket_ok = False
+
+    def judge(lo, hi):
+        ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
+        slope, intercept = np.polyfit(ld, lg, 1)
+        resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))
+        return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
+            "slope": float(slope), "expected_exponent": p,
+            "fit_residual": resid,
+            "exact_bracket": list(exact_bracket) if exact_bracket else None,
+            "bracket_ok": bracket_ok}
+
+    return _cloud_report("growth", ratios, skipped,
+                         per_radius * len(radius_grid), judge)
+
+
+def _gradcontrol_per_point(obj, rav, n_samples, radius, seed):
+    def composite_gradient(x, h):
+        # One sample's stencil as one stack: x + h e_i, then x - h e_i.
+        step = h * np.eye(x.size)
+        values = obj.eval_rows(rav.retract_rows(
+            np.concatenate([x + step, x - step])))
+        return (values[:x.size] - values[x.size:]) / (2.0 * h)
+
+    def ratios_at(rad, rng):
+        vals = []
+        skipped = 0
+        for x in _points(rav, n_samples, rad, rng, obj.dim):
+            r_x = rav.retract(x)
+            den = float(np.linalg.norm(x - r_x))
+            if den < SKIP_DISTANCE:
+                skipped += 1
+                continue
+            g = np.asarray(obj.grad(x), dtype=float)
+            g_comp = composite_gradient(
+                x, 1e-6 * (1.0 + float(np.linalg.norm(x))))
+            vals.append((float(np.linalg.norm(g - g_comp)) / den, x))
+        return vals, skipped
+
+    return _two_radius_report(
+        "gradcontrol", ratios_at, n_samples, radius, seed,
+        lambda max_big, max_small: max_small <= 2.0 * max(max_big, 1e-300))
+
+
+# 75 samples fill no whole number of stencil blocks on any problem here.
+N_UNEVEN = 75
+GROWTH_GRID = np.geomspace(3e-3, 3e-2, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS)
+def test_batched_aiming_and_gradcontrol_match_point_loops(bundles, name,
+                                                          seed):
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    assert N_UNEVEN % max(1, STENCIL_ROWS // (2 * obj.dim)) != 0
+    for radius in (0.1, 0.01):
+        assert (check_aiming(obj, rav, N_UNEVEN, radius, seed).to_dict()
+                == _aiming_per_point(obj, rav, N_UNEVEN, radius,
+                                     seed).to_dict())
+        assert (check_gradient_control(obj, rav, N_UNEVEN, radius,
+                                       seed).to_dict()
+                == _gradcontrol_per_point(obj, rav, N_UNEVEN, radius,
+                                          seed).to_dict())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
+def test_batched_growth_matches_point_loop(bundles, name, seed):
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    bracket = bundle.growth_bracket
+    assert (check_growth_exponent(obj, rav, N_UNEVEN, GROWTH_GRID, seed,
+                                  exact_bracket=bracket).to_dict()
+            == _growth_per_point(obj, rav, N_UNEVEN, GROWTH_GRID, seed,
+                                 exact_bracket=bracket).to_dict())
+
+
+def _counting_eval_rows(obj):
+    """``obj`` whose ``eval_rows`` records the row count of each call."""
+    counts = []
+
+    def eval_rows(X):
+        counts.append(len(X))
+        return obj.eval_rows(X)
+
+    return dataclasses.replace(obj, eval_rows=eval_rows), counts
+
+
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS)
+def test_gradcontrol_stencil_blocks_stay_bounded(bundles, name):
+    bundle = bundles[name]
+    obj, counts = _counting_eval_rows(bundle.objective)
+    rep = check_gradient_control(obj, bundle.descriptor, N_UNEVEN, 0.01,
+                                 seed=1)
+    stencil = 2 * obj.dim
+    assert max(counts) <= max(STENCIL_ROWS, stencil)
+    assert all(c % stencil == 0 for c in counts)
+    assert sum(counts) == stencil * rep.samples_tested
+
+
+def test_gradcontrol_large_stencil_goes_alone():
+    # d = 100: each sample's stencil has 400 rows, above STENCIL_ROWS.
+    bundle = build("neuron", {"d": 100})
+    obj, counts = _counting_eval_rows(bundle.objective)
+    rav = bundle.descriptor
+    rep = check_gradient_control(obj, rav, 7, 0.01, seed=0)
+    assert counts == [400] * rep.samples_tested
+    assert rep.to_dict() == _gradcontrol_per_point(
+        bundle.objective, rav, 7, 0.01, 0).to_dict()
 
 
 # ------------------------------------------------------------ Morse solver
