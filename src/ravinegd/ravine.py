@@ -15,6 +15,7 @@ the descriptor and the objective equal the per-point callables bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -237,20 +238,30 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius, radius,
                                     rng, obj.dim))
         for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
-            gap = float(obj.eval(y)) - f_star
-            if dist < SKIP_DISTANCE or gap <= 0.0:
+            # Far from S the gap or dist^p can overflow, as inf or, in
+            # Python float powers, as OverflowError; such a sample has no
+            # ratio and no point on the log-log fit.
+            try:
+                gap = float(obj.eval(y)) - f_star
+                power = dist ** p
+            except OverflowError:
+                gap = power = math.inf
+            if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
+                    and power < math.inf):
                 skipped += 1
                 continue
             logs.append((np.log(dist), np.log(gap)))
-            ratio = gap / dist ** p
-            ratios.append((ratio, y))
+            ratios.append((gap / power, y))
             if exact_bracket is not None:
                 lo_c, hi_c = exact_bracket
-                tol = 1e-10 * max(abs(gap), lo_c * dist ** p)
-                if gap < lo_c * dist ** p - tol or gap > hi_c * dist ** p + tol:
+                tol = 1e-10 * max(abs(gap), lo_c * power)
+                if gap < lo_c * power - tol or gap > hi_c * power + tol:
                     bracket_ok = False
 
     def judge(lo, hi):
+        if len(logs) < 2:
+            raise InsufficientValidSamples(
+                f"growth: {len(logs)} sample(s) left to fit a slope")
         ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
         slope, intercept = np.polyfit(ld, lg, 1)
         resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))

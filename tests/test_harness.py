@@ -205,6 +205,23 @@ def test_cli_rejects_negative_seed_and_degenerate_cloud(argv, field, capsys):
     assert f"{field}: must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("problem, radius", [
+    ("rosenbrock", "1e40"), ("rosenbrock", "1e80"), ("rosenbrock", "1e200"),
+    ("quartic1d", "1e80"), ("factorization", "1e80"),
+    ("factorization", "1e200"), ("neuron", "1e200"),
+])
+def test_cli_growth_at_a_huge_radius_fails_cleanly(problem, radius, tmp_path,
+                                                   capsys):
+    # The gap or dist^p overflows at every sample (or all but a few), so
+    # the check runs out of samples instead of dying in the fit.
+    rc = main(["diagnose", "--problem", problem, "--suite", "growth",
+               "--radius", radius, "--out", str(tmp_path / "diag")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: growth:" in err and "skipped" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flag", ["--u-grid=0:1:0", "--u-grid=1:0:0.1",
                                   "--u-grid=0:nan:0.1", "--tol=-1",
                                   "--tol=0", "--tol=nan"])

@@ -212,13 +212,22 @@ def _dense_sensing_eval(B, inst):
     return float(resid @ resid) / inst.m, -2.0 / inst.m * (s + s.T) @ B
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "complete"])
+RANK_ONE_INSTANCES = {
+    "gaussian": lambda: sensing.make_sensing_instance(
+        d=7, r=2, k=3, m=90, seed=4),
+    "complete": lambda: sensing.complete_sensing_instance(
+        factorization.random_instance(d=5, r=2, k=3, seed=6)),
+    # Two blocks, the second of one row; three blocks, the last partial.
+    "two_blocks": lambda: sensing.make_sensing_instance(
+        d=5, r=2, k=3, m=sensing.ROW_BLOCK + 1, seed=4),
+    "three_blocks": lambda: sensing.make_sensing_instance(
+        d=5, r=2, k=3, m=2 * sensing.ROW_BLOCK + 37, seed=4),
+}
+
+
+@pytest.mark.parametrize("kind", list(RANK_ONE_INSTANCES))
 def test_sensing_rank_one_matches_dense(kind):
-    if kind == "gaussian":
-        inst = sensing.make_sensing_instance(d=7, r=2, k=3, m=90, seed=4)
-    else:
-        inst = sensing.complete_sensing_instance(
-            factorization.random_instance(d=5, r=2, k=3, seed=6))
+    inst = RANK_ONE_INSTANCES[kind]()
     rng = np.random.default_rng(8)
     for _ in range(5):
         B = rng.standard_normal((inst.fac.d, inst.fac.k))
@@ -226,6 +235,59 @@ def test_sensing_rank_one_matches_dense(kind):
         v_ref, g_ref = _dense_sensing_eval(B, inst)
         assert abs(v - v_ref) <= 1e-12 * abs(v_ref)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+def _unblocked_sensing_eval(B, inst):
+    # The evaluation as one pass over all m rows, before row blocks.
+    aB = inst.a @ B
+    atB = inst.at @ B
+    resid = inst.y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1))
+    value = float(resid @ resid) / inst.m
+    r = resid[:, None]
+    grad = (-4.0 / inst.m) * (inst.a.T @ (r * aB) - inst.at.T @ (r * atB))
+    return value, grad
+
+
+@pytest.mark.parametrize("m", [1, 800, sensing.ROW_BLOCK])
+def test_sensing_single_block_is_the_unblocked_formula_bitwise(m):
+    inst = sensing.make_sensing_instance(d=20, r=2, k=4, m=m, seed=5)
+    rng = np.random.default_rng(m)
+    points = [rng.standard_normal((20, 4)),
+              sensing.base_solution(inst).reshape(20, 4)]
+    for B in points:
+        v, g = sensing.sensing_eval(B, inst)
+        v_ref, g_ref = _unblocked_sensing_eval(B, inst)
+        assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
+        assert g.tobytes() == g_ref.tobytes()
+
+
+def test_sensing_multi_block_gradient_matches_finite_differences():
+    bundle = build("sensing", {"d": 6, "r": 2, "k": 3,
+                               "m": 2 * sensing.ROW_BLOCK + 37})
+    points = [sample_init(bundle, 0.05, seed) for seed in range(5)]
+    assert max_relative_gradient_error(bundle.objective, points) <= 1e-5
+
+
+def test_sensing_multi_block_run_from_a_huge_init_fails_cleanly(tmp_path,
+                                                                capsys):
+    rc = main(["run", "--problem", "sensing", "--param", "m=2500",
+               "--init-radius", "1e300", "--K", "2", "--I", "2",
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert ("error: non-finite gradient at iteration 0"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("m", [800, 2500])
+def test_sensing_compare_abandons_diverging_lb_rounds(m, tmp_path):
+    # f_lb = -1e300 sends every gdpolyak_lb round's long step to overflow;
+    # the rounds are abandoned and compare still finishes.
+    out = tmp_path / "cmp"
+    rc = main(["compare", "--problem", "sensing", "--param", f"m={m}",
+               "--J", "2", "--f-lb=-1e300", "--K", "3", "--I", "5",
+               "--out", str(out)])
+    assert rc == 0
+    assert (out / "comparison.csv").exists()
 
 
 def test_sensing_instance_holds_no_dense_tensor():

@@ -245,6 +245,15 @@ def test_growth_rejects_narrow_grid(bundles):
                               50, [0.1, 0.2], seed=0)
 
 
+def test_growth_refuses_a_one_sample_fit(bundles):
+    # Grid [1, 1e80], one sample per radius: at 1e80 the rosenbrock gap
+    # and dist^4 overflow, so one sample is left, too few for a slope.
+    bundle = bundles["rosenbrock"]
+    with pytest.raises(InsufficientValidSamples, match="1 sample"):
+        check_growth_exponent(bundle.objective, bundle.descriptor,
+                              2, [1.0, 1e80], seed=0)
+
+
 def test_lojasiewicz_quartic_constant(bundles):
     bundle = bundles["quartic1d"]
     rep = check_lojasiewicz(bundle.objective, 4.0, 100, 0.1, seed=0,
