@@ -1,8 +1,9 @@
 """Objective wrapper and finite-difference utilities.
 
 An :class:`Objective` bundles a smooth function with its analytic gradient
-over a flat vector variable.  Matrix problems flatten their variables
-(row-major) so that a single optimizer code path serves every problem.
+over a flat vector variable, stated once as a fused value-and-gradient
+callable.  Matrix problems flatten their variables (row-major) so that a
+single optimizer code path serves every problem.
 """
 
 from __future__ import annotations
@@ -17,48 +18,62 @@ import numpy as np
 class Objective:
     """A smooth objective with analytic gradient over R^dim.
 
+    A problem states each map once: the fused ``value_and_grad`` and,
+    where it has them, the row forms ``eval_rows`` and ``dist_rows``.  The
+    per-point ``eval``, ``grad`` and ``dist_solution`` are derived from
+    them when not given.  They stay fields, not methods, so that
+    ``dataclasses.replace`` can substitute wrapped callables for them (the
+    perfbench tracer does); a substituted callable is kept as given.
+
     Attributes
     ----------
     dim : ambient dimension of the (flattened) decision variable.
-    eval : point -> value.
-    grad : point -> gradient vector of length ``dim``.
+    value_and_grad : point -> ``(value, gradient vector of length dim)``.
+    eval : point -> value; defaults to ``value_and_grad(x)[0]``.
+    grad : point -> gradient; defaults to ``value_and_grad(x)[1]``.
     f_star : known minimal value, if any.
     p_growth : growth exponent p of the value away from the solution set.
     dist_solution : point -> distance (or proxy) to the minimizer set;
-        each problem builds it as ``dist_rows`` applied to one row.
-    value_and_grad : optional fused evaluation returning ``(value, grad)``,
-        used by the steppers to avoid recomputing shared intermediates.
+        defaults to ``dist_rows`` on the one-row stack of the point, and
+        stays None without ``dist_rows``.
     eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
         for bit to ``eval`` on each row; the gradient-control check needs
         it to evaluate the finite-difference stencils of a cloud's samples
         in blocks of rows.
-    dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``, equal
-        bit for bit to ``dist_solution`` on each row; a run that records
-        distances evaluates it once per epoch, on the block of the epoch's
-        departure iterates, and the growth check once per radius, on the
-        retracted cloud.
+    dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``; a run
+        that records distances evaluates it once per epoch, on the block of
+        the epoch's departure iterates, and the growth check once per
+        radius, on the retracted cloud.
     """
 
     dim: int
-    eval: Callable[[np.ndarray], float]
-    grad: Callable[[np.ndarray], np.ndarray]
+    value_and_grad: Callable[[np.ndarray], tuple]
+    eval: Optional[Callable[[np.ndarray], float]] = None
+    grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     f_star: Optional[float] = None
     p_growth: Optional[float] = None
     dist_solution: Optional[Callable[[np.ndarray], float]] = None
-    value_and_grad: Optional[Callable[[np.ndarray], tuple]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dist_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
+    def __post_init__(self):
+        # The instance is frozen, so the defaults are set past __setattr__.
+        both = self.value_and_grad
+        if self.eval is None:
+            object.__setattr__(self, "eval", lambda x: both(x)[0])
+        if self.grad is None:
+            object.__setattr__(self, "grad", lambda x: both(x)[1])
+        if self.dist_solution is None and self.dist_rows is not None:
+            object.__setattr__(self, "dist_solution", on_row(self.dist_rows))
+
     def both(self, x: np.ndarray) -> tuple:
         """Value and gradient at ``x`` in one call."""
-        if self.value_and_grad is not None:
-            return self.value_and_grad(x)
-        return self.eval(x), self.grad(x)
+        return self.value_and_grad(x)
 
 
 def on_row(rows_fn):
     """``rows_fn`` at one point: its first entry on the one-row stack of x."""
-    return lambda x: rows_fn(np.reshape(np.asarray(x, dtype=float), (1, -1)))[0]
+    return lambda x: rows_fn(np.asarray(x, dtype=float).reshape(1, -1))[0]
 
 
 def _rowdot(A, B):

@@ -41,6 +41,11 @@ POLYAK_LONG = "PolyakLong"
 # Polyak step guards: skip when the gap is closed or the gradient vanishes.
 GRAD_NORM_FLOOR = 1e-30
 
+# A diverging run overflows to inf or nan, which the engine's finiteness
+# checks turn into NonFiniteGradient; every run evaluates under this numpy
+# error state, so that path prints no RuntimeWarning on the way.
+OVERFLOW_IS_DATA = {"over": "ignore", "invalid": "ignore"}
+
 
 def _target_tolerance(f_target: float) -> float:
     return 1e-10 * (1.0 + abs(f_target))
@@ -222,9 +227,10 @@ def _run(x0, K: int, I: int, obj: Objective, f_ref: float, rule,
     engine = _Engine(obj, f_ref, I * (K + 1), every_iterate, dist_solution,
                      dist_ravine)
     x = np.asarray(x0, dtype=float)
-    if every_iterate:
-        engine.consider(x, engine.value(x))
-    engine.run(x, K, I, rule)
+    with np.errstate(**OVERFLOW_IS_DATA):
+        if every_iterate:
+            engine.consider(x, engine.value(x))
+        engine.run(x, K, I, rule)
     return engine.trace(*engine.best)
 
 
@@ -311,10 +317,6 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
                      dist_ravine)
 
     f0 = float(f0)
-    fx0 = engine.value(x0)
-    if f0 > fx0 + _target_tolerance(f0):
-        raise ValueError(f"f0 = {f0} exceeds f(x0) = {fx0}")
-
     f_est = f0
 
     def toward_estimate(f, gnorm2):
@@ -327,25 +329,30 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     round_values = np.empty(J)
     round_bests = []
     aborted = []
-    for j in range(1, J + 1):
-        engine.best = None
-        # A far-below target can catapult an epoch; overflow to inf is the
-        # designed failure path (the round aborts, the next one restarts).
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**OVERFLOW_IS_DATA):
+        fx0 = engine.value(x0)
+        if f0 > fx0 + _target_tolerance(f0):
+            raise ValueError(f"f0 = {f0} exceeds f(x0) = {fx0}")
+        for j in range(1, J + 1):
+            engine.best = None
+            # A far-below target can catapult an epoch; overflow to inf is
+            # the designed failure path (the round aborts, the next one
+            # restarts).
+            try:
                 engine.run(x0, K, I, rule, first_epoch=(j - 1) * I + 1)
-        except NonFiniteGradient:
-            aborted.append(j)
-        if engine.best is None:
-            # Diverged before banking any iterate; round contributes nothing.
+            except NonFiniteGradient:
+                aborted.append(j)
+            if engine.best is None:
+                # Diverged before banking any iterate; the round contributes
+                # nothing.
+                estimates[j - 1] = f_est
+                round_values[j - 1] = np.inf
+                continue
+            f_xj = engine.best[1]
+            f_est = 0.5 * (f_est + f_xj)
             estimates[j - 1] = f_est
-            round_values[j - 1] = np.inf
-            continue
-        f_xj = engine.best[1]
-        f_est = 0.5 * (f_est + f_xj)
-        estimates[j - 1] = f_est
-        round_values[j - 1] = f_xj
-        round_bests.append(engine.best)
+            round_values[j - 1] = f_xj
+            round_bests.append(engine.best)
     if not round_bests:
         raise EmptyTrace("every round diverged before recording an iterate")
 

@@ -2,7 +2,13 @@
 
 ``PROBLEMS`` maps each problem name to its module, which states the
 problem's facts once in its ``SPEC`` (see :mod:`.spec`) and builds its
-:class:`ProblemBundle`.  ``build`` and ``param_errors`` read that table;
+:class:`ProblemBundle`.  A module supplies each map once: the fused
+value-and-gradient, the row forms ``eval_rows`` and ``dist_rows`` and the
+ravine's ``retract_rows`` where it has them; the per-point ``eval``,
+``grad``, ``dist_solution`` and ``retract`` are derived from these by
+:class:`~ravinegd.objective.Objective` and
+:class:`~ravinegd.ravine.RavineDescriptor`.  ``build`` and
+``param_errors`` read that table;
 ``build`` redraws an instance bit for bit from its name and parameters,
 which a run's ``config.json`` records.  ``sample_init`` draws initial
 points at an exact distance from a known solution.

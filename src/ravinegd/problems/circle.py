@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from ..errors import OriginSingularity
-from ..objective import Objective, on_row, row_norms
+from ..objective import Objective, row_norms
 from ..ravine import RavineDescriptor
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
@@ -55,10 +55,6 @@ def circle_eval(z):
     return value, np.array([gx, gy])
 
 
-def _eval(z):
-    return circle_eval(z)[0]
-
-
 def _norms_or_raise(Z):
     n = np.hypot(Z[:, 0], Z[:, 1])
     if n.min() < _ORIGIN_TOL:
@@ -74,31 +70,13 @@ def _eval_rows(Z):
     return (n - 1.0) ** 2 + w * w
 
 
-def _grad(z):
-    return circle_eval(z)[1]
-
-
 def _dist_rows(Z):
     return row_norms(Z - _MINIMIZER)
 
 
 def objective() -> Objective:
-    return Objective(
-        dim=2,
-        eval=_eval,
-        grad=_grad,
-        f_star=0.0,
-        p_growth=4.0,
-        dist_solution=on_row(_dist_rows),
-        value_and_grad=circle_eval,
-        eval_rows=_eval_rows,
-        dist_rows=_dist_rows,
-    )
-
-
-def _retract(z):
-    z = np.asarray(z, dtype=float)
-    return z / _norm_or_raise(z)
+    return Objective(dim=2, value_and_grad=circle_eval, f_star=0.0,
+                     p_growth=4.0, eval_rows=_eval_rows, dist_rows=_dist_rows)
 
 
 def _retract_rows(Z):
@@ -126,10 +104,9 @@ SPEC = ProblemSpec(
 
 def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
-        retract=_retract,
+        retract_rows=_retract_rows,
         on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= 1e-8,
         sample_solution=lambda rng: _MINIMIZER.copy(),
-        retract_rows=_retract_rows,
     )
     # The sampled ravine ratio is exactly 1.
     return ProblemBundle(SPEC, objective(), rav, None, _MINIMIZER.copy(),

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DegenerateProjection, ShapeMismatch
-from ..objective import Objective, on_row, row_norms
+from ..objective import Objective, row_norms
 from ..ravine import RavineDescriptor
 from .spec import (
     CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
@@ -123,21 +123,15 @@ def factorization_eval(B, inst: FactorizationInstance):
     return value, grad
 
 
-def factorization_project_solution(B, inst: FactorizationInstance) -> np.ndarray:
-    """Nearest point of S = {A : A A^T = X} via orthogonal Procrustes.
+def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
+    """Nearest point of S = {A : A A^T = X} to each matrix of an (n, d, k)
+    stack, via orthogonal Procrustes.
 
     Writes the candidate as A = L O with O O^T = I and maximizes
     <L^T B, O>: with L^T B = U S V^T, the optimum is O = U V^T.  Raises
-    :class:`DegenerateProjection` when L^T B is nearly singular (the
-    nearest point is not unique).
+    :class:`DegenerateProjection` when L^T B is nearly singular for any
+    matrix (the nearest point is not unique).
     """
-    B = as_matrix(B, inst)
-    return factorization_project_solution_rows(B[None], inst)[0]
-
-
-def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
-    """:func:`factorization_project_solution` of each matrix of an (n, d, k)
-    stack; raises :class:`DegenerateProjection` when any is degenerate."""
     u, s, vt = np.linalg.svd(inst.L.T @ Bs, full_matrices=False)
     smallest = float(s[:, -1].min())
     if smallest < DEGENERATE_TOL:
@@ -147,21 +141,14 @@ def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
     return inst.L @ (u @ vt)
 
 
-def factorization_retraction(B, inst: FactorizationInstance) -> np.ndarray:
-    """Composite retraction onto M = {(P; Q): P P^T = D, P Q^T = 0}.
+def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray:
+    """Composite retraction onto M = {(P; Q): P P^T = D, P Q^T = 0} of each
+    matrix of an (n, d, k) stack.
 
     In the eigenbasis of X: P maps to its nearest point of {P : P P^T = D}
     (a scaled Procrustes, P~ = D^(1/2) U V^T from the SVD of D^(1/2) P)
-    and each row of Q is projected onto ker(P~).
-    """
-    B = as_matrix(B, inst)
-    return factorization_retraction_rows(B[None], inst)[0]
-
-
-def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray:
-    """:func:`factorization_retraction` of each matrix of an (n, d, k) stack.
-
-    Raises :class:`DegenerateProjection` when any matrix is degenerate.
+    and each row of Q is projected onto ker(P~).  Raises
+    :class:`DegenerateProjection` when any matrix is degenerate.
     """
     r = inst.r
     Bp = inst.basis.T @ Bs
@@ -179,14 +166,9 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
     return inst.basis @ np.concatenate([P_t, Q_t], axis=1)
 
 
-def dist_to_solution(B, inst: FactorizationInstance) -> float:
-    """Frobenius distance to S; equals ||Q||_F on the ravine."""
-    return float(dist_to_solution_rows(as_matrix(B, inst)[None], inst)[0])
-
-
 def dist_to_solution_rows(X, inst: FactorizationInstance) -> np.ndarray:
-    """:func:`dist_to_solution` of each matrix of an (n, d, k) stack, or of
-    each row of its (n, d * k) flattening."""
+    """Frobenius distance to S of each matrix of an (n, d, k) stack, or of
+    each row of its (n, d * k) flattening; equals ||Q||_F on the ravine."""
     Bs = np.reshape(X, (-1, inst.d, inst.k))
     D = Bs - factorization_project_solution_rows(Bs, inst)
     return row_norms(D.reshape(len(Bs), -1))
@@ -234,30 +216,47 @@ def objective(inst: FactorizationInstance) -> Objective:
         value, grad = factorization_eval(x.reshape(inst.d, inst.k), inst)
         return value, grad.reshape(-1)
 
-    def _eval(x):
-        return _both(x)[0]
-
-    def _grad(x):
-        return _both(x)[1]
-
     def _eval_rows(X):
         _, resid = _block_residual(X.reshape(-1, inst.d, inst.k), inst)
         return np.sum(resid * resid, axis=(1, 2))
 
-    def _dist_rows(X):
-        return dist_to_solution_rows(X, inst)
-
     return Objective(
         dim=inst.d * inst.k,
-        eval=_eval,
-        grad=_grad,
+        value_and_grad=_both,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=on_row(_dist_rows),
-        value_and_grad=_both,
         eval_rows=_eval_rows,
-        dist_rows=_dist_rows,
+        dist_rows=lambda X: dist_to_solution_rows(X, inst),
     )
+
+
+def growth_floor(inst: FactorizationInstance) -> float:
+    """Absolute rounding floor of the computed gap at a retracted point.
+
+    On the ravine the value is ||Q Q^T||_F^2 exactly: the blocks P P^T - D
+    and P Q^T of the residual vanish.  Computed, they hold rounding
+    residue, and its square adds an absolute error to the gap that no
+    relative tolerance covers once ||Q|| is small.  To first order in the
+    unit roundoff eps, with |fl(AB) - AB| <= n eps |A| |B| for products
+    of n-term sums, ||P||_F^2 = tr D <= r s1 and ||P||_2^2 = s1 (s1 the
+    largest eigenvalue of X):
+
+    - the retraction's P = D^(1/2) W, with W from an SVD orthonormal to
+      about k eps per entry, has ||P P^T - D||_F <= r k eps s1;
+    - the map into the eigenbasis U and back (d-term sums, with
+      || |U| ||_2 <= sqrt(d) and U orthonormal to about d eps) moves P by
+      at most (2 d^(3/2) + d) eps ||P||_F, and so P P^T by at most
+      2 r (2 d^(3/2) + d) eps s1;
+    - forming P P^T (k-term sums) adds k r eps s1, and subtracting D
+      adds eps ||D||_F <= r eps s1.
+
+    So ||fl(P P^T) - D||_F <= C eps s1 with C = r (6 d^(3/2) + 2 k + 1),
+    using d <= d^(3/2), and the gap carries up to (C eps s1)^2 beyond its
+    relative rounding.  The P Q^T block adds O(C^2 eps^2 s1 ||Q||_F^2),
+    less than that wherever ||Q||_F^2 < s1.
+    """
+    c = inst.r * (6.0 * inst.d ** 1.5 + 2.0 * inst.k + 1.0)
+    return (c * np.finfo(float).eps * inst.sigma1) ** 2
 
 
 def base_solution(inst: FactorizationInstance) -> np.ndarray:
@@ -279,13 +278,14 @@ def bundle(params: dict) -> ProblemBundle:
             X.reshape(-1, inst.d, inst.k), inst).reshape(len(X), -1)
 
     rav = RavineDescriptor(
-        retract=on_row(_retract_rows),
+        retract_rows=_retract_rows,
         on_manifold=_on_manifold,
         sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
-        retract_rows=_retract_rows,
     )
-    # On the ravine (1/k) dist^4 <= f <= dist^4 exactly; see the docstring.
+    # On the ravine (1/k) dist^4 <= f <= dist^4 exactly (see the module
+    # docstring), up to the rounding floor of the computed gap.
     return ProblemBundle(SPEC, objective(inst), rav, inst, base_solution(inst),
                          rav.sample_solution,
                          ravine_bracket=(inst.sigmar / 16.0, 36.0 * inst.sigma1),
-                         growth_bracket=(1.0 / inst.k, 1.0))
+                         growth_bracket=(1.0 / inst.k, 1.0,
+                                         growth_floor(inst)))

@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import ShapeMismatch, ZeroNeuron
-from ..objective import Objective, _rowdot, on_row, row_norms
+from ..objective import Objective, _rowdot, row_norms
 from ..ravine import RavineDescriptor
 from .spec import (
     CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_finite)
@@ -111,18 +111,13 @@ def neuron_eval(w1, w2, inst: NeuronInstance):
     return value, np.concatenate([g1, g2])
 
 
-def neuron_dist_proxy(w1, w2, inst: NeuronInstance) -> float:
-    """||w1 + w2 - v|| plus the norms of the components orthogonal to v.
+def neuron_dist_rows(W, inst: NeuronInstance) -> np.ndarray:
+    """||w1 + w2 - v|| plus the norms of the components orthogonal to v, at
+    each row of an (n, 2d) stack of flattened weights.
 
     Vanishes exactly on aligned splits of the teacher; proportional to the
     distance to the solution set near it.
     """
-    return float(neuron_dist_rows(np.concatenate([w1, w2])[None], inst)[0])
-
-
-def neuron_dist_rows(W, inst: NeuronInstance) -> np.ndarray:
-    """:func:`neuron_dist_proxy` at each row of an (n, 2d) stack of
-    flattened weights."""
     W1, W2 = _halves(W, inst)
     v = inst.v
     _check_floor(row_norms(W1).min(), row_norms(W2).min(), inst.norm_v)
@@ -192,19 +187,13 @@ def objective(inst: NeuronInstance) -> Objective:
         w1, w2 = _split(x, inst)
         return neuron_eval(w1, w2, inst)
 
-    def dist_rows(W):
-        return neuron_dist_rows(W, inst)
-
     return Objective(
         dim=2 * inst.d,
-        eval=lambda x: _both(x)[0],
-        grad=lambda x: _both(x)[1],
+        value_and_grad=_both,
         f_star=0.0,
         p_growth=3.0,
-        dist_solution=on_row(dist_rows),
-        value_and_grad=_both,
         eval_rows=lambda W: neuron_values(W, inst),
-        dist_rows=dist_rows,
+        dist_rows=lambda W: neuron_dist_rows(W, inst),
     )
 
 
@@ -226,11 +215,10 @@ def bundle(params: dict) -> ProblemBundle:
         return np.concatenate([c * inst.v, (1.0 - c) * inst.v])
 
     rav = RavineDescriptor(
-        retract=lambda x: _retract_rows(np.reshape(x, (1, -1)), inst)[0],
+        retract_rows=lambda X: _retract_rows(X, inst),
         on_manifold=lambda x: float(np.linalg.norm(
             x[:inst.d] + x[inst.d:] - inst.v)) <= tol,
         sample_solution=_sample_solution,
-        retract_rows=lambda X: _retract_rows(X, inst),
     )
     # The balanced split (v/2, v/2) is the base solution.
     return ProblemBundle(SPEC, objective(inst), rav, inst,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..objective import Objective, on_row
+from ..objective import Objective
 from ..ravine import RavineDescriptor
 from .spec import ProblemBundle, ProblemSpec
 
@@ -24,17 +24,9 @@ def quartic_eval(x: float):
     return 0.25 * x ** 4, x ** 3
 
 
-def _eval(x):
-    return 0.25 * float(x[0]) ** 4
-
-
-def _grad(x):
-    return np.array([float(x[0]) ** 3])
-
-
 def _both(x):
-    v = float(x[0])
-    return 0.25 * v ** 4, np.array([v ** 3])
+    value, slope = quartic_eval(x[0])
+    return value, np.array([slope])
 
 
 def _dist_rows(X):
@@ -42,26 +34,17 @@ def _dist_rows(X):
 
 
 def objective() -> Objective:
-    return Objective(
-        dim=1,
-        eval=_eval,
-        grad=_grad,
-        f_star=0.0,
-        p_growth=4.0,
-        dist_solution=on_row(_dist_rows),
-        value_and_grad=_both,
-        dist_rows=_dist_rows,
-    )
+    return Objective(dim=1, value_and_grad=_both, f_star=0.0, p_growth=4.0,
+                     dist_rows=_dist_rows)
 
 
 def bundle(params: dict) -> ProblemBundle:
     # The Hessian at 0 is zero, so the ravine is the whole line and the
     # retraction is the identity.
     rav = RavineDescriptor(
-        retract=lambda x: np.asarray(x, dtype=float).copy(),
+        retract_rows=lambda X: np.array(X, dtype=float),
         on_manifold=lambda x: True,
         sample_solution=lambda rng: np.zeros(1),
-        retract_rows=lambda X: np.array(X, dtype=float),
     )
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(1),
                          rav.sample_solution)

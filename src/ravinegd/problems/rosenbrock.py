@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..objective import Objective, on_row, row_norms
+from ..objective import Objective, row_norms
 from ..ravine import RavineDescriptor
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
@@ -28,14 +28,6 @@ def rosenbrock_eval(x: float, y: float):
     return value, grad
 
 
-def _eval(z):
-    return rosenbrock_eval(z[0], z[1])[0]
-
-
-def _grad(z):
-    return rosenbrock_eval(z[0], z[1])[1]
-
-
 def _both(z):
     return rosenbrock_eval(z[0], z[1])
 
@@ -48,27 +40,13 @@ def _eval_rows(Z):
 
 
 def objective() -> Objective:
-    return Objective(
-        dim=2,
-        eval=_eval,
-        grad=_grad,
-        f_star=0.0,
-        p_growth=4.0,
-        dist_solution=on_row(row_norms),
-        value_and_grad=_both,
-        eval_rows=_eval_rows,
-        dist_rows=row_norms,
-    )
-
-
-def _retract(z):
-    x = float(z[0])
-    return np.array([x, x * x])
+    return Objective(dim=2, value_and_grad=_both, f_star=0.0, p_growth=4.0,
+                     eval_rows=_eval_rows, dist_rows=row_norms)
 
 
 def _retract_rows(Z):
-    x = Z[:, 0]
-    return np.stack([x, x * x], axis=1)
+    x = Z[:, :1]
+    return np.concatenate([x, x * x], axis=1)
 
 
 # The Morse ravine at the origin is the parabola itself.
@@ -80,11 +58,10 @@ SPEC = ProblemSpec(
 
 def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
-        retract=_retract,
+        retract_rows=_retract_rows,
         on_manifold=lambda z: abs(float(z[1]) - float(z[0]) ** 2)
         <= 1e-8 * (1.0 + float(z[0]) ** 2),
         sample_solution=lambda rng: np.zeros(2),
-        retract_rows=_retract_rows,
     )
     # The sampled ravine ratio is exactly 10.
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(2),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ShapeMismatch
-from ..objective import Objective, on_row
+from ..objective import Objective
 from . import factorization as fact
 from .spec import NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec
 
@@ -168,18 +168,12 @@ def objective(inst: SensingInstance) -> Objective:
         value, grad = sensing_eval(x.reshape(d, k), inst)
         return value, grad.reshape(-1)
 
-    def _dist_rows(X):
-        return fact.dist_to_solution_rows(X, inst.fac)
-
     return Objective(
         dim=d * k,
-        eval=lambda x: _both(x)[0],
-        grad=lambda x: _both(x)[1],
+        value_and_grad=_both,
         f_star=0.0,
         p_growth=4.0,
-        dist_solution=on_row(_dist_rows),
-        value_and_grad=_both,
-        dist_rows=_dist_rows,
+        dist_rows=lambda X: fact.dist_to_solution_rows(X, inst.fac),
     )
 
 

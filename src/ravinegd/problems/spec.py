@@ -91,7 +91,8 @@ class ProblemBundle:
 
     ``ravine_bracket`` is the ``(lower, upper)`` range of the ravine ratio
     and ``growth_bracket`` the exact coefficients of the growth check,
-    where the problem states them.
+    optionally followed by the absolute rounding floor of its gap, where
+    the problem states them.
     """
 
     spec: ProblemSpec

@@ -8,8 +8,9 @@ module sample solution-anchored clouds and measure the extreme ratios of
 the inequality under test.  A cloud is one ``(n, dim)`` array.  The
 aiming, growth and gradient-control checks retract it and measure its
 distances as one row stack, and gradient control evaluates the
-finite-difference stencils of its samples in row blocks; the row forms of
-the descriptor and the objective equal the per-point callables bit for bit.
+finite-difference stencils of its samples in row blocks.  The per-point
+callables of the descriptor and the objective are derived from their row
+and fused forms (see :class:`RavineDescriptor` and :class:`Objective`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,9 +27,11 @@ from .objective import (
     Objective,
     _central_differences,
     _rowdot,
+    on_row,
     row_norms,
     unit_direction,
 )
+from .opt_core import OVERFLOW_IS_DATA
 
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
@@ -46,22 +49,33 @@ STENCIL_ROWS = 256
 class RavineDescriptor:
     """Closed-form ravine data for one problem family.
 
+    A problem states its retraction once, as ``retract_rows``; the
+    per-point ``retract`` is derived from it when not given.  It stays a
+    field, not a method, so that ``dataclasses.replace`` can substitute a
+    wrapped callable for it (the perfbench tracer does).
+
     Attributes
     ----------
-    retract : map from a point near the manifold onto the manifold.
+    retract_rows : row-batched retraction onto the manifold,
+        ``(n, dim) -> (n, dim)``; the aiming, growth and gradient-control
+        checks retract whole clouds and stencil blocks with it, and a run
+        that records distances retracts each epoch's block of iterates
+        with it.
     on_manifold : membership predicate with tolerance.
     sample_solution : rng -> a random point of S, used to anchor clouds.
-    retract_rows : row-batched retraction, ``(n, dim) -> (n, dim)``, equal
-        bit for bit to ``retract`` on each row; the aiming, growth and
-        gradient-control checks retract whole clouds and stencil blocks
-        with it, and a run that records distances retracts each epoch's
-        block of iterates with it.
+    retract : map from a point near the manifold onto the manifold;
+        defaults to ``retract_rows`` on the one-row stack of the point.
     """
 
-    retract: Callable[[np.ndarray], np.ndarray]
+    retract_rows: Callable[[np.ndarray], np.ndarray]
     on_manifold: Callable[[np.ndarray], bool]
     sample_solution: Callable[[np.random.Generator], np.ndarray]
-    retract_rows: Callable[[np.ndarray], np.ndarray]
+    retract: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        # The instance is frozen, so the default is set past __setattr__.
+        if self.retract is None:
+            object.__setattr__(self, "retract", on_row(self.retract_rows))
 
 
 @dataclass
@@ -219,6 +233,12 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
     ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
     satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
+    A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
+    tolerance: the absolute rounding floor of the computed gap, for a
+    problem whose value cancels terms of order one on the manifold.  The
+    report lists the two coefficients.  Samples are evaluated with float
+    overflow ignored, since a sample whose gap or dist^p overflows is
+    skipped.
     """
     radius_grid = np.asarray(list(radius_grid), dtype=float)
     if radius_grid.max() < 10.0 * radius_grid.min():
@@ -228,35 +248,39 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
     p = obj.p_growth
 
+    if exact_bracket is not None:
+        lo_c, hi_c = exact_bracket[:2]
+        floor = exact_bracket[2] if len(exact_bracket) > 2 else 0.0
+
     rng = np.random.default_rng(seed)
     per_radius = max(1, n_samples // len(radius_grid))
     logs = []
     ratios = []
     skipped = 0
     bracket_ok = True
-    for radius in radius_grid:
-        Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius, radius,
-                                    rng, obj.dim))
-        for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
-            # Far from S the gap or dist^p can overflow, as inf or, in
-            # Python float powers, as OverflowError; such a sample has no
-            # ratio and no point on the log-log fit.
-            try:
-                gap = float(obj.eval(y)) - f_star
-                power = dist ** p
-            except OverflowError:
-                gap = power = math.inf
-            if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
-                    and power < math.inf):
-                skipped += 1
-                continue
-            logs.append((np.log(dist), np.log(gap)))
-            ratios.append((gap / power, y))
-            if exact_bracket is not None:
-                lo_c, hi_c = exact_bracket
-                tol = 1e-10 * max(abs(gap), lo_c * power)
-                if gap < lo_c * power - tol or gap > hi_c * power + tol:
-                    bracket_ok = False
+    # Far from S the gap or dist^p can overflow, as inf or, in Python float
+    # powers, as OverflowError; such a sample has no ratio and no point on
+    # the log-log fit.
+    with np.errstate(**OVERFLOW_IS_DATA):
+        for radius in radius_grid:
+            Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius,
+                                        radius, rng, obj.dim))
+            for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
+                try:
+                    gap = float(obj.eval(y)) - f_star
+                    power = dist ** p
+                except OverflowError:
+                    gap = power = math.inf
+                if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
+                        and power < math.inf):
+                    skipped += 1
+                    continue
+                logs.append((np.log(dist), np.log(gap)))
+                ratios.append((gap / power, y))
+                if exact_bracket is not None:
+                    tol = 1e-10 * max(abs(gap), lo_c * power) + floor
+                    if gap < lo_c * power - tol or gap > hi_c * power + tol:
+                        bracket_ok = False
 
     def judge(lo, hi):
         if len(logs) < 2:
@@ -268,7 +292,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
             "slope": float(slope), "expected_exponent": p,
             "fit_residual": resid,
-            "exact_bracket": list(exact_bracket) if exact_bracket else None,
+            "exact_bracket": [lo_c, hi_c] if exact_bracket else None,
             "bracket_ok": bracket_ok}
 
     return _cloud_report("growth", ratios, skipped,

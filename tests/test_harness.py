@@ -4,6 +4,7 @@ diagnostics dispatch and the CLI."""
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,37 @@ def test_cli_growth_at_a_huge_radius_fails_cleanly(problem, radius, tmp_path,
     assert rc == 1
     assert "error: growth:" in err and "skipped" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--problem", "rosenbrock", "--init-radius", "1e200"],
+    ["--problem", "sensing", "--param", "m=2500", "--init-radius", "1e300"],
+    ["--method", "gd", "--problem", "neuron", "--init-radius", "1e200"],
+    ["--method", "polyak", "--problem", "factorization",
+     "--init-radius", "1e200"],
+])
+def test_cli_diverging_run_prints_only_its_error(argv, tmp_path, capsys):
+    # Overflow is how a run diverges; it must reach the user as the run's
+    # error, not as numpy warnings.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["run", *argv, "--K", "2", "--I", "2", "--record-distances",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == (
+        "error: non-finite gradient at iteration 0\n")
+
+
+@pytest.mark.parametrize("seed", ["44", "86", "222"])
+def test_cli_factorization_growth_passes_at_the_rounding_floor(seed, tmp_path):
+    # Each of these instances has a sample whose gap sits at the float64
+    # rounding floor; the exact bracket allows for that floor.
+    rc = main(["diagnose", "--problem", "factorization", "--suite", "growth",
+               "--samples", "200", "--radius", "0.01", "--seed", seed,
+               "--param", f"instance_seed={seed}",
+               "--out", str(tmp_path / "diag")])
+    assert rc == 0
 
 
 @pytest.mark.parametrize("flag", ["--u-grid=0:1:0", "--u-grid=1:0:0.1",

@@ -56,18 +56,38 @@ class CountingObjective:
     value_and_grad = None
 
 
+def test_objective_derives_per_point_forms_from_the_fused_one():
+    def both(x):
+        return float(x @ x), 2.0 * x
+
+    obj = Objective(dim=2, value_and_grad=both)
+    x = np.array([0.5, -2.0])
+    assert obj.eval(x) == both(x)[0]
+    assert np.array_equal(obj.grad(x), both(x)[1])
+    assert obj.dist_solution is None
+    with_rows = Objective(dim=2, value_and_grad=both, dist_rows=row_norms)
+    assert with_rows.dist_solution(x) == np.linalg.norm(x)
+
+    def other(x):
+        return -1.0
+
+    assert dataclasses.replace(obj, eval=other).eval is other
+    assert dataclasses.replace(obj, f_star=0.0).eval is obj.eval
+
+
 # ------------------------------------------------------------ gd_baseline
 
 def test_gd_baseline_error_carries_iteration_index():
     calls = {"n": 0}
 
-    def grad(x):
+    def both(x):
         calls["n"] += 1
         if calls["n"] >= 3:
-            return np.array([np.inf])
-        return np.array([0.1])
+            return 0.0, np.array([np.inf])
+        return 0.0, np.array([0.1])
 
-    bad = Objective(dim=1, eval=lambda x: 0.0, grad=grad)
+    # eval is given so that the value of x0 does not advance the count.
+    bad = Objective(dim=1, value_and_grad=both, eval=lambda x: 0.0)
     with pytest.raises(NonFiniteGradient) as exc:
         gd_baseline(np.array([1.0]), 0.1, 10, 1, bad)
     assert exc.value.iter_index == 2
@@ -119,8 +139,8 @@ def test_polyak_step_formula_and_guards_on_quadratic(h, u, exponent, ratio,
     # f(x) = x^T H x / 2; tiny exponents reach the vanishing-gradient guard
     # and targets near f reach the closed-gap guard.
     h = np.array(h)
-    obj = Objective(dim=3, eval=lambda z: 0.5 * float(z @ (h * z)),
-                    grad=lambda z: h * z)
+    obj = Objective(dim=3,
+                    value_and_grad=lambda z: (0.5 * float(z @ (h * z)), h * z))
     x = np.array(u) * 10.0 ** exponent
     f, g = obj.both(x)
     f_target = f * (1.0 - ratio) + shift
@@ -153,8 +173,8 @@ def test_gdpolyak_stays_at_minimizer(qobj):
 
 
 def test_gdpolyak_requires_f_star():
-    no_star = Objective(dim=1, eval=lambda x: float(x[0] ** 2),
-                        grad=lambda x: 2 * x)
+    no_star = Objective(dim=1,
+                        value_and_grad=lambda x: (float(x[0] ** 2), 2 * x))
     with pytest.raises(MissingFStar):
         gdpolyak(np.array([1.0]), 0.1, 1, 1, no_star)
 
@@ -282,8 +302,8 @@ def test_gdpolyak_lb_survives_diverging_round():
 
 
 def test_gdpolyak_lb_every_round_diverged():
-    bad = Objective(dim=1, eval=lambda x: 0.0,
-                    grad=lambda x: np.array([np.inf]))
+    bad = Objective(dim=1,
+                    value_and_grad=lambda x: (0.0, np.array([np.inf])))
     with pytest.raises(EmptyTrace):
         gdpolyak_lb(np.array([1.0]), 0.1, 2, 2, 3, 0.0, bad)
 
@@ -293,12 +313,15 @@ def test_gdpolyak_lb_aborted_round_leaves_no_row():
     # which aborts round 1 in its second epoch.
     calls = {"n": 0}
 
-    def grad(x):
-        calls["n"] += 1
-        return np.array([np.inf]) if calls["n"] == 5 else x.copy()
+    def value(x):
+        return 0.5 * float(x[0]) ** 2
 
-    obj = Objective(dim=1, eval=lambda x: 0.5 * float(x[0]) ** 2, grad=grad,
-                    f_star=0.0)
+    def both(x):
+        calls["n"] += 1
+        return value(x), np.array([np.inf]) if calls["n"] == 5 else x.copy()
+
+    # eval is given so that the end-of-epoch values do not advance the count.
+    obj = Objective(dim=1, value_and_grad=both, eval=value, f_star=0.0)
     trace = gdpolyak_lb(np.array([1.0]), 0.5, 2, 2, 2, -1.0, obj)
     assert trace.aborted_rounds == [1]
     assert trace.grad_evals == 5 + 6

@@ -355,15 +355,18 @@ def test_neuron_monte_carlo_consistency(neuron_inst):
 
 
 def test_neuron_dist_proxy(neuron_inst):
+    def proxy(w1, w2):
+        return neuron.neuron_dist_rows(np.concatenate([w1, w2])[None],
+                                       neuron_inst)[0]
+
     v = neuron_inst.v
-    assert neuron.neuron_dist_proxy(v / 2, v / 2, neuron_inst) <= 1e-15
+    assert proxy(v / 2, v / 2) <= 1e-15
     u = np.zeros(5)
     u[np.argmin(np.abs(v))] = 1.0
     u = u - (u @ v) / (v @ v) * v
     u /= np.linalg.norm(u)
     # w1 = v, w2 = 0.1 u: misfit ||0.1 u|| plus perpendicular part 0.1.
-    proxy = neuron.neuron_dist_proxy(v, 0.1 * u, neuron_inst)
-    assert proxy == pytest.approx(0.2, rel=1e-12)
+    assert proxy(v, 0.1 * u) == pytest.approx(0.2, rel=1e-12)
 
 
 # ------------------------------------------------- shared objective checks
@@ -484,8 +487,8 @@ def test_dist_to_solution_examples(bundles):
     X[0, 0] = 1.0
     inst = factorization.from_matrix(X, k=2)
     B = np.array([[1.0, 0.0], [0.0, 0.4]])
-    assert factorization.dist_to_solution(B, inst) == pytest.approx(0.4,
-                                                                    rel=1e-12)
+    assert factorization.dist_to_solution_rows(B[None], inst)[0] == (
+        pytest.approx(0.4, rel=1e-12))
 
 
 def test_sample_init_factorization_distance(bundles):

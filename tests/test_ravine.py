@@ -80,10 +80,20 @@ def fact_inst():
     return factorization.random_instance(d=5, r=2, k=3, seed=0)
 
 
+def _project(B, inst):
+    """The Procrustes projection of one (d, k) matrix, as a one-row stack."""
+    return factorization.factorization_project_solution_rows(B[None], inst)[0]
+
+
+def _retract(B, inst):
+    """The composite retraction of one (d, k) matrix, as a one-row stack."""
+    return factorization.factorization_retraction_rows(B[None], inst)[0]
+
+
 def test_projection_idempotent_on_solutions(fact_inst):
     rng = np.random.default_rng(3)
     B = factorization.sample_solution(fact_inst, rng)
-    P = factorization.factorization_project_solution(B, fact_inst)
+    P = _project(B, fact_inst)
     assert np.linalg.norm(P - B) <= 1e-10
 
 
@@ -92,7 +102,7 @@ def test_projection_diagonal_example():
     X[0, 0] = 1.0
     inst = factorization.from_matrix(X, k=2)
     B = np.array([[1.0, 0.0], [0.0, 0.3]])
-    P = factorization.factorization_project_solution(B, inst)
+    P = _project(B, inst)
     assert np.allclose(P, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
@@ -101,7 +111,7 @@ def test_projection_beats_sampled_solutions(fact_inst):
     for _ in range(5):
         B = factorization.sample_solution(fact_inst, rng)
         B = B + 0.05 * rng.standard_normal(B.shape)
-        P = factorization.factorization_project_solution(B, fact_inst)
+        P = _project(B, fact_inst)
         assert np.allclose(P @ P.T, fact_inst.X, atol=1e-8)
         d_opt = np.linalg.norm(B - P)
         for _ in range(1000):
@@ -111,8 +121,7 @@ def test_projection_beats_sampled_solutions(fact_inst):
 
 def test_projection_degenerate(fact_inst):
     with pytest.raises(DegenerateProjection):
-        factorization.factorization_project_solution(
-            np.zeros((5, 3)), fact_inst)
+        _project(np.zeros((5, 3)), fact_inst)
 
 
 def test_retraction_block_example():
@@ -121,7 +130,7 @@ def test_retraction_block_example():
     X[0, 0] = 1.0
     inst = factorization.from_matrix(X, k=2)
     B = np.array([[1.1, 0.0], [0.0, 0.4]])
-    R = factorization.factorization_retraction(B, inst)
+    R = _retract(B, inst)
     assert np.allclose(R, [[1.0, 0.0], [0.0, 0.4]], atol=1e-12)
 
 
@@ -130,7 +139,7 @@ def test_retraction_lands_on_manifold(fact_inst):
     for _ in range(20):
         B = factorization.sample_solution(fact_inst, rng)
         B = B + 0.01 * rng.standard_normal(B.shape)
-        R = factorization.factorization_retraction(B, fact_inst)
+        R = _retract(B, fact_inst)
         res_p, res_pq = factorization.manifold_residuals(R, fact_inst)
         assert res_p <= 1e-8 and res_pq <= 1e-8
 
@@ -142,7 +151,7 @@ def test_retraction_comparable_to_manifold_distance(fact_inst):
     for _ in range(10):
         B = factorization.sample_solution(fact_inst, rng)
         B = B + 0.02 * rng.standard_normal(B.shape)
-        R = factorization.factorization_retraction(B, fact_inst)
+        R = _retract(B, fact_inst)
         moved = np.linalg.norm(B - R)
         best = moved
         for _ in range(200):
@@ -228,6 +237,27 @@ def test_growth_factorization_exact_bracket(bundles):
     assert rep.passed
     assert rep.extras["bracket_ok"]
     assert abs(rep.extras["slope"] - 4.0) <= 0.1
+
+
+@pytest.mark.parametrize("seed", [44, 86, 222])
+def test_growth_bracket_floor_covers_rounding_only(seed):
+    # At these instance seeds one retracted sample lies ~1e-6 from S, where
+    # the gap's rounding floor exceeds the 1e-10 relative tolerance.  With
+    # k - r = 1 every exact ratio is 1, so an upper coefficient 1e-8 too
+    # small must still fail with the floor.
+    bundle = build("factorization", {"instance_seed": seed})
+    lo, hi, floor = bundle.growth_bracket
+    assert 0.0 < floor < 1e-26
+
+    def bracket_ok(bracket):
+        return check_growth_exponent(
+            bundle.objective, bundle.descriptor, 200,
+            np.geomspace(0.01 / 30.0, 0.01, 4), seed,
+            exact_bracket=bracket).extras["bracket_ok"]
+
+    assert bracket_ok((lo, hi, floor))
+    assert not bracket_ok((lo, hi))
+    assert not bracket_ok((lo, (1.0 - 1e-8) * hi, floor))
 
 
 def test_growth_neuron_cubic(bundles):
@@ -414,8 +444,9 @@ def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
             logs.append((np.log(dist), np.log(gap)))
             ratios.append((gap / dist ** p, y))
             if exact_bracket is not None:
-                lo_c, hi_c = exact_bracket
-                tol = 1e-10 * max(abs(gap), lo_c * dist ** p)
+                lo_c, hi_c = exact_bracket[:2]
+                floor = exact_bracket[2] if len(exact_bracket) > 2 else 0.0
+                tol = 1e-10 * max(abs(gap), lo_c * dist ** p) + floor
                 if gap < lo_c * dist ** p - tol or gap > hi_c * dist ** p + tol:
                     bracket_ok = False
 
@@ -426,7 +457,8 @@ def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
         return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
             "slope": float(slope), "expected_exponent": p,
             "fit_residual": resid,
-            "exact_bracket": list(exact_bracket) if exact_bracket else None,
+            "exact_bracket": (list(exact_bracket[:2]) if exact_bracket
+                              else None),
             "bracket_ok": bracket_ok}
 
     return _cloud_report("growth", ratios, skipped,
@@ -584,13 +616,13 @@ def test_morse_rank_ambiguity():
     def g(x):
         return 2.0 * scales * x
 
-    obj = Objective(dim=3, eval=f, grad=g)
+    obj = Objective(dim=3, value_and_grad=lambda x: (f(x), g(x)))
     with pytest.raises(RankAmbiguity):
         morse_ravine_solve(obj, np.zeros(3), tol=1e-12)
 
 
 def test_morse_rejects_large_dimension():
-    obj = Objective(dim=11, eval=lambda x: float(x @ x),
-                    grad=lambda x: 2 * np.asarray(x))
+    obj = Objective(dim=11,
+                    value_and_grad=lambda x: (float(x @ x), 2 * np.asarray(x)))
     with pytest.raises(ValueError):
         morse_ravine_solve(obj, np.zeros(11))
