@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -162,10 +163,12 @@ def trace_to_csv(trace: RunTrace) -> str:
                trace.grad_norm, trace.stepsize, trace.dist_solution,
                trace.dist_ravine)
     # Floats at 17 significant digits; an unrecorded column stays empty.
-    row = ",".join("" if c is None else "{:.17g}" if c.dtype.kind == "f"
-                   else "{}" for c in columns) + "\n"
-    cells = zip(*(c.tolist() for c in columns if c is not None))
-    return "".join([CSV_HEADER + "\n", *(row.format(*r) for r in cells)])
+    row = ",".join("" if c is None else "%.17g" if c.dtype.kind == "f"
+                   else "%s" for c in columns) + "\n"
+    # One %-format: the row template repeated over the flat tuple of cells.
+    cells = tuple(chain.from_iterable(
+        zip(*(c.tolist() for c in columns if c is not None))))
+    return CSV_HEADER + "\n" + row * len(trace.iter) % cells
 
 
 def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:

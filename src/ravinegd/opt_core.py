@@ -10,13 +10,16 @@ baselines take one kind of step at every slot: a constant step
 (``gd_baseline``) or a Polyak step toward f* (``polyak_baseline``).
 
 All four run on one engine: I epochs of K+1 fused value/gradient
-evaluations, where the method's step rule gives each slot's stepsize and
-whether it is a Polyak step.  Every completed evaluation writes one row of
-the :class:`RunTrace` columns, describing the iterate the step departs
-from: its value gap, gradient norm and the stepsize taken there.  Distance
-oracles, when given, are row-batched: ``(n, dim) -> (n,)``.  The engine
-evaluates them once per epoch, on the stacked block of that epoch's
-departure iterates.
+evaluations under a step plan, where the first ``n_constant`` slots of an
+epoch take the constant step eta and the rest a Polyak step (K+1 constant
+slots for gd, none for polyak, K for gdpolyak and gdpolyak_lb).  Every
+completed evaluation gives one row of the :class:`RunTrace` columns,
+describing the iterate the step departs from: its value gap, gradient
+norm and the stepsize taken there.  An epoch keeps its rows in lists and
+writes them once, at its end or its abort, one slice per column.
+Distance oracles, when given, are row-batched, ``(n, dim) -> (n,)``, and
+run at the same time, on the stacked block of the epoch's departure
+iterates.
 """
 
 from __future__ import annotations
@@ -98,7 +101,9 @@ class RunTrace:
 class _Engine:
     """Runs epochs of K+1 fused evaluations into preallocated trace columns.
 
-    With ``every_iterate`` (the baselines) x0 and every iterate are argmin
+    ``plan`` is the step plan ``(n_constant, eta, long_step)``, where
+    ``long_step(f, gnorm2)`` gives a Polyak slot's stepsize.  With
+    ``every_iterate`` (the baselines) x0 and every iterate are argmin
     candidates and an epoch's phase gap is its end gap; otherwise (methods
     with a long step) the candidates are the long step's departure and
     arrival points and the phase gap is the departure's gap.  ``best`` is
@@ -108,10 +113,12 @@ class _Engine:
     """
 
     def __init__(self, obj: Objective, f_reference: float, budget: int,
-                 every_iterate: bool, dist_solution=None, dist_ravine=None):
+                 every_iterate: bool, n_constant: int, eta: float, long_step,
+                 dist_solution=None, dist_ravine=None):
         self.obj = obj
         self.f_reference = f_reference
         self.every_iterate = every_iterate
+        self.plan = (n_constant, eta, long_step)
         self.grad_evals = 0
         self.func_evals = 0
         self.rows = 0
@@ -135,69 +142,74 @@ class _Engine:
         if self.best is None or f < self.best[1]:
             self.best = (x, f)
 
-    def run(self, x, K: int, I: int, rule, first_epoch: int = 1):
+    def run(self, x, K: int, I: int, first_epoch: int = 1):
         """I epochs from ``x``, numbered from ``first_epoch``.
 
-        ``rule(slot, f, gnorm2)`` returns the stepsize at slot 0..K of an
-        epoch and whether it is a Polyak step.  A constant step always
-        moves, even at eta = 0, where ``x - 0 * g`` can turn -0.0 into 0.0;
-        a Polyak step moves only when its stepsize is positive.  Raises
-        :class:`NonFiniteGradient` carrying the evaluation's index, after
-        counting it and before writing its row; the distances of the rows
-        written before it are filled first.
+        A constant step always moves, even at eta = 0, where ``x - 0 * g``
+        can turn -0.0 into 0.0; a Polyak step moves only when its stepsize
+        is positive.  Raises :class:`NonFiniteGradient` carrying the
+        evaluation's index, after counting it and writing the epoch's rows
+        before it; any other error escapes as it is, writing nothing.
         """
-        obj, f_ref, oracles = self.obj, self.f_reference, self.oracles
-        iters, epochs, kinds, gaps, norms, steps = (
-            self.columns[name] for name in (
-                "iter", "epoch", "kind", "value_gap", "grad_norm", "stepsize"))
+        both, every_iterate = self.obj.both, self.every_iterate
+        n_constant, eta, long_step = self.plan
+        keep = bool(self.oracles)  # departures only feed the oracles
         for epoch in range(first_epoch, first_epoch + I):
             # x is rebound at every step and never mutated, so the list
             # keeps each departure iterate as it was.
-            departures = []
+            records, departures = [], []
             try:
                 for slot in range(K + 1):
-                    f, g = obj.both(x)
+                    f, g = both(x)
                     f = float(f)
                     g = np.asarray(g, dtype=float)
-                    self.grad_evals += 1
-                    self.func_evals += 1
-                    gnorm2 = float(g @ g)
+                    # ndarray.dot: bitwise the 1-D ``g @ g`` at half its cost.
+                    gnorm2 = float(g.dot(g))
                     # A sum of squares is finite only when every term is.
                     if not math.isfinite(gnorm2) and not np.isfinite(g).all():
-                        raise NonFiniteGradient(iter_index=self.grad_evals - 1)
-                    s, polyak = rule(slot, f, gnorm2)
-                    row = self.rows
-                    self.rows += 1
-                    iters[row] = self.grad_evals - 1
-                    epochs[row] = epoch
-                    kinds[row] = polyak
-                    gaps[row] = f - f_ref
-                    norms[row] = math.sqrt(gnorm2)
-                    steps[row] = s
-                    if oracles:
+                        raise NonFiniteGradient(
+                            iter_index=self.grad_evals + slot)
+                    constant = slot < n_constant
+                    s = eta if constant else long_step(f, gnorm2)
+                    records.append((f, gnorm2, s))
+                    if keep:
                         departures.append(x)
-                    if self.every_iterate or slot == K:
-                        self.consider(x, f)
-                    if s > 0.0 or not polyak:
+                    if ((every_iterate or slot == K)
+                            and (self.best is None or f < self.best[1])):
+                        self.best = (x, f)
+                    if constant or s > 0.0:
                         x = x - s * g
             except NonFiniteGradient:
-                self.fill_distances(departures)
+                self.write_rows(epoch, records, departures, aborted=True)
                 raise
-            self.fill_distances(departures)
+            self.write_rows(epoch, records, departures)
             f_end = self.value(x)
             if math.isfinite(f_end):
                 self.consider(x, f_end)
-            self.end_gaps.append(f_end - f_ref)
+            self.end_gaps.append(f_end - self.f_reference)
 
-    def fill_distances(self, departures):
-        """Fill the distance columns of the last ``len(departures)`` rows
-        with one oracle call each on the stacked departure iterates."""
-        if not departures:
-            return
-        block = np.stack(departures)
-        rows = slice(self.rows - len(departures), self.rows)
-        for name, oracle in self.oracles.items():
-            self.columns[name][rows] = oracle(block)
+    def write_rows(self, epoch, records, departures, aborted=False):
+        """Write an epoch's ``(f, gnorm2, s)`` records, one slice per column,
+        and count its evaluations (one more when it ``aborted``); each
+        distance column takes one oracle call on the stacked departures."""
+        n = len(records)
+        rows = slice(self.rows, self.rows + n)
+        f, gnorm2, s = np.array(records).reshape(n, 3).T
+        columns = self.columns
+        columns["iter"][rows] = np.arange(self.grad_evals, self.grad_evals + n)
+        columns["epoch"][rows] = epoch
+        columns["kind"][rows] = np.arange(n) >= self.plan[0]
+        # Elementwise, these are the scalar f - f_ref and math.sqrt.
+        columns["value_gap"][rows] = f - self.f_reference
+        columns["grad_norm"][rows] = np.sqrt(gnorm2)
+        columns["stepsize"][rows] = s
+        self.rows += n
+        self.grad_evals += n + aborted
+        self.func_evals += n + aborted
+        if departures:
+            block = np.array(departures)
+            for name, oracle in self.oracles.items():
+                columns[name][rows] = oracle(block)
 
     def trace(self, x_out, best_value, **extra) -> RunTrace:
         columns = {name: c[:self.rows] for name, c in self.columns.items()}
@@ -221,26 +233,18 @@ def _check_args(eta: float = 0.0, **counts):
         raise ValueError(f"eta must be nonnegative, got {eta}")
 
 
-def _run(x0, K: int, I: int, obj: Objective, f_ref: float, rule,
-         every_iterate: bool, dist_solution, dist_ravine) -> RunTrace:
+def _run(x0, K: int, I: int, obj: Objective, f_ref: float,
+         every_iterate: bool, n_constant: int, eta: float, long_step,
+         dist_solution, dist_ravine) -> RunTrace:
     """One engine run of I epochs from x0; the baselines also consider x0."""
-    engine = _Engine(obj, f_ref, I * (K + 1), every_iterate, dist_solution,
-                     dist_ravine)
+    engine = _Engine(obj, f_ref, I * (K + 1), every_iterate, n_constant, eta,
+                     long_step, dist_solution, dist_ravine)
     x = np.asarray(x0, dtype=float)
     with np.errstate(**OVERFLOW_IS_DATA):
         if every_iterate:
             engine.consider(x, engine.value(x))
-        engine.run(x, K, I, rule)
+        engine.run(x, K, I)
     return engine.trace(*engine.best)
-
-
-def _short_then_long(eta: float, K: int, long_step):
-    """Step rule of an epoch: constant steps, then ``long_step(f, gnorm2)``."""
-    def rule(slot, f, gnorm2):
-        if slot < K:
-            return eta, False
-        return long_step(f, gnorm2), True
-    return rule
 
 
 def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
@@ -292,8 +296,8 @@ def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
                 f"f_star {f_star} exceeds value {f} beyond tolerance")
         return _polyak_stepsize(f, gnorm2, f_star, 1.0)
 
-    return _run(x0, K, I, obj, f_star, _short_then_long(eta, K, toward_f_star),
-                False, dist_solution, dist_ravine)
+    return _run(x0, K, I, obj, f_star, False, K, eta, toward_f_star,
+                dist_solution, dist_ravine)
 
 
 def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
@@ -313,9 +317,6 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     _check_args(eta, K=K, I=I, J=J)
     x0 = np.asarray(x0, dtype=float)
     f_ref = float(obj.f_star) if obj.f_star is not None else float(f0)
-    engine = _Engine(obj, f_ref, J * I * (K + 1), False, dist_solution,
-                     dist_ravine)
-
     f0 = float(f0)
     f_est = f0
 
@@ -324,7 +325,8 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
             return 0.0
         return _polyak_stepsize(f, gnorm2, f_est, 2.0)
 
-    rule = _short_then_long(eta, K, toward_estimate)
+    engine = _Engine(obj, f_ref, J * I * (K + 1), False, K, eta,
+                     toward_estimate, dist_solution, dist_ravine)
     estimates = np.empty(J)
     round_values = np.empty(J)
     round_bests = []
@@ -339,7 +341,7 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
             # the designed failure path (the round aborts, the next one
             # restarts).
             try:
-                engine.run(x0, K, I, rule, first_epoch=(j - 1) * I + 1)
+                engine.run(x0, K, I, first_epoch=(j - 1) * I + 1)
             except NonFiniteGradient:
                 aborted.append(j)
             if engine.best is None:
@@ -370,8 +372,8 @@ def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,
     """
     _check_args(eta, K=K, I=I)
     f_ref = float(obj.f_star) if obj.f_star is not None else 0.0
-    return _run(x0, K, I, obj, f_ref, lambda slot, f, gnorm2: (eta, False),
-                True, dist_solution, dist_ravine)
+    return _run(x0, K, I, obj, f_ref, True, K + 1, eta, None, dist_solution,
+                dist_ravine)
 
 
 def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
@@ -384,7 +386,6 @@ def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
         raise MissingFStar("polyak baseline requires obj.f_star")
     _check_args(K=K, I=I)
     f_star = float(obj.f_star)
-    return _run(
-        x0, K, I, obj, f_star,
-        lambda slot, f, gnorm2: (_polyak_stepsize(f, gnorm2, f_star, 1.0), True),
-        True, dist_solution, dist_ravine)
+    return _run(x0, K, I, obj, f_star, True, 0, 0.0,
+                lambda f, gnorm2: _polyak_stepsize(f, gnorm2, f_star, 1.0),
+                dist_solution, dist_ravine)

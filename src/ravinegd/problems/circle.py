@@ -22,22 +22,19 @@ _MINIMIZER = np.array([0.0, 1.0])
 _ORIGIN_TOL = 1e-6
 
 
-def _norm_or_raise(z):
-    n = float(np.hypot(float(z[0]), float(z[1])))
-    if n < _ORIGIN_TOL:
-        raise OriginSingularity(f"||z|| = {n:.2e} below {_ORIGIN_TOL:.0e}")
-    return n
-
-
 def circle_eval(z):
     """Value and gradient; raises OriginSingularity near the origin.
 
     With n = ||z||, the direction term simplifies to
     ||z/n - e2||^2 = 2 - 2 y / n, so f = (n - 1)^2 + (2 - 2 y / n)^2.
+    Computed in Python floats, bitwise equal to float64 arithmetic; the
+    norm is np.hypot's, as in the row forms, since math.hypot differs from
+    it in the last bit on some pairs.
     """
-    z = np.asarray(z, dtype=float)
-    x, y = float(z[0]), float(z[1])
-    n = _norm_or_raise(z)
+    x, y = z.tolist()
+    n = float(np.hypot(x, y))
+    if n < _ORIGIN_TOL:
+        raise OriginSingularity(f"||z|| = {n:.2e} below {_ORIGIN_TOL:.0e}")
     w = 2.0 - 2.0 * y / n
     # A Python float power raises OverflowError where float64 arithmetic
     # gives inf; a diverged iterate must reach the run's finiteness checks.

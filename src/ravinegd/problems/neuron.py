@@ -96,18 +96,19 @@ def neuron_eval(w1, w2, inst: NeuronInstance):
     t1 = _angle(w1, v, n1, nv)
     t2 = _angle(w2, v, n2, nv)
 
+    s12, s1, s2 = np.sin(t12), np.sin(t1), np.sin(t2)
     misfit = w1 + w2 - v
     value = 0.25 * float(misfit @ misfit)
     value += (1.0 / (2.0 * np.pi)) * (
-        (np.sin(t12) - t12 * np.cos(t12)) * n1 * n2
-        - (np.sin(t1) - t1 * np.cos(t1)) * n1 * nv
-        - (np.sin(t2) - t2 * np.cos(t2)) * n2 * nv)
+        (s12 - t12 * np.cos(t12)) * n1 * n2
+        - (s1 - t1 * np.cos(t1)) * n1 * nv
+        - (s2 - t2 * np.cos(t2)) * n2 * nv)
 
     base = 0.5 * misfit
     g1 = base + (1.0 / (2.0 * np.pi)) * (
-        (n2 * np.sin(t12) - nv * np.sin(t1)) * (w1 / n1) - t12 * w2 + t1 * v)
+        (n2 * s12 - nv * s1) * (w1 / n1) - t12 * w2 + t1 * v)
     g2 = base + (1.0 / (2.0 * np.pi)) * (
-        (n1 * np.sin(t12) - nv * np.sin(t2)) * (w2 / n2) - t12 * w1 + t2 * v)
+        (n1 * s12 - nv * s2) * (w2 / n2) - t12 * w1 + t2 * v)
     return value, np.concatenate([g1, g2])
 
 

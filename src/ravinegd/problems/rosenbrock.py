@@ -15,21 +15,19 @@ from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
 
 def rosenbrock_eval(x: float, y: float):
-    """Value and gradient of x^4 + 10 (y - x^2)^2.
+    """Value and gradient of x^4 + 10 (y - x^2)^2 at Python floats x, y.
 
-    Computed in float64 so that divergent iterates overflow to inf instead
-    of raising.
+    Bitwise equal to float64 arithmetic.  No ``**``: a Python float power
+    raises OverflowError, but a product overflows to inf, as a diverging
+    run's finiteness checks need.
     """
-    x, y = np.float64(x), np.float64(y)
     t = y - x * x
     x3 = x * x * x
-    value = float(x3 * x + 10.0 * t * t)
-    grad = np.array([4.0 * x3 - 40.0 * x * t, 20.0 * t])
-    return value, grad
+    return x3 * x + 10.0 * t * t, np.array([4.0 * x3 - 40.0 * x * t, 20.0 * t])
 
 
 def _both(z):
-    return rosenbrock_eval(z[0], z[1])
+    return rosenbrock_eval(*z.tolist())
 
 
 def _eval_rows(Z):

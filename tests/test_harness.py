@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ravinegd
@@ -25,7 +25,7 @@ from ravinegd import (
 )
 from ravinegd.cli import main
 from ravinegd.harness import ALL_CHECKS, CSV_HEADER, METHODS, trace_to_csv
-from ravinegd.opt_core import RunTrace
+from ravinegd.opt_core import POLYAK_LONG, SHORT_GD, RunTrace
 from ravinegd import problems
 from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
 
@@ -428,6 +428,61 @@ def test_csv_optional_columns_empty_not_absent():
     lines = trace_to_csv(trace).strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[1].endswith(",,")
+
+
+def _csv_per_row(trace):
+    """The per-row ``str.format`` writer the one-pass writer replaced, kept
+    as the reference."""
+    columns = (trace.iter, trace.epoch, trace.kind, trace.value_gap,
+               trace.grad_norm, trace.stepsize, trace.dist_solution,
+               trace.dist_ravine)
+    row = ",".join("" if c is None else "{:.17g}" if c.dtype.kind == "f"
+                   else "{}" for c in columns) + "\n"
+    cells = zip(*(c.tolist() for c in columns if c is not None))
+    return "".join([CSV_HEADER + "\n", *(row.format(*r) for r in cells)])
+
+
+def _trace_rows(iters, epochs, polyak, floats, distances):
+    """A trace whose float columns all take the values ``floats``."""
+    def column():
+        return np.array(floats, dtype=float)
+
+    return RunTrace(
+        iter=np.array(iters, dtype=np.int64),
+        epoch=np.array(epochs, dtype=np.int64),
+        kind=np.where(np.array(polyak, dtype=bool), POLYAK_LONG, SHORT_GD),
+        value_gap=column(), grad_norm=column()[::-1].copy(),
+        stepsize=-column(), x_out=np.zeros(1), best_value=0.0,
+        grad_evals=len(floats), func_evals=len(floats), f_reference=0.0,
+        epoch_phase_gaps=np.empty(0), epoch_end_gaps=np.empty(0),
+        dist_solution=column() if distances else None,
+        dist_ravine=np.roll(column(), 1) if distances else None)
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                     5e-324, -2.5e-310, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 0.1, 1e16, 1e17]),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _traces(draw):
+    n = draw(st.integers(0, 40))
+    rows = st.lists(st.integers(0, 2 ** 62), min_size=n, max_size=n)
+    return _trace_rows(
+        draw(rows), draw(rows),
+        draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)),
+        draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=_traces())
+@example(trace=_trace_rows([], [], [], [], False))
+@example(trace=_trace_rows([], [], [], [], True))
+def test_trace_csv_equals_the_per_row_writer(trace):
+    assert trace_to_csv(trace) == _csv_per_row(trace)
 
 
 # --------------------------------------------------------------------- fit

@@ -1,6 +1,7 @@
 """Stepper and algorithm tests against hand-computed oracles."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from ravinegd import (
     EmptyTrace,
     MissingFStar,
+    ExperimentConfig,
     NonFiniteGradient,
     Objective,
+    OriginSingularity,
     TargetAboveValue,
     ZeroNeuron,
     gd_baseline,
@@ -20,10 +23,12 @@ from ravinegd import (
     polyak_baseline,
     polyak_step,
 )
-from ravinegd.harness import trace_to_csv
+from ravinegd import opt_core
+from ravinegd.harness import run_experiment, trace_to_csv
 from ravinegd.objective import row_norms
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD
-from ravinegd.problems import build, quartic, sample_init
+from ravinegd.problems import (
+    PROBLEM_NAMES, build, circle, quartic, sample_init)
 
 
 @pytest.fixture
@@ -439,3 +444,117 @@ def test_other_errors_escape_before_the_distance_fill(lb):
             gdpolyak_lb(x0, 0.1, 6, 2, 2, -1.0, obj, dist_solution=_never)
         else:
             gdpolyak(x0, 0.1, 6, 2, obj, dist_solution=_never)
+
+
+# ------------------------------------------------ the rule-closure engine
+
+class _RuleEngine(opt_core._Engine):
+    """The engine loop the step plan replaced, kept as the reference.
+
+    Each slot calls ``rule(slot, f, gnorm2)`` for its stepsize and kind and
+    writes its row as six scalars; an epoch's distances are filled from
+    ``np.stack`` of its departure iterates.
+    """
+
+    def run(self, x, K, I, first_epoch=1):
+        n_constant, eta, long_step = self.plan
+
+        def rule(slot, f, gnorm2):
+            if slot < n_constant:
+                return eta, False
+            return long_step(f, gnorm2), True
+
+        obj, f_ref, oracles = self.obj, self.f_reference, self.oracles
+        iters, epochs, kinds, gaps, norms, steps = (
+            self.columns[name] for name in (
+                "iter", "epoch", "kind", "value_gap", "grad_norm", "stepsize"))
+        for epoch in range(first_epoch, first_epoch + I):
+            departures = []
+            try:
+                for slot in range(K + 1):
+                    f, g = obj.both(x)
+                    f = float(f)
+                    g = np.asarray(g, dtype=float)
+                    self.grad_evals += 1
+                    self.func_evals += 1
+                    gnorm2 = float(g @ g)
+                    if not math.isfinite(gnorm2) and not np.isfinite(g).all():
+                        raise NonFiniteGradient(iter_index=self.grad_evals - 1)
+                    s, polyak = rule(slot, f, gnorm2)
+                    row = self.rows
+                    self.rows += 1
+                    iters[row] = self.grad_evals - 1
+                    epochs[row] = epoch
+                    kinds[row] = polyak
+                    gaps[row] = f - f_ref
+                    norms[row] = math.sqrt(gnorm2)
+                    steps[row] = s
+                    if oracles:
+                        departures.append(x)
+                    if self.every_iterate or slot == K:
+                        self.consider(x, f)
+                    if s > 0.0 or not polyak:
+                        x = x - s * g
+            except NonFiniteGradient:
+                self.fill_distances(departures)
+                raise
+            self.fill_distances(departures)
+            f_end = self.value(x)
+            if math.isfinite(f_end):
+                self.consider(x, f_end)
+            self.end_gaps.append(f_end - f_ref)
+
+    def fill_distances(self, departures):
+        if not departures:
+            return
+        block = np.stack(departures)
+        rows = slice(self.rows - len(departures), self.rows)
+        for name, oracle in self.oracles.items():
+            self.columns[name][rows] = oracle(block)
+
+
+def _outcome(config):
+    """Everything a run returns, as bytes, or the error it raised."""
+    try:
+        t = run_experiment(config)
+    except Exception as exc:
+        return type(exc), str(exc)
+    optional = [None if a is None else a.tobytes()
+                for a in (t.f_estimates, t.round_values)]
+    return (trace_to_csv(t), t.x_out.tobytes(), repr(t.best_value),
+            t.grad_evals, t.func_evals, t.epoch_phase_gaps.tobytes(),
+            t.epoch_end_gaps.tobytes(), *optional, t.aborted_rounds)
+
+
+def test_step_plan_engine_matches_the_rule_closure_engine(monkeypatch):
+    # gdpolyak_lb at f_lb = -1 aborts rounds on rosenbrock and overflows
+    # quartic1d out of the engine; both engines must agree on that too.
+    configs = [
+        ExperimentConfig(problem=problem, method=method,
+                         eta={"quartic1d": 0.05, "rosenbrock": 0.0125,
+                              "circle": 0.05}.get(problem, 0.01),
+                         K=20, I=6, seed=seed, record_distances=distances,
+                         J=None if f_lb is None else 3, f_lb=f_lb)
+        for problem in PROBLEM_NAMES
+        for method in ("gd", "polyak", "gdpolyak", "gdpolyak_lb")
+        for f_lb in ((-1.0, -1e-3) if method == "gdpolyak_lb" else (None,))
+        for distances in (False, True) for seed in (0, 1)]
+    lean = [_outcome(config) for config in configs]
+    monkeypatch.setattr(opt_core, "_Engine", _RuleEngine)
+    reference = [_outcome(config) for config in configs]
+    assert lean == reference
+    assert any(isinstance(o[0], str) and o[-1] for o in lean)
+    assert any(o[0] is OverflowError for o in lean)
+
+
+@pytest.mark.parametrize("engine", [opt_core._Engine, _RuleEngine])
+def test_other_errors_escape_with_their_own_type(engine, monkeypatch):
+    monkeypatch.setattr(opt_core, "_Engine", engine)
+    above = dataclasses.replace(quartic.objective(), f_star=1.0)
+    with pytest.raises(TargetAboveValue):
+        gdpolyak(np.array([0.5]), 0.01, 3, 2, above)
+    # From (0, 2) the gradient is (0, 2), so a step of 1 lands on the
+    # origin at the second evaluation.
+    with pytest.raises(OriginSingularity):
+        gd_baseline(np.array([0.0, 2.0]), 1.0, 3, 2, circle.objective(),
+                    dist_solution=_never)

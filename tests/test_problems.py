@@ -2,6 +2,7 @@
 instance generation and parameter validation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,67 @@ def test_circle_overflow_gives_inf_not_a_raise():
     v, g = circle.circle_eval(z)
     assert v == circle.objective().eval_rows(z[None])[0]
     assert np.all(np.isfinite(g))
+
+
+def _rosenbrock_float64(x, y):
+    """The float64-scalar evaluator the Python-float one replaced, kept as
+    the reference."""
+    x, y = np.float64(x), np.float64(y)
+    t = y - x * x
+    x3 = x * x * x
+    value = float(x3 * x + 10.0 * t * t)
+    grad = np.array([4.0 * x3 - 40.0 * x * t, 20.0 * t])
+    return value, grad
+
+
+def _circle_float64(z):
+    """The circle evaluator before it took its coordinates from
+    ``z.tolist()``, kept as the reference; ``None`` below the origin
+    tolerance, where it raised."""
+    z = np.asarray(z, dtype=float)
+    x, y = float(z[0]), float(z[1])
+    n = float(np.hypot(float(z[0]), float(z[1])))
+    if n < circle._ORIGIN_TOL:
+        return None
+    w = 2.0 - 2.0 * y / n
+    try:
+        value = (n - 1.0) ** 2 + w * w
+    except OverflowError:
+        value = math.inf
+    try:
+        n3 = n ** 3
+    except OverflowError:
+        n3 = math.inf
+    gx = 2.0 * (n - 1.0) * x / n + 2.0 * w * (2.0 * x * y / n3)
+    gy = 2.0 * (n - 1.0) * y / n - 2.0 * w * (2.0 * x * x / n3)
+    return value, np.array([gx, gy])
+
+
+SIGNED_MAGNITUDES = st.builds(lambda sign, e: sign * 10.0 ** e,
+                              st.sampled_from([-1.0, 1.0]),
+                              st.floats(-150.0, 300.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(x=SIGNED_MAGNITUDES, y=SIGNED_MAGNITUDES)
+def test_python_float_objectives_equal_float64_bytes(x, y):
+    # Outside any errstate: a RuntimeWarning fails the test, and so would
+    # an OverflowError; an overflow must read inf or nan instead.
+    def as_bytes(result):
+        value, grad = result
+        return np.float64(value).tobytes(), grad.tobytes()
+
+    z = np.array([x, y])
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = _rosenbrock_float64(x, y)
+    assert as_bytes(rosenbrock.objective().value_and_grad(z)) == \
+        as_bytes(expected)
+    expected = _circle_float64(z)
+    if expected is None:
+        with pytest.raises(OriginSingularity):
+            circle.circle_eval(z)
+    else:
+        assert as_bytes(circle.circle_eval(z)) == as_bytes(expected)
 
 
 def test_circle_run_from_a_huge_init_fails_cleanly(tmp_path, capsys):
