@@ -2,12 +2,14 @@
 
 An :class:`Objective` bundles a smooth function with its analytic gradient
 over a flat vector variable, stated once as a fused value-and-gradient
-callable.  Matrix problems flatten their variables (row-major) so that a
-single optimizer code path serves every problem.
+callable and, where the problem has it, once more as that map's row form.
+Matrix problems flatten their variables (row-major) so that a single
+optimizer code path serves every problem.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -19,11 +21,15 @@ class Objective:
     """A smooth objective with analytic gradient over R^dim.
 
     A problem states each map once: the fused ``value_and_grad`` and,
-    where it has them, the row forms ``eval_rows`` and ``dist_rows``.  The
-    per-point ``eval``, ``grad`` and ``dist_solution`` are derived from
-    them when not given.  They stay fields, not methods, so that
-    ``dataclasses.replace`` can substitute wrapped callables for them (the
-    perfbench tracer does); a substituted callable is kept as given.
+    where it has them, the row forms ``value_and_grad_rows``, ``eval_rows``
+    and ``dist_rows``.  The per-point ``eval``, ``grad`` and
+    ``dist_solution`` are derived from them when not given, and so is
+    ``value_and_grad_rows``, by looping ``value_and_grad`` over the rows.
+    They stay fields, not methods, so that ``dataclasses.replace`` can
+    substitute wrapped callables for them (the perfbench tracer does); a
+    substituted callable is kept as given.  A problem whose per-point
+    ``value_and_grad`` is its row form on a one-row stack builds it with
+    :func:`fused_on_row`.
 
     Attributes
     ----------
@@ -44,6 +50,11 @@ class Objective:
         that records distances evaluates it once per epoch, on the block of
         the epoch's departure iterates, and the growth check once per
         radius, on the retracted cloud.
+    value_and_grad_rows : row-batched fused map, ``(n, dim) -> ((n,),
+        (n, dim))``, equal bit for bit to ``value_and_grad`` on each row;
+        the ravine, aiming, Lojasiewicz and gradient-control checks take
+        the values and gradients of a whole cloud from it.  Defaults to
+        ``value_and_grad`` looped over the rows.
     """
 
     dim: int
@@ -55,6 +66,7 @@ class Objective:
     dist_solution: Optional[Callable[[np.ndarray], float]] = None
     eval_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
     dist_rows: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    value_and_grad_rows: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __post_init__(self):
         # The instance is frozen, so the defaults are set past __setattr__.
@@ -65,6 +77,9 @@ class Objective:
             object.__setattr__(self, "grad", lambda x: both(x)[1])
         if self.dist_solution is None and self.dist_rows is not None:
             object.__setattr__(self, "dist_solution", on_row(self.dist_rows))
+        if self.value_and_grad_rows is None:
+            object.__setattr__(self, "value_and_grad_rows",
+                               _looped_rows(both, self.dim))
 
     def both(self, x: np.ndarray) -> tuple:
         """Value and gradient at ``x`` in one call."""
@@ -74,6 +89,26 @@ class Objective:
 def on_row(rows_fn):
     """``rows_fn`` at one point: its first entry on the one-row stack of x."""
     return lambda x: rows_fn(np.asarray(x, dtype=float).reshape(1, -1))[0]
+
+
+def fused_on_row(rows_fn):
+    """A row-batched fused map at one point: ``(value, gradient)`` of the
+    one-row stack of x."""
+    def both(x):
+        values, grads = rows_fn(np.asarray(x, dtype=float).reshape(1, -1))
+        return float(values[0]), grads[0]
+    return both
+
+
+def _looped_rows(both, dim):
+    # The row form of a fused map that has none: one call per row.
+    def rows(X):
+        values = np.empty(len(X))
+        grads = np.empty((len(X), dim))
+        for i, x in enumerate(X):
+            values[i], grads[i] = both(x)
+        return values, grads
+    return rows
 
 
 def _rowdot(A, B):
@@ -136,10 +171,18 @@ def max_relative_gradient_error(obj: Objective, points) -> float:
 
 def unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:
     """A uniformly random unit vector in R^dim."""
+    d, n = gaussian_direction(rng, dim)
+    return d / n
+
+
+def gaussian_direction(rng: np.random.Generator, dim: int):
+    """A standard normal draw in R^dim and its norm, redrawn while the norm
+    is at most 1e-12; ``d / n`` is uniform on the unit sphere."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     while True:
         d = rng.standard_normal(dim)
-        n = np.linalg.norm(d)
+        # numpy's norm of a 1-D float array is exactly sqrt(d @ d).
+        n = math.sqrt(d @ d)
         if n > 1e-12:
-            return d / n
+            return d, n

@@ -15,10 +15,12 @@ import numpy as np
 
 from ..errors import OriginSingularity
 from ..objective import Objective, row_norms
-from ..ravine import RavineDescriptor
+from ..ravine import RavineDescriptor, SolutionSampler
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
 _MINIMIZER = np.array([0.0, 1.0])
+# Every cloud is anchored at the minimizer.
+_SOLUTIONS = SolutionSampler.fixed(_MINIMIZER)
 _ORIGIN_TOL = 1e-6
 
 
@@ -103,7 +105,7 @@ def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
         retract_rows=_retract_rows,
         on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= 1e-8,
-        sample_solution=lambda rng: _MINIMIZER.copy(),
+        sample_solution=_SOLUTIONS,
     )
     # The sampled ravine ratio is exactly 1.
     return ProblemBundle(SPEC, objective(), rav, None, _MINIMIZER.copy(),

@@ -16,8 +16,8 @@ from typing import Optional
 import numpy as np
 
 from ..errors import DegenerateProjection, ShapeMismatch
-from ..objective import Objective, row_norms
-from ..ravine import RavineDescriptor
+from ..objective import Objective, fused_on_row, row_norms
+from ..ravine import RavineDescriptor, SolutionSampler
 from .spec import (
     CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
 
@@ -114,13 +114,32 @@ def _block_residual(B, inst):
     return Bp, resid
 
 
+def factorization_value_and_grad_rows(Bs, inst: FactorizationInstance):
+    """Values ||B B^T - X||_F^2 and gradients 4 (B B^T - X) B of each matrix
+    of an (n, d, k) stack."""
+    Bp, resid = _block_residual(Bs, inst)
+    return _frobenius_squared(resid), inst.basis @ (4.0 * resid @ Bp)
+
+
+def _frobenius_squared(resid):
+    return np.sum(resid * resid, axis=(1, 2))
+
+
 def factorization_eval(B, inst: FactorizationInstance):
-    """Value ||B B^T - X||_F^2 and gradient 4 (B B^T - X) B."""
-    B = as_matrix(B, inst)
-    Bp, resid = _block_residual(B, inst)
-    value = float(np.sum(resid * resid))
-    grad = inst.basis @ (4.0 * resid @ Bp)
-    return value, grad
+    """Value ||B B^T - X||_F^2 and gradient 4 (B B^T - X) B: the row form
+    on the one-matrix stack of B."""
+    values, grads = factorization_value_and_grad_rows(
+        as_matrix(B, inst)[None], inst)
+    return float(values[0]), grads[0]
+
+
+def _svd(A, name):
+    # A non-finite entry, as in a matrix that overflowed far from S, keeps
+    # LAPACK from converging; no nearest point is defined there.
+    try:
+        return np.linalg.svd(A, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateProjection(f"SVD of {name} did not converge") from exc
 
 
 def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
@@ -130,9 +149,9 @@ def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
     Writes the candidate as A = L O with O O^T = I and maximizes
     <L^T B, O>: with L^T B = U S V^T, the optimum is O = U V^T.  Raises
     :class:`DegenerateProjection` when L^T B is nearly singular for any
-    matrix (the nearest point is not unique).
+    matrix (the nearest point is not unique) or its SVD does not converge.
     """
-    u, s, vt = np.linalg.svd(inst.L.T @ Bs, full_matrices=False)
+    u, s, vt = _svd(inst.L.T @ Bs, "L^T B")
     smallest = float(s[:, -1].min())
     if smallest < DEGENERATE_TOL:
         raise DegenerateProjection(
@@ -148,13 +167,14 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
     In the eigenbasis of X: P maps to its nearest point of {P : P P^T = D}
     (a scaled Procrustes, P~ = D^(1/2) U V^T from the SVD of D^(1/2) P)
     and each row of Q is projected onto ker(P~).  Raises
-    :class:`DegenerateProjection` when any matrix is degenerate.
+    :class:`DegenerateProjection` when any matrix is degenerate or the SVD
+    does not converge.
     """
     r = inst.r
     Bp = inst.basis.T @ Bs
     P, Q = Bp[:, :r], Bp[:, r:]
     sq = np.sqrt(inst.evals[:r])
-    u, s, vt = np.linalg.svd(sq[:, None] * P, full_matrices=False)
+    u, s, vt = _svd(sq[:, None] * P, "D^(1/2) P")
     smallest = float(s[:, -1].min())
     if smallest < DEGENERATE_TOL:
         raise DegenerateProjection(
@@ -185,11 +205,22 @@ def manifold_residuals(B, inst: FactorizationInstance):
             float(np.linalg.norm(P @ Q.T)))
 
 
+def solution_sampler(inst: FactorizationInstance) -> SolutionSampler:
+    """Random points of S, flattened: L times the transpose of the
+    orthonormal factor of a (k, r) Gaussian draw per sample, stacked into
+    one QR call."""
+    def rows(G):
+        q = np.linalg.qr(G)[0]
+        return (inst.L @ np.swapaxes(q, -1, -2)).reshape(len(G), -1)
+
+    return SolutionSampler(
+        draw=lambda rng: rng.standard_normal((inst.k, inst.r)), rows=rows)
+
+
 def sample_solution(inst: FactorizationInstance,
                     rng: np.random.Generator) -> np.ndarray:
     """A random point of S: L times random orthonormal rows."""
-    q, _ = np.linalg.qr(rng.standard_normal((inst.k, inst.r)))
-    return inst.L @ q.T
+    return solution_sampler(inst)(rng).reshape(inst.d, inst.k)
 
 
 def make_manifold_point(inst: FactorizationInstance, rng: np.random.Generator,
@@ -212,17 +243,19 @@ def make_manifold_point(inst: FactorizationInstance, rng: np.random.Generator,
 def objective(inst: FactorizationInstance) -> Objective:
     """Flattened-variable objective for the optimizer code path."""
 
-    def _both(x):
-        value, grad = factorization_eval(x.reshape(inst.d, inst.k), inst)
-        return value, grad.reshape(-1)
+    def _both_rows(X):
+        values, grads = factorization_value_and_grad_rows(
+            X.reshape(-1, inst.d, inst.k), inst)
+        return values, grads.reshape(len(X), -1)
 
     def _eval_rows(X):
         _, resid = _block_residual(X.reshape(-1, inst.d, inst.k), inst)
-        return np.sum(resid * resid, axis=(1, 2))
+        return _frobenius_squared(resid)
 
     return Objective(
         dim=inst.d * inst.k,
-        value_and_grad=_both,
+        value_and_grad=fused_on_row(_both_rows),
+        value_and_grad_rows=_both_rows,
         f_star=0.0,
         p_growth=4.0,
         eval_rows=_eval_rows,
@@ -280,7 +313,7 @@ def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
         retract_rows=_retract_rows,
         on_manifold=_on_manifold,
-        sample_solution=lambda rng: sample_solution(inst, rng).reshape(-1),
+        sample_solution=solution_sampler(inst),
     )
     # On the ravine (1/k) dist^4 <= f <= dist^4 exactly (see the module
     # docstring), up to the rounding floor of the computed gap.

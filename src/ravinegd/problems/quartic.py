@@ -11,11 +11,14 @@ from __future__ import annotations
 import numpy as np
 
 from ..objective import Objective
-from ..ravine import RavineDescriptor
+from ..ravine import RavineDescriptor, SolutionSampler
 from .spec import ProblemBundle, ProblemSpec
 
 # The ravine is the whole line (R is the identity): only growth checks apply.
 SPEC = ProblemSpec("quartic1d", frozenset({"growth", "lojasiewicz"}))
+
+# Every cloud is anchored at the minimizer, 0.
+_SOLUTIONS = SolutionSampler.fixed(np.zeros(1))
 
 
 def quartic_eval(x: float):
@@ -44,7 +47,7 @@ def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
         retract_rows=lambda X: np.array(X, dtype=float),
         on_manifold=lambda x: True,
-        sample_solution=lambda rng: np.zeros(1),
+        sample_solution=_SOLUTIONS,
     )
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(1),
                          rav.sample_solution)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..objective import Objective, row_norms
-from ..ravine import RavineDescriptor
+from ..ravine import RavineDescriptor, SolutionSampler
 from .spec import CLOUD_CHECKS, MorseSpec, ProblemBundle, ProblemSpec
 
 
@@ -47,6 +47,9 @@ def _retract_rows(Z):
     return np.concatenate([x, x * x], axis=1)
 
 
+# Every cloud is anchored at the minimizer, the origin.
+_SOLUTIONS = SolutionSampler.fixed(np.zeros(2))
+
 # The Morse ravine at the origin is the parabola itself.
 SPEC = ProblemSpec(
     "rosenbrock", CLOUD_CHECKS | {"morse"},
@@ -59,7 +62,7 @@ def bundle(params: dict) -> ProblemBundle:
         retract_rows=_retract_rows,
         on_manifold=lambda z: abs(float(z[1]) - float(z[0]) ** 2)
         <= 1e-8 * (1.0 + float(z[0]) ** 2),
-        sample_solution=lambda rng: np.zeros(2),
+        sample_solution=_SOLUTIONS,
     )
     # The sampled ravine ratio is exactly 10.
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(2),

@@ -187,4 +187,4 @@ def bundle(params: dict) -> ProblemBundle:
     inst = make_sensing_instance(d, r, k, m, int(params["instance_seed"]))
     return ProblemBundle(
         SPEC, objective(inst), None, inst, base_solution(inst),
-        lambda rng: fact.sample_solution(inst.fac, rng).reshape(-1))
+        fact.solution_sampler(inst.fac))

@@ -5,12 +5,26 @@ grows slowly while growing at least quadratically transverse to it, in the
 retraction sense f(x) - f(R(x)) >= C * ||x - R(x)||^2.  Each problem with a
 closed-form ravine supplies a :class:`RavineDescriptor`; the checks in this
 module sample solution-anchored clouds and measure the extreme ratios of
-the inequality under test.  A cloud is one ``(n, dim)`` array.  The
-aiming, growth and gradient-control checks retract it and measure its
-distances as one row stack, and gradient control evaluates the
-finite-difference stencils of its samples in row blocks.  The per-point
-callables of the descriptor and the objective are derived from their row
-and fused forms (see :class:`RavineDescriptor` and :class:`Objective`).
+the inequality under test.
+
+The cloud checks are row-first.  A cloud is one ``(n, dim)`` array: each
+sample takes its draws from the rng one at a time, and the problem's
+:class:`SolutionSampler` maps the stacked draws to solutions in one call.
+The aiming, growth and gradient-control checks retract a cloud with one
+``retract_rows`` call; the ravine, aiming, Lojasiewicz and
+gradient-control checks take its values and gradients from one
+``eval_rows`` or ``value_and_grad_rows`` call, and gradient control
+evaluates the finite-difference stencils of its samples in row blocks.
+Two things stay per point: the retraction of the ravine and Lojasiewicz
+checks, which the perfbench tracer records as the ``ravine.retract``
+span and which a caller of :func:`check_lojasiewicz` may pass as a plain
+per-point callable; and the growth check's values, since a problem that
+computes in Python floats raises ``OverflowError`` far from S and the
+check skips that sample alone.  The per-point callables of the
+descriptor and the objective are derived from their row and fused forms
+(see :class:`RavineDescriptor` and :class:`Objective`).  Every cloud
+check evaluates with float overflow ignored and skips a sample whose
+ratio is not finite.
 """
 
 from __future__ import annotations
@@ -27,9 +41,9 @@ from .objective import (
     Objective,
     _central_differences,
     _rowdot,
+    gaussian_direction,
     on_row,
     row_norms,
-    unit_direction,
 )
 from .opt_core import OVERFLOW_IS_DATA
 
@@ -43,6 +57,32 @@ GROWTH_SLOPE_TOL = 0.1
 # the stencils of consecutive samples are stacked up to this many rows, and
 # a sample whose stencil alone is larger goes in a block of its own.
 STENCIL_ROWS = 256
+
+
+@dataclass(frozen=True)
+class SolutionSampler:
+    """Random points of a solution set S, stated once per problem.
+
+    ``draw(rng)`` takes the random draws of one sample from ``rng``, as an
+    array (empty for a problem that anchors every cloud at one fixed
+    solution), and ``rows`` maps the stack of n samples' draws to the
+    ``(n, dim)`` stack of their solutions.  Called with an rng, the
+    sampler returns one solution: ``rows`` on the one-row stack of one
+    draw, so a cloud drawn row-first equals one drawn point by point.
+    """
+
+    draw: Callable[[np.random.Generator], object]
+    rows: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return self.rows(np.asarray(self.draw(rng), dtype=float)[None])[0]
+
+    @classmethod
+    def fixed(cls, solution) -> "SolutionSampler":
+        """The sampler that always returns ``solution`` and draws nothing."""
+        solution = np.asarray(solution, dtype=float)
+        return cls(draw=lambda rng: (),
+                   rows=lambda draws: np.tile(solution, (len(draws), 1)))
 
 
 @dataclass(frozen=True)
@@ -62,7 +102,9 @@ class RavineDescriptor:
         that records distances retracts each epoch's block of iterates
         with it.
     on_manifold : membership predicate with tolerance.
-    sample_solution : rng -> a random point of S, used to anchor clouds.
+    sample_solution : rng -> a random point of S, used to anchor clouds;
+        a :class:`SolutionSampler` lets a cloud map its samples' draws to
+        solutions in one call.
     retract : map from a point near the manifold onto the manifold;
         defaults to ``retract_rows`` on the one-row stack of the point.
     """
@@ -111,14 +153,33 @@ def _cloud(sample_solution, n_samples: int, radius: float,
            rng: np.random.Generator, dim: int) -> np.ndarray:
     """Solution-anchored sample cloud, one row s + radius * u per sample.
 
-    Each sample draws its solution s, then its random unit direction u, so
-    the stream of ``rng`` is that of drawing the points one at a time.
+    Each sample takes the draws of its solution s, then its random unit
+    direction u, so the stream of ``rng`` is that of drawing the points one
+    at a time.  The solutions are then mapped and the directions
+    normalised for all rows at once.  ``sample_solution`` is a
+    :class:`SolutionSampler` or a plain rng -> point callable, whose
+    points are stacked as they are.
     """
-    X = np.empty((n_samples, dim))
+    if isinstance(sample_solution, SolutionSampler):
+        draw, rows = sample_solution.draw, sample_solution.rows
+    else:
+        draw, rows = sample_solution, lambda points: points
+    draws = []
+    U = np.empty((n_samples, dim))
+    norms = np.empty(n_samples)
     for i in range(n_samples):
-        s = np.asarray(sample_solution(rng), dtype=float)
-        X[i] = s + radius * unit_direction(rng, dim)
-    return X
+        draws.append(draw(rng))
+        U[i], norms[i] = gaussian_direction(rng, dim)
+    S = np.reshape(rows(np.array(draws, dtype=float)), (n_samples, dim))
+    return S + radius * (U / norms[:, None])
+
+
+def _finite_pairs(ratios, points):
+    """The ``(ratio, point)`` pairs whose ratio is finite, and how many
+    ratios were not."""
+    pairs = [(r, x) for r, x in zip(ratios.tolist(), points)
+             if math.isfinite(r)]
+    return pairs, len(ratios) - len(pairs)
 
 
 def _worst_offenders(items, n=3):
@@ -181,31 +242,52 @@ def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
                          2 * n_samples, judge)
 
 
+def _values(obj, X):
+    """Values at the rows of X: one ``eval_rows`` call, or ``eval`` per row
+    for an objective without that row form."""
+    # An empty stack is not evaluated: row forms that guard a minimum norm
+    # take the minimum over the rows.
+    if obj.eval_rows is not None:
+        return obj.eval_rows(X) if len(X) else np.empty(0)
+    return np.array([float(obj.eval(x)) for x in X])
+
+
+def _grads(obj, X):
+    """Gradients at the rows of X from one ``value_and_grad_rows`` call."""
+    return obj.value_and_grad_rows(X)[1] if len(X) else np.empty(X.shape)
+
+
+@np.errstate(**OVERFLOW_IS_DATA)
 def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
                            n_samples: int, radius: float, seed: int, *,
                            lower_bracket: float,
                            upper_bracket: float) -> DiagnosticsReport:
     """Extremes of (f(x) - f(R(x))) / ||x - R(x)||^2 over an anchored cloud.
 
+    The cloud is retracted point by point with ``rav.retract``, and the
+    kept samples and their retractions are evaluated in one ``eval_rows``
+    call (``eval`` per point for an objective without that row form).
     Passes when every ratio lies inside [lower_bracket, upper_bracket].
     """
-    rng = np.random.default_rng(seed)
-    ratios = []
-    skipped = 0
-    for x in _cloud(rav.sample_solution, n_samples, radius, rng, obj.dim):
-        r_x = rav.retract(x)
-        den = float(np.sum((x - r_x) ** 2))
-        if den < SKIP_DISTANCE ** 2:
-            skipped += 1
-            continue
-        rho = (float(obj.eval(x)) - float(obj.eval(r_x))) / den
-        ratios.append((rho, x))
-    return _cloud_report("ravine", ratios, skipped, n_samples, lambda lo, hi: (
-        lo >= lower_bracket and hi <= upper_bracket,
-        {"lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
-         "radius": radius}))
+    X = _cloud(rav.sample_solution, n_samples, radius,
+               np.random.default_rng(seed), obj.dim)
+    R = np.array([rav.retract(x) for x in X], dtype=float).reshape(X.shape)
+    den = np.sum((X - R) ** 2, axis=1)
+    kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
+    values = _values(obj, np.concatenate([X[kept], R[kept]]))
+    rho = (values[:len(kept)] - values[len(kept):]) / den[kept]
+    ratios, _ = _finite_pairs(rho, X[kept])
+
+    def judge(lo, hi):
+        return lo >= lower_bracket and hi <= upper_bracket, {
+            "lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
+            "radius": radius}
+
+    return _cloud_report("ravine", ratios, n_samples - len(ratios), n_samples,
+                         judge)
 
 
+@np.errstate(**OVERFLOW_IS_DATA)
 def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
                  radius: float, seed: int) -> DiagnosticsReport:
     """Extremes of <grad f(x), x - R(x)> / ||x - R(x)||^2; passes when min > 0."""
@@ -214,15 +296,13 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
     D = X - rav.retract_rows(X)
     den = _rowdot(D, D)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
-    ratios = []
-    for i in kept:
-        # The gradient has no row form: it is taken point by point.
-        g = np.asarray(obj.grad(X[i]), dtype=float)
-        ratios.append((float(g @ D[i]) / float(den[i]), X[i]))
-    return _cloud_report("aiming", ratios, n_samples - len(kept), n_samples,
+    ratios, _ = _finite_pairs(
+        _rowdot(_grads(obj, X[kept]), D[kept]) / den[kept], X[kept])
+    return _cloud_report("aiming", ratios, n_samples - len(ratios), n_samples,
                          lambda lo, hi: (lo > 0.0, {"radius": radius}))
 
 
+@np.errstate(**OVERFLOW_IS_DATA)
 def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
                           n_samples: int, radius_grid, seed: int, *,
                           exact_bracket=None) -> DiagnosticsReport:
@@ -261,26 +341,25 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     # Far from S the gap or dist^p can overflow, as inf or, in Python float
     # powers, as OverflowError; such a sample has no ratio and no point on
     # the log-log fit.
-    with np.errstate(**OVERFLOW_IS_DATA):
-        for radius in radius_grid:
-            Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius,
-                                        radius, rng, obj.dim))
-            for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
-                try:
-                    gap = float(obj.eval(y)) - f_star
-                    power = dist ** p
-                except OverflowError:
-                    gap = power = math.inf
-                if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
-                        and power < math.inf):
-                    skipped += 1
-                    continue
-                logs.append((np.log(dist), np.log(gap)))
-                ratios.append((gap / power, y))
-                if exact_bracket is not None:
-                    tol = 1e-10 * max(abs(gap), lo_c * power) + floor
-                    if gap < lo_c * power - tol or gap > hi_c * power + tol:
-                        bracket_ok = False
+    for radius in radius_grid:
+        Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius,
+                                    radius, rng, obj.dim))
+        for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
+            try:
+                gap = float(obj.eval(y)) - f_star
+                power = dist ** p
+            except OverflowError:
+                gap = power = math.inf
+            if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
+                    and power < math.inf):
+                skipped += 1
+                continue
+            logs.append((np.log(dist), np.log(gap)))
+            ratios.append((gap / power, y))
+            if exact_bracket is not None:
+                tol = 1e-10 * max(abs(gap), lo_c * power) + floor
+                if gap < lo_c * power - tol or gap > hi_c * power + tol:
+                    bracket_ok = False
 
     def judge(lo, hi):
         if len(logs) < 2:
@@ -299,6 +378,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
                          per_radius * len(radius_grid), judge)
 
 
+@np.errstate(**OVERFLOW_IS_DATA)
 def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
                       seed: int, *, sample_solution,
                       retract) -> DiagnosticsReport:
@@ -306,7 +386,9 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
 
     Ratios are collected at ``radius`` and ``radius / 10``; each sampled
     point also contributes its ``retract``-ed companion, so the cloud
-    probes the near-manifold region where the ratio peaks.
+    probes the near-manifold region where the ratio peaks.  ``retract``
+    is called per point; the interleaved stack ``[x0, R(x0), x1, ...]`` is
+    evaluated in one ``value_and_grad_rows`` call.
     Passes when both maxima are finite and within a factor 2 of each other.
     """
     if obj.f_star is None:
@@ -315,18 +397,17 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
     exponent = (p - 1.0) / p
 
     def max_ratio(rad, rng):
-        vals = []
-        skipped = 0
-        for x in _cloud(sample_solution, n_samples, rad, rng, obj.dim):
-            for pt in (x, np.asarray(retract(x), dtype=float)):
-                value, grad = obj.both(pt)
-                gap = float(value) - f_star
-                gnorm = float(np.linalg.norm(grad))
-                if gap <= 0.0 or gnorm <= 1e-300:
-                    skipped += 1
-                    continue
-                vals.append((gap ** exponent / gnorm, pt))
-        return vals, skipped
+        X = _cloud(sample_solution, n_samples, rad, rng, obj.dim)
+        R = np.array([retract(x) for x in X], dtype=float).reshape(X.shape)
+        points = np.stack([X, R], axis=1).reshape(-1, obj.dim)
+        values, grads = obj.value_and_grad_rows(points)
+        # Python float powers: bit for bit the ratios of points evaluated
+        # one at a time.
+        ratios = [gap ** exponent / gnorm
+                  if gap > 0.0 and gnorm > 1e-300 else math.nan
+                  for gap, gnorm in zip((values - f_star).tolist(),
+                                        row_norms(grads).tolist())]
+        return _finite_pairs(np.array(ratios), points)
 
     def stable(max_big, max_small):
         return (np.isfinite(max_big) and np.isfinite(max_small)
@@ -336,18 +417,21 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
                               seed, stable, exponent=exponent)
 
 
+@np.errstate(**OVERFLOW_IS_DATA)
 def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                            n_samples: int, radius: float,
                            seed: int) -> DiagnosticsReport:
     """Stability of ||grad f(x) - grad (f o R)(x)|| / ||x - R(x)||.
 
-    The composite gradient is computed by central differences of
-    x -> f(R(x)) with step h = 1e-6 * (1 + ||x||): the ``2 * dim`` points
-    ``x + h e_i`` and ``x - h e_i`` of each kept sample are retracted by
-    ``rav.retract_rows`` and evaluated by ``obj.eval_rows`` in blocks of
-    consecutive samples of at most :data:`STENCIL_ROWS` rows, so the
-    objective's row form is required.  Passes when the maximum ratio grows
-    by at most a factor 2 as the sampling radius shrinks tenfold.
+    The gradients of a cloud's kept samples come from one
+    ``value_and_grad_rows`` call.  The composite gradient is computed by
+    central differences of x -> f(R(x)) with step h = 1e-6 * (1 + ||x||):
+    the ``2 * dim`` points ``x + h e_i`` and ``x - h e_i`` of each kept
+    sample are retracted by ``rav.retract_rows`` and evaluated by
+    ``obj.eval_rows`` in blocks of consecutive samples of at most
+    :data:`STENCIL_ROWS` rows, so the objective's row form is required.
+    Passes when the maximum ratio grows by at most a factor 2 as the
+    sampling radius shrinks tenfold.
     """
     if obj.eval_rows is None:
         raise ValueError("gradcontrol check requires obj.eval_rows")
@@ -362,16 +446,14 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
         den = row_norms(X - rav.retract_rows(X))
         kept = np.flatnonzero(~(den < SKIP_DISTANCE))
         h = 1e-6 * (1.0 + row_norms(X))
-        vals = []
+        g_comp = np.empty((len(kept), obj.dim))
         for start in range(0, len(kept), per_block):
             block = kept[start:start + per_block]
-            g_comp = _central_differences(composite, X[block], h[block])
-            for i, gc in zip(block, g_comp):
-                # The gradient has no row form: it is taken point by point.
-                g = np.asarray(obj.grad(X[i]), dtype=float)
-                vals.append((float(np.linalg.norm(g - gc)) / float(den[i]),
-                             X[i]))
-        return vals, n_samples - len(kept)
+            g_comp[start:start + len(block)] = _central_differences(
+                composite, X[block], h[block])
+        vals, _ = _finite_pairs(
+            row_norms(_grads(obj, X[kept]) - g_comp) / den[kept], X[kept])
+        return vals, n_samples - len(vals)
 
     return _two_radius_report(
         "gradcontrol", ratios_at, n_samples, radius, seed,

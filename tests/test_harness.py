@@ -223,6 +223,38 @@ def test_cli_growth_at_a_huge_radius_fails_cleanly(problem, radius, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("check", ["ravine", "aiming", "lojasiewicz",
+                                   "gradcontrol"])
+@pytest.mark.parametrize("problem", ["rosenbrock", "circle", "factorization",
+                                     "neuron"])
+def test_cli_cloud_check_at_a_huge_radius_fails_cleanly(problem, check,
+                                                        tmp_path, capsys):
+    # Every ratio at radius 1e200 overflows to inf or nan (or the
+    # retraction of an overflowed stencil has no SVD): the check reports
+    # its error without numpy warnings and writes no report holding NaN.
+    out = tmp_path / "diag"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["diagnose", "--problem", problem, "--suite", check,
+                   "--radius", "1e200", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [str(w.message) for w in caught] == []
+    assert err.startswith("error: ") and "Traceback" not in err
+    for report in out.glob("reports/*.json"):
+        text = report.read_text(encoding="utf-8")
+        assert "NaN" not in text and "Infinity" not in text
+
+
+def test_cli_factorization_svd_failure_is_an_error_line(tmp_path, capsys):
+    rc = main(["diagnose", "--problem", "factorization", "--suite",
+               "gradcontrol", "--radius", "1e200",
+               "--out", str(tmp_path / "diag")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: SVD of D^(1/2) P did not converge\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["--problem", "rosenbrock", "--init-radius", "1e200"],
     ["--problem", "sensing", "--param", "m=2500", "--init-radius", "1e300"],

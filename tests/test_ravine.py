@@ -1,6 +1,7 @@
 """Ravine descriptor, diagnostic check and Morse solver tests."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -23,13 +24,16 @@ from ravinegd.objective import (
     central_difference_gradient,
     on_row,
     row_norms,
-    unit_direction,
 )
-from ravinegd.problems import build, circle, factorization, sample_init
+from ravinegd.opt_core import OVERFLOW_IS_DATA
+from ravinegd.problems import (
+    PROBLEM_NAMES, build, circle, factorization, sample_init)
 from ravinegd.ravine import (
     GROWTH_SLOPE_TOL,
     SKIP_DISTANCE,
     STENCIL_ROWS,
+    SolutionSampler,
+    _cloud,
     _cloud_report,
     _two_radius_report,
 )
@@ -373,6 +377,17 @@ def test_factorization_retract_rows_degenerate_row(bundles):
         bundle.descriptor.retract_rows(Z)
 
 
+@pytest.mark.parametrize("fn", [factorization.factorization_retraction_rows,
+                                factorization.factorization_project_solution_rows])
+def test_factorization_svd_failure_is_degenerate(fact_inst, fn):
+    # A non-finite matrix, as an overflowed stencil point, has no SVD.
+    Bs = np.zeros((3, 5, 3))
+    Bs[1] = np.nan
+    with np.errstate(**OVERFLOW_IS_DATA), pytest.raises(
+            DegenerateProjection, match="did not converge"):
+        fn(Bs, fact_inst)
+
+
 def test_gradient_control_requires_row_forms(bundles):
     bundle = bundles["rosenbrock"]
     plain = dataclasses.replace(bundle.objective, eval_rows=None)
@@ -396,13 +411,94 @@ def test_gradient_control_empty_radius_names_it(bundles):
         check_gradient_control(bundle.objective, rav, 50, 0.1, seed=0)
 
 
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_sampler_row_map_equals_per_sample_draws(name):
+    params = {**SMALL_PARAMS, "sensing": {"d": 4, "r": 1, "k": 2, "m": 40}}
+    sampler = build(name, params.get(name)).sample_solution
+    assert isinstance(sampler, SolutionSampler)
+    draws_rng, points_rng = (np.random.default_rng(4) for _ in range(2))
+    draws = np.array([sampler.draw(draws_rng) for _ in range(9)], dtype=float)
+    assert np.array_equal(sampler.rows(draws),
+                          np.array([sampler(points_rng) for _ in range(9)]))
+    # Both streams are left in the same state.
+    assert draws_rng.random() == points_rng.random()
+
+
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
+def test_cloud_equals_points_drawn_one_at_a_time(bundles, name):
+    bundle = bundles[name]
+    dim = bundle.objective.dim
+    # A plain callable is stacked as it is.
+    plain = lambda rng: bundle.sample_solution(rng)  # noqa: E731
+    for sampler in (bundle.sample_solution, plain):
+        X = _cloud(sampler, 11, 0.05, np.random.default_rng(6), dim)
+        assert np.array_equal(X, np.array(list(_points(
+            sampler, 11, 0.05, np.random.default_rng(6), dim))))
+
+
+@pytest.mark.parametrize("d, r, k", [(5, 2, 3), (5, 2, 2), (20, 3, 5),
+                                     (20, 4, 4)])
+def test_factorization_sampler_is_l_times_q_transpose(d, r, k):
+    inst = factorization.random_instance(d=d, r=r, k=k, seed=1)
+    G = np.random.default_rng(2).standard_normal((6, k, r))
+    rows = factorization.solution_sampler(inst).rows(G)
+    assert np.array_equal(rows, np.array(
+        [(inst.L @ np.linalg.qr(g)[0].T).reshape(-1) for g in G]))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("quartic1d", None), ("sensing", {"d": 4, "r": 1, "k": 2, "m": 40}),
+    ("rosenbrock", None), ("circle", None),
+    ("factorization", SMALL_PARAMS["factorization"]),
+    ("factorization", {"d": 20, "r": 3, "k": 5}),
+    ("neuron", SMALL_PARAMS["neuron"]), ("neuron", {"d": 100})])
+def test_value_and_grad_rows_match_value_and_grad_bitwise(name, params):
+    # Native row forms (factorization, neuron) and looped ones alike.
+    bundle = build(name, params)
+    obj = bundle.objective
+    rng = np.random.default_rng(8)
+    for radius in (1e-4, 1e-2, 0.3):
+        Z = _near_solution_stack(bundle, rng, 7, radius)
+        values, grads = obj.value_and_grad_rows(Z)
+        assert values.shape == (7,) and grads.shape == (7, obj.dim)
+        for z, value, grad in zip(Z, values, grads):
+            v, g = obj.value_and_grad(z)
+            assert np.float64(v).tobytes() == value.tobytes()
+            assert np.asarray(g, dtype=float).tobytes() == grad.tobytes()
+
+
+def test_factorization_eval_is_the_two_dimensional_formula():
+    # The row form on a one-matrix stack equals the value and gradient
+    # computed on the (d, k) matrix alone.
+    for d, r, k in ((5, 2, 3), (20, 3, 5)):
+        inst = factorization.random_instance(d=d, r=r, k=k, seed=3)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            B = (factorization.sample_solution(inst, rng)
+                 + 0.1 * rng.standard_normal((d, k)))
+            Bp = inst.basis.T @ B
+            resid = Bp @ Bp.T
+            resid[:r, :r] -= np.diag(inst.evals[:r])
+            value, grad = factorization.factorization_eval(B, inst)
+            assert value == float(np.sum(resid * resid))
+            assert np.array_equal(grad, inst.basis @ (4.0 * resid @ Bp))
+
+
 # ------------------------------------- batched checks against point loops
 
-def _points(rav, n_samples, radius, rng, dim):
-    """The cloud drawn and yielded one point at a time."""
+def _points(sampler, n_samples, radius, rng, dim):
+    """The cloud drawn and yielded one point at a time; ``sampler`` is an
+    rng -> solution callable or a descriptor holding one."""
+    sampler = getattr(sampler, "sample_solution", sampler)
     for _ in range(n_samples):
-        s = np.asarray(rav.sample_solution(rng), dtype=float)
-        yield s + radius * unit_direction(rng, dim)
+        s = np.asarray(sampler(rng), dtype=float)
+        while True:
+            # unit_direction's draw, written out with np.linalg.norm.
+            d = rng.standard_normal(dim)
+            n = np.linalg.norm(d)
+            if n > 1e-12:
+                break
+        yield s + radius * (d / n)
 
 
 def _aiming_per_point(obj, rav, n_samples, radius, seed):
@@ -420,6 +516,57 @@ def _aiming_per_point(obj, rav, n_samples, radius, seed):
         ratios.append((float(g @ diff) / den, x))
     return _cloud_report("aiming", ratios, skipped, n_samples,
                          lambda lo, hi: (lo > 0.0, {"radius": radius}))
+
+
+def _ravine_per_point(obj, rav, n_samples, radius, seed, *, lower_bracket,
+                      upper_bracket):
+    rng = np.random.default_rng(seed)
+    ratios = []
+    skipped = 0
+    for x in _points(rav, n_samples, radius, rng, obj.dim):
+        r_x = rav.retract(x)
+        den = float(np.sum((x - r_x) ** 2))
+        rho = math.nan
+        if not den < SKIP_DISTANCE ** 2:
+            rho = (float(obj.eval(x)) - float(obj.eval(r_x))) / den
+        if not math.isfinite(rho):
+            skipped += 1
+            continue
+        ratios.append((rho, x))
+    return _cloud_report("ravine", ratios, skipped, n_samples, lambda lo, hi: (
+        lo >= lower_bracket and hi <= upper_bracket,
+        {"lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
+         "radius": radius}))
+
+
+def _lojasiewicz_per_point(obj, p, n_samples, radius, seed, *,
+                           sample_solution, retract):
+    f_star = float(obj.f_star)
+    exponent = (p - 1.0) / p
+
+    def max_ratio(rad, rng):
+        vals = []
+        skipped = 0
+        for x in _points(sample_solution, n_samples, rad, rng, obj.dim):
+            for pt in (x, np.asarray(retract(x), dtype=float)):
+                value, grad = obj.both(pt)
+                gap = float(value) - f_star
+                gnorm = float(np.linalg.norm(grad))
+                ratio = math.nan
+                if gap > 0.0 and gnorm > 1e-300:
+                    ratio = gap ** exponent / gnorm
+                if not math.isfinite(ratio):
+                    skipped += 1
+                    continue
+                vals.append((ratio, pt))
+        return vals, skipped
+
+    def stable(max_big, max_small):
+        return (np.isfinite(max_big) and np.isfinite(max_small)
+                and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
+
+    return _two_radius_report("lojasiewicz", max_ratio, n_samples, radius,
+                              seed, stable, exponent=exponent)
 
 
 def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
@@ -516,6 +663,35 @@ def test_batched_aiming_and_gradcontrol_match_point_loops(bundles, name,
 
 
 @pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS)
+def test_row_first_ravine_check_matches_point_loop(bundles, name, seed):
+    bundle = bundles[name]
+    obj, rav = bundle.objective, bundle.descriptor
+    lo, hi = bundle.ravine_bracket
+    for radius in (0.1, 0.01):
+        assert (check_ravine_quadratic(obj, rav, N_UNEVEN, radius, seed,
+                                       lower_bracket=lo,
+                                       upper_bracket=hi).to_dict()
+                == _ravine_per_point(obj, rav, N_UNEVEN, radius, seed,
+                                     lower_bracket=lo,
+                                     upper_bracket=hi).to_dict())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
+def test_row_first_lojasiewicz_matches_point_loop(bundles, name, seed):
+    bundle = bundles[name]
+    obj = bundle.objective
+    kwargs = {"sample_solution": bundle.sample_solution,
+              "retract": bundle.descriptor.retract}
+    for radius in (0.1, 0.01):
+        assert (check_lojasiewicz(obj, obj.p_growth, N_UNEVEN, radius, seed,
+                                  **kwargs).to_dict()
+                == _lojasiewicz_per_point(obj, obj.p_growth, N_UNEVEN,
+                                          radius, seed, **kwargs).to_dict())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
 def test_batched_growth_matches_point_loop(bundles, name, seed):
     bundle = bundles[name]
@@ -548,6 +724,94 @@ def test_gradcontrol_stencil_blocks_stay_bounded(bundles, name):
     assert max(counts) <= max(STENCIL_ROWS, stencil)
     assert all(c % stencil == 0 for c in counts)
     assert sum(counts) == stencil * rep.samples_tested
+
+
+def _row_call_counts(obj):
+    """``obj`` whose per-point maps raise and whose row maps count calls."""
+    counts = {"value_and_grad_rows": 0, "eval_rows": 0}
+
+    def per_point(x):
+        raise AssertionError("per-point objective call")
+
+    def counted(name):
+        fn = getattr(obj, name)
+
+        def rows(X):
+            counts[name] += 1
+            return fn(X)
+        return rows
+
+    return dataclasses.replace(
+        obj, value_and_grad=per_point, eval=per_point, grad=per_point,
+        **{name: counted(name) for name in counts}), counts
+
+
+@pytest.mark.parametrize("check", ["ravine", "aiming", "lojasiewicz",
+                                   "gradcontrol"])
+@pytest.mark.parametrize("name", ["factorization", "neuron"])
+def test_cloud_checks_make_row_calls_only(bundles, name, check):
+    bundle = bundles[name]
+    obj, counts = _row_call_counts(bundle.objective)
+    rav = bundle.descriptor
+    lo, hi = bundle.ravine_bracket
+    run = {
+        "ravine": lambda: check_ravine_quadratic(
+            obj, rav, N_UNEVEN, 0.01, 1, lower_bracket=lo, upper_bracket=hi),
+        "aiming": lambda: check_aiming(obj, rav, N_UNEVEN, 0.01, 1),
+        "lojasiewicz": lambda: check_lojasiewicz(
+            obj, obj.p_growth, N_UNEVEN, 0.01, 1,
+            sample_solution=bundle.sample_solution, retract=rav.retract),
+        "gradcontrol": lambda: check_gradient_control(
+            obj, rav, N_UNEVEN, 0.01, 1),
+    }[check]
+    run()
+    clouds = 2 if check in ("lojasiewicz", "gradcontrol") else 1
+    per_block = max(1, STENCIL_ROWS // (2 * obj.dim))
+    stencil_blocks = (clouds * -(-N_UNEVEN // per_block)
+                      if check == "gradcontrol" else 0)
+    assert counts["value_and_grad_rows"] <= clouds
+    assert counts["eval_rows"] <= clouds + stencil_blocks
+
+
+def _nan_beyond(obj, x_max):
+    """``obj`` whose row maps give NaN values and gradients at the rows with
+    first coordinate above ``x_max``."""
+    def eval_rows(X):
+        return np.where(X[:, 0] > x_max, np.nan, obj.eval_rows(X))
+
+    def value_and_grad_rows(X):
+        values, grads = obj.value_and_grad_rows(X)
+        bad = X[:, 0] > x_max
+        return (np.where(bad, np.nan, values),
+                np.where(bad[:, None], np.nan, grads))
+
+    return dataclasses.replace(obj, eval_rows=eval_rows,
+                               value_and_grad_rows=value_and_grad_rows)
+
+
+@pytest.mark.parametrize("check", ["ravine", "aiming", "lojasiewicz",
+                                   "gradcontrol"])
+def test_cloud_checks_skip_non_finite_ratios(bundles, check):
+    # On rosenbrock R(x) keeps the first coordinate, so a sample and its
+    # retraction and stencil are NaN together: about a third of the cloud
+    # at radius 0.1, and none at 0.01.
+    bundle = bundles["rosenbrock"]
+    rav = bundle.descriptor
+    obj = _nan_beyond(bundle.objective, 0.05)
+    rep = {
+        "ravine": lambda: check_ravine_quadratic(
+            obj, rav, 60, 0.1, 0, lower_bracket=5.0, upper_bracket=20.0),
+        "aiming": lambda: check_aiming(obj, rav, 60, 0.1, 0),
+        "lojasiewicz": lambda: check_lojasiewicz(
+            obj, 4.0, 60, 0.1, 0, sample_solution=bundle.sample_solution,
+            retract=rav.retract),
+        "gradcontrol": lambda: check_gradient_control(obj, rav, 60, 0.1, 0),
+    }[check]()
+    X = _cloud(bundle.sample_solution, 60, 0.1, np.random.default_rng(0), 2)
+    per_sample = 2 if check == "lojasiewicz" else 1
+    assert rep.skipped == per_sample * int(np.sum(X[:, 0] > 0.05)) > 0
+    text = rep.to_json()
+    assert "NaN" not in text and "Infinity" not in text
 
 
 def test_gradcontrol_large_stencil_goes_alone():
