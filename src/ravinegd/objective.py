@@ -43,9 +43,10 @@ class Objective:
         defaults to ``dist_rows`` on the one-row stack of the point, and
         stays None without ``dist_rows``.
     eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
-        for bit to ``eval`` on each row; the gradient-control check needs
-        it to evaluate the finite-difference stencils of a cloud's samples
-        in blocks of rows.
+        for bit to ``eval`` on each row; the ravine and growth checks
+        evaluate their clouds with it (``eval`` per row without it), and
+        the gradient-control check needs it to evaluate the
+        finite-difference stencils of a cloud's samples in blocks of rows.
     dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``; a run
         that records distances evaluates it once per epoch, on the block of
         the epoch's departure iterates, and the growth check once per

@@ -64,12 +64,6 @@ class SensingInstance:
         """Measurements <A_i, Z> of a d x d matrix Z, shape (m,)."""
         return _quadratic_forms(self.a, self.at, Z)
 
-    @property
-    def A(self) -> np.ndarray:
-        """Dense (m, d, d) measurement matrices, built on each access."""
-        return (self.a[:, :, None] * self.a[:, None, :]
-                - self.at[:, :, None] * self.at[:, None, :])
-
 
 def _quadratic_forms(a: np.ndarray, at: np.ndarray,
                      Z: np.ndarray) -> np.ndarray:

@@ -10,21 +10,20 @@ the inequality under test.
 The cloud checks are row-first.  A cloud is one ``(n, dim)`` array: each
 sample takes its draws from the rng one at a time, and the problem's
 :class:`SolutionSampler` maps the stacked draws to solutions in one call.
-The aiming, growth and gradient-control checks retract a cloud with one
-``retract_rows`` call; the ravine, aiming, Lojasiewicz and
-gradient-control checks take its values and gradients from one
-``eval_rows`` or ``value_and_grad_rows`` call, and gradient control
-evaluates the finite-difference stencils of its samples in row blocks.
-Two things stay per point: the retraction of the ravine and Lojasiewicz
-checks, which the perfbench tracer records as the ``ravine.retract``
-span and which a caller of :func:`check_lojasiewicz` may pass as a plain
-per-point callable; and the growth check's values, since a problem that
-computes in Python floats raises ``OverflowError`` far from S and the
-check skips that sample alone.  The per-point callables of the
-descriptor and the objective are derived from their row and fused forms
-(see :class:`RavineDescriptor` and :class:`Objective`).  Every cloud
-check evaluates with float overflow ignored and skips a sample whose
-ratio is not finite.
+Every check retracts a cloud in one call: the ravine and Lojasiewicz
+checks through the descriptor's ``retract``, which takes a point or a
+stack (the perfbench tracer records it as the ``ravine.retract`` span),
+the others through ``retract_rows``.  Every check takes a cloud's values
+and gradients from one ``eval_rows`` or ``value_and_grad_rows`` call, and
+gradient control evaluates the finite-difference stencils of its samples
+in row blocks.  No cloud check works per point, except the values of an
+objective without ``eval_rows``: those are taken one row at a time, and a
+row whose Python-float value raises ``OverflowError`` far from S gets the
+value inf, so the check skips that sample alone.  The per-point callables
+of the descriptor and the objective are derived from their row and fused
+forms (see :class:`RavineDescriptor` and :class:`Objective`).  Every
+cloud check evaluates with float overflow ignored and skips a sample
+whose ratio is not finite.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .objective import (
     _central_differences,
     _rowdot,
     gaussian_direction,
-    on_row,
     row_norms,
 )
 from .opt_core import OVERFLOW_IS_DATA
@@ -89,10 +87,10 @@ class SolutionSampler:
 class RavineDescriptor:
     """Closed-form ravine data for one problem family.
 
-    A problem states its retraction once, as ``retract_rows``; the
-    per-point ``retract`` is derived from it when not given.  It stays a
-    field, not a method, so that ``dataclasses.replace`` can substitute a
-    wrapped callable for it (the perfbench tracer does).
+    A problem states its retraction once, as ``retract_rows``; ``retract``,
+    which takes a point or a stack, is derived from it when not given.  It
+    stays a field, not a method, so that ``dataclasses.replace`` can
+    substitute a wrapped callable for it (the perfbench tracer does).
 
     Attributes
     ----------
@@ -105,8 +103,11 @@ class RavineDescriptor:
     sample_solution : rng -> a random point of S, used to anchor clouds;
         a :class:`SolutionSampler` lets a cloud map its samples' draws to
         solutions in one call.
-    retract : map from a point near the manifold onto the manifold;
-        defaults to ``retract_rows`` on the one-row stack of the point.
+    retract : map from points near the manifold onto the manifold, on an
+        array of shape ``(..., dim)``: a point ``(dim,)`` or a stack
+        ``(n, dim)``, whose shape it keeps; defaults to ``retract_rows``
+        on the rows of the array (on a point, its one-row stack).  The
+        ravine and Lojasiewicz checks retract each cloud with one call.
     """
 
     retract_rows: Callable[[np.ndarray], np.ndarray]
@@ -117,7 +118,13 @@ class RavineDescriptor:
     def __post_init__(self):
         # The instance is frozen, so the default is set past __setattr__.
         if self.retract is None:
-            object.__setattr__(self, "retract", on_row(self.retract_rows))
+            rows = self.retract_rows
+
+            def retract(x):
+                x = np.asarray(x, dtype=float)
+                return rows(x.reshape(-1, x.shape[-1])).reshape(x.shape)
+
+            object.__setattr__(self, "retract", retract)
 
 
 @dataclass
@@ -214,13 +221,14 @@ def _cloud_report(check, ratios, skipped, attempted, judge):
     )
 
 
-def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
+def _two_radius_report(check, ratios_at, per_cloud, radius, seed, passed,
                        **extras):
     """Report of a check comparing maximum ratios at ``radius`` and ``radius / 10``.
 
     ``ratios_at(rad, rng)`` samples one cloud and returns its kept
-    ``(ratio, point)`` pairs and skip count; ``passed(max_big, max_small)``
-    gives the verdict; ``extras`` are appended to the report's extras.
+    ``(ratio, point)`` pairs and skip count, out of the ``per_cloud``
+    points it evaluates; ``passed(max_big, max_small)`` gives the verdict;
+    ``extras`` are appended to the report's extras.
     """
     rng = np.random.default_rng(seed)
     big, skip_big = ratios_at(radius, rng)
@@ -239,17 +247,24 @@ def _two_radius_report(check, ratios_at, n_samples, radius, seed, passed,
             **extras}
 
     return _cloud_report(check, big + small, skip_big + skip_small,
-                         2 * n_samples, judge)
+                         2 * per_cloud, judge)
 
 
 def _values(obj, X):
     """Values at the rows of X: one ``eval_rows`` call, or ``eval`` per row
-    for an objective without that row form."""
+    for an objective without that row form, where a row whose value raises
+    ``OverflowError`` (a Python-float power far from S) gets inf."""
     # An empty stack is not evaluated: row forms that guard a minimum norm
     # take the minimum over the rows.
     if obj.eval_rows is not None:
         return obj.eval_rows(X) if len(X) else np.empty(0)
-    return np.array([float(obj.eval(x)) for x in X])
+    values = np.empty(len(X))
+    for i, x in enumerate(X):
+        try:
+            values[i] = float(obj.eval(x))
+        except OverflowError:
+            values[i] = math.inf
+    return values
 
 
 def _grads(obj, X):
@@ -264,14 +279,14 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
                            upper_bracket: float) -> DiagnosticsReport:
     """Extremes of (f(x) - f(R(x))) / ||x - R(x)||^2 over an anchored cloud.
 
-    The cloud is retracted point by point with ``rav.retract``, and the
-    kept samples and their retractions are evaluated in one ``eval_rows``
-    call (``eval`` per point for an objective without that row form).
+    The cloud is retracted with one ``rav.retract`` call, and the kept
+    samples and their retractions are evaluated in one ``eval_rows`` call
+    (``eval`` per point for an objective without that row form).
     Passes when every ratio lies inside [lower_bracket, upper_bracket].
     """
     X = _cloud(rav.sample_solution, n_samples, radius,
                np.random.default_rng(seed), obj.dim)
-    R = np.array([rav.retract(x) for x in X], dtype=float).reshape(X.shape)
+    R = rav.retract(X)
     den = np.sum((X - R) ** 2, axis=1)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
     values = _values(obj, np.concatenate([X[kept], R[kept]]))
@@ -313,6 +328,8 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
     ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
     satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
+    Each radius's retracted cloud is evaluated in one ``eval_rows`` call
+    (``eval`` per point for an objective without that row form).
     A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
     tolerance: the absolute rounding floor of the computed gap, for a
     problem whose value cancels terms of order one on the manifold.  The
@@ -339,17 +356,18 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     skipped = 0
     bracket_ok = True
     # Far from S the gap or dist^p can overflow, as inf or, in Python float
-    # powers, as OverflowError; such a sample has no ratio and no point on
-    # the log-log fit.
+    # powers, as OverflowError (which _values turns into inf); such a
+    # sample has no ratio and no point on the log-log fit.
     for radius in radius_grid:
         Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius,
                                     radius, rng, obj.dim))
-        for y, dist in zip(Y, obj.dist_rows(Y).tolist()):
+        for y, value, dist in zip(Y, _values(obj, Y).tolist(),
+                                  obj.dist_rows(Y).tolist()):
+            gap = value - f_star
             try:
-                gap = float(obj.eval(y)) - f_star
                 power = dist ** p
             except OverflowError:
-                gap = power = math.inf
+                power = math.inf
             if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
                     and power < math.inf):
                 skipped += 1
@@ -387,8 +405,12 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
     Ratios are collected at ``radius`` and ``radius / 10``; each sampled
     point also contributes its ``retract``-ed companion, so the cloud
     probes the near-manifold region where the ratio peaks.  ``retract``
-    is called per point; the interleaved stack ``[x0, R(x0), x1, ...]`` is
-    evaluated in one ``value_and_grad_rows`` call.
+    maps an ``(n, dim)`` stack to the stack of its rows' retractions (a
+    descriptor's ``retract`` does) and is called once per cloud; the
+    interleaved stack ``[x0, R(x0), x1, ...]`` is evaluated in one
+    ``value_and_grad_rows`` call.  Each of the ``4 * n_samples`` evaluated
+    points is one attempt, and a point whose ratio is not finite is
+    skipped.
     Passes when both maxima are finite and within a factor 2 of each other.
     """
     if obj.f_star is None:
@@ -398,7 +420,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
 
     def max_ratio(rad, rng):
         X = _cloud(sample_solution, n_samples, rad, rng, obj.dim)
-        R = np.array([retract(x) for x in X], dtype=float).reshape(X.shape)
+        R = retract(X)
         points = np.stack([X, R], axis=1).reshape(-1, obj.dim)
         values, grads = obj.value_and_grad_rows(points)
         # Python float powers: bit for bit the ratios of points evaluated
@@ -413,8 +435,9 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
         return (np.isfinite(max_big) and np.isfinite(max_small)
                 and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
 
-    return _two_radius_report("lojasiewicz", max_ratio, n_samples, radius,
-                              seed, stable, exponent=exponent)
+    # Each sample and its retraction are two evaluated points.
+    return _two_radius_report("lojasiewicz", max_ratio, 2 * n_samples,
+                              radius, seed, stable, exponent=exponent)
 
 
 @np.errstate(**OVERFLOW_IS_DATA)

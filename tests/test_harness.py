@@ -232,6 +232,10 @@ def test_cli_cloud_check_at_a_huge_radius_fails_cleanly(problem, check,
     # Every ratio at radius 1e200 overflows to inf or nan (or the
     # retraction of an overflowed stencil has no SVD): the check reports
     # its error without numpy warnings and writes no report holding NaN.
+    # On circle the lojasiewicz cloud's retracted companions lie on the
+    # unit circle and keep their ratios: half of the 4 * 200 evaluated
+    # points are skipped, which every check allows, so the check reports
+    # its (failed) verdict instead.
     out = tmp_path / "diag"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -240,10 +244,28 @@ def test_cli_cloud_check_at_a_huge_radius_fails_cleanly(problem, check,
     err = capsys.readouterr().err
     assert rc == 1
     assert [str(w.message) for w in caught] == []
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert "Traceback" not in err
+    if (problem, check) == ("circle", "lojasiewicz"):
+        report = json.loads(
+            (out / "reports" / "lojasiewicz.json").read_text(encoding="utf-8"))
+        assert report["skipped"] == report["samples_tested"] == 400
+        assert not report["pass"]
+    else:
+        assert err.startswith("error: ")
     for report in out.glob("reports/*.json"):
         text = report.read_text(encoding="utf-8")
         assert "NaN" not in text and "Infinity" not in text
+
+
+def test_cli_lojasiewicz_counts_every_evaluated_point(tmp_path, capsys):
+    # Each of 200 samples and its retraction, at two radii: 800 attempts,
+    # all of which overflow on rosenbrock at radius 1e200.
+    rc = main(["diagnose", "--problem", "rosenbrock", "--suite",
+               "lojasiewicz", "--radius", "1e200",
+               "--out", str(tmp_path / "diag")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: lojasiewicz: 800/800 samples skipped\n")
 
 
 def test_cli_factorization_svd_failure_is_an_error_line(tmp_path, capsys):

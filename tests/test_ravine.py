@@ -32,6 +32,7 @@ from ravinegd.ravine import (
     GROWTH_SLOPE_TOL,
     SKIP_DISTANCE,
     STENCIL_ROWS,
+    RavineDescriptor,
     SolutionSampler,
     _cloud,
     _cloud_report,
@@ -344,6 +345,21 @@ def test_row_forms_match_single_point_bitwise(bundles, name):
         for stack in (Z, R):
             assert np.array_equal(obj.eval_rows(stack),
                                   np.array([obj.eval(z) for z in stack]))
+
+
+@pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
+def test_descriptor_retract_takes_a_point_or_a_stack(bundles, name):
+    bundle = bundles[name]
+    rav = bundle.descriptor
+    Z = _near_solution_stack(bundle, np.random.default_rng(9),
+                             2 * bundle.objective.dim, 0.05)
+    R = rav.retract(Z)
+    assert R.shape == Z.shape and R.dtype == np.float64
+    assert R.tobytes() == rav.retract_rows(Z).tobytes()
+    for z in Z:
+        r = rav.retract(z)
+        assert r.shape == z.shape
+        assert r.tobytes() == rav.retract_rows(z[None])[0].tobytes()
 
 
 def test_row_forms_absent_without_gradcontrol(bundles):
@@ -773,6 +789,44 @@ def test_cloud_checks_make_row_calls_only(bundles, name, check):
     assert counts["eval_rows"] <= clouds + stencil_blocks
 
 
+def _retraction_counts(rav):
+    """A descriptor with ``rav``'s maps whose every retraction, of a point
+    or a stack, is counted as one ``retract_rows`` call."""
+    calls = []
+
+    def retract_rows(X):
+        calls.append(len(X))
+        return rav.retract_rows(X)
+
+    return RavineDescriptor(retract_rows=retract_rows,
+                            on_manifold=rav.on_manifold,
+                            sample_solution=rav.sample_solution), calls
+
+
+@pytest.mark.parametrize("check", ["ravine", "lojasiewicz", "growth"])
+@pytest.mark.parametrize("name", ["factorization", "neuron"])
+def test_cloud_checks_retract_and_evaluate_each_cloud_once(bundles, name,
+                                                           check):
+    bundle = bundles[name]
+    obj, counts = _row_call_counts(bundle.objective)
+    rav, calls = _retraction_counts(bundle.descriptor)
+    lo, hi = bundle.ravine_bracket
+    {
+        "ravine": lambda: check_ravine_quadratic(
+            obj, rav, N_UNEVEN, 0.01, 1, lower_bracket=lo, upper_bracket=hi),
+        "lojasiewicz": lambda: check_lojasiewicz(
+            obj, obj.p_growth, N_UNEVEN, 0.01, 1,
+            sample_solution=rav.sample_solution, retract=rav.retract),
+        "growth": lambda: check_growth_exponent(
+            obj, rav, N_UNEVEN, GROWTH_GRID, 1,
+            exact_bracket=bundle.growth_bracket),
+    }[check]()
+    clouds = {"ravine": 1, "lojasiewicz": 2, "growth": len(GROWTH_GRID)}
+    assert len(calls) <= clouds[check]
+    if check == "growth":
+        assert counts["eval_rows"] <= len(GROWTH_GRID)
+
+
 def _nan_beyond(obj, x_max):
     """``obj`` whose row maps give NaN values and gradients at the rows with
     first coordinate above ``x_max``."""
@@ -812,6 +866,28 @@ def test_cloud_checks_skip_non_finite_ratios(bundles, check):
     assert rep.skipped == per_sample * int(np.sum(X[:, 0] > 0.05)) > 0
     text = rep.to_json()
     assert "NaN" not in text and "Infinity" not in text
+
+
+def test_lojasiewicz_refuses_only_past_half_its_points():
+    # Each sample and its retraction are two of the check's 4 * n points;
+    # on rosenbrock R(x) keeps the first coordinate, so both are NaN
+    # together.  Beyond x_max = 0.005 lie about a third of the cloud at
+    # radius 0.01 and about half of the cloud at 0.1: more than a quarter
+    # of the points, which the check refused when it counted two attempts
+    # per sample, and at most half of them, which it accepts.
+    bundle = build("rosenbrock")
+    rav = bundle.descriptor
+    n = 60
+    rng = np.random.default_rng(0)
+    nan_rows = sum(int(np.sum(_cloud(rav.sample_solution, n, rad, rng,
+                                     2)[:, 0] > 0.005))
+                   for rad in (0.1, 0.01))
+    assert n < 2 * nan_rows <= 2 * n
+    rep = check_lojasiewicz(_nan_beyond(bundle.objective, 0.005), 4.0, n,
+                            0.1, 0, sample_solution=rav.sample_solution,
+                            retract=rav.retract)
+    assert rep.skipped == 2 * nan_rows
+    assert rep.samples_tested == 4 * n - 2 * nan_rows
 
 
 def test_gradcontrol_large_stencil_goes_alone():
