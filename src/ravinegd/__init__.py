@@ -25,7 +25,6 @@ from .errors import (
     ZeroNeuron,
 )
 from .harness import (
-    ComparisonTable,
     ExperimentConfig,
     compare_methods,
     diagnose,
@@ -65,7 +64,7 @@ __all__ = [
     "check_ravine_quadratic", "check_aiming", "check_growth_exponent",
     "check_lojasiewicz", "check_gradient_control", "measure_rip",
     "MorseRavineSolver", "morse_ravine_solve",
-    "ExperimentConfig", "ComparisonTable", "run_experiment",
+    "ExperimentConfig", "run_experiment",
     "compare_methods", "fit_linear_rate", "diagnose",
     "RavineGDError", "NonFiniteGradient", "TargetAboveValue", "MissingFStar",
     "EmptyTrace", "ShapeMismatch", "OriginSingularity", "ZeroNeuron",

@@ -23,8 +23,10 @@ from .harness import (
     ExperimentConfig,
     check_input,
     compare_methods,
+    comparison_text,
     diagnose,
     run_experiment,
+    run_summary,
 )
 from .morse import morse_ravine_solve, tangent_grid
 
@@ -86,7 +88,7 @@ def _config_from_args(args) -> ExperimentConfig:
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
     trace = run_experiment(config)
-    gap = trace.best_value - trace.f_reference
+    gap = run_summary(trace)["best_gap"]
     print(f"{config.problem}/{config.method}: best gap {gap:.6e} "
           f"after {trace.grad_evals} gradient evaluations")
     if config.out_dir:
@@ -96,8 +98,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _config_from_args(args)
-    table = compare_methods(config)
-    print(table.to_text(), end="")
+    print(comparison_text(compare_methods(config)), end="")
     if config.out_dir:
         print(f"wrote {config.out_dir}/comparison.csv")
     return 0

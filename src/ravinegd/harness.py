@@ -44,7 +44,16 @@ from .ravine import (
     measure_rip,
 )
 
-METHODS = ("gd", "polyak", "gdpolyak", "gdpolyak_lb")
+# Each method's runner and the config fields it takes between the init
+# point and the objective.
+_RUNNERS = {
+    "gd": lambda c: (gd_baseline, c.eta, c.K, c.I),
+    "polyak": lambda c: (polyak_baseline, c.K, c.I),
+    "gdpolyak": lambda c: (gdpolyak, c.eta, c.K, c.I),
+    "gdpolyak_lb": lambda c: (gdpolyak_lb, c.eta, c.K, c.I, c.J, c.f_lb),
+}
+
+METHODS = tuple(_RUNNERS)
 
 CSV_HEADER = "iter,epoch,kind,value_gap,grad_norm,stepsize,dist_solution,dist_ravine"
 
@@ -125,36 +134,29 @@ class ExperimentConfig:
         return cls(**data)
 
 
-@dataclass
-class ComparisonTable:
-    """Per-method summary rows over one shared instance and init point."""
-
-    rows: list
-
-    COLUMNS = ("method", "final_gap", "best_gap", "grad_evals", "slope", "r2")
-
-    def to_csv(self) -> str:
-        lines = [",".join(self.COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(row[c]) for c in self.COLUMNS))
-        return "\n".join(lines) + "\n"
-
-    def to_text(self) -> str:
-        widths = {c: max(len(c), 12) for c in self.COLUMNS}
-        head = "  ".join(c.ljust(widths[c]) for c in self.COLUMNS)
-        lines = [head, "-" * len(head)]
-        for row in self.rows:
-            lines.append("  ".join(
-                _format_cell(row[c]).ljust(widths[c]) for c in self.COLUMNS))
-        return "\n".join(lines) + "\n"
+COMPARISON_COLUMNS = ("method", "final_gap", "best_gap", "grad_evals",
+                      "slope", "r2")
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _comparison_cells(rows):
+    """The header and each row's cells: an unset value is empty and a float
+    has 17 significant digits."""
+    header = dict(zip(COMPARISON_COLUMNS, COMPARISON_COLUMNS))
+    return [["" if v is None else f"{v:.17g}" if isinstance(v, float)
+             else str(v) for v in (row[c] for c in COMPARISON_COLUMNS)]
+            for row in [header, *rows]]
+
+
+def comparison_csv(rows) -> str:
+    """The compare rows as CSV, one line per method under a header."""
+    return "".join(",".join(cells) + "\n" for cells in _comparison_cells(rows))
+
+
+def comparison_text(rows) -> str:
+    """The compare rows as a table of 12-wide columns, header underlined."""
+    head, *body = ["  ".join(cell.ljust(12) for cell in cells)
+                   for cells in _comparison_cells(rows)]
+    return "\n".join([head, "-" * len(head), *body]) + "\n"
 
 
 def trace_to_csv(trace: RunTrace) -> str:
@@ -179,19 +181,9 @@ def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:
         if bundle.descriptor is not None:
             retract_rows = bundle.descriptor.retract_rows
             dist_ravine = lambda X: row_norms(X - retract_rows(X))  # noqa: E731
-    if config.method == "gd":
-        return gd_baseline(x0, config.eta, config.K, config.I, obj,
-                           dist_solution=dist_solution, dist_ravine=dist_ravine)
-    if config.method == "polyak":
-        return polyak_baseline(x0, config.K, config.I, obj,
-                               dist_solution=dist_solution,
-                               dist_ravine=dist_ravine)
-    if config.method == "gdpolyak":
-        return gdpolyak(x0, config.eta, config.K, config.I, obj,
-                        dist_solution=dist_solution, dist_ravine=dist_ravine)
-    return gdpolyak_lb(x0, config.eta, config.K, config.I, config.J,
-                       config.f_lb, obj, dist_solution=dist_solution,
-                       dist_ravine=dist_ravine)
+    runner, *args = _RUNNERS[config.method](config)
+    return runner(x0, *args, obj, dist_solution=dist_solution,
+                  dist_ravine=dist_ravine)
 
 
 def run_experiment(config: ExperimentConfig) -> RunTrace:
@@ -209,15 +201,10 @@ def run_experiment(config: ExperimentConfig) -> RunTrace:
     return trace
 
 
-def _write_run(config: ExperimentConfig, trace: RunTrace):
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
-    (out / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8",
-                                   newline="\n")
-    manifest = {
-        "config": config.to_dict(),
+def run_summary(trace: RunTrace) -> dict:
+    """The result facts of one run: its manifest without ``config``, and
+    the middle of its compare row, between ``method`` and the rate fit."""
+    summary = {
         "grad_evals": trace.grad_evals,
         "func_evals": trace.func_evals,
         "best_value": trace.best_value,
@@ -227,8 +214,19 @@ def _write_run(config: ExperimentConfig, trace: RunTrace):
         "aborted_rounds": trace.aborted_rounds,
     }
     if trace.f_estimates is not None:
-        manifest["f_estimates"] = trace.f_estimates.tolist()
-        manifest["round_values"] = trace.round_values.tolist()
+        summary["f_estimates"] = trace.f_estimates.tolist()
+        summary["round_values"] = trace.round_values.tolist()
+    return summary
+
+
+def _write_run(config: ExperimentConfig, trace: RunTrace):
+    out = Path(config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "config.json").write_text(
+        json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
+    (out / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8",
+                                   newline="\n")
+    manifest = {"config": config.to_dict(), **run_summary(trace)}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -256,9 +254,10 @@ def fit_linear_rate(trace: RunTrace, burn_in: int = 5):
     return float(slope), float(r2)
 
 
-def compare_methods(config: ExperimentConfig) -> ComparisonTable:
+def compare_methods(config: ExperimentConfig) -> list:
     """Run gd, polyak and gdpolyak (plus gdpolyak_lb when J and f_lb are set)
-    from one init point.
+    from one init point; returns one row per method, its ``run_summary``
+    between ``method`` and the rate fit's ``slope`` and ``r2``.
 
     The three mandatory methods share the gradient budget I*(K+1) exactly;
     the lower-bound variant runs its own J*I*(K+1) budget, visible in the
@@ -282,21 +281,16 @@ def compare_methods(config: ExperimentConfig) -> ComparisonTable:
             slope, r2 = fit_linear_rate(trace)
         except InsufficientData:
             slope, r2 = None, None
-        rows.append({
-            "method": cfg.method,
-            "final_gap": float(trace.epoch_end_gaps[-1]),
-            "best_gap": trace.best_value - trace.f_reference,
-            "grad_evals": trace.grad_evals,
-            "slope": slope,
-            "r2": r2,
-        })
-    table = ComparisonTable(rows)
+        rows.append({"method": cfg.method, **run_summary(trace),
+                     "slope": slope, "r2": r2})
     if config.out_dir is not None:
         out = Path(config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "comparison.csv").write_text(table.to_csv(), encoding="utf-8")
-        (out / "comparison.txt").write_text(table.to_text(), encoding="utf-8")
-    return table
+        (out / "comparison.csv").write_text(comparison_csv(rows),
+                                            encoding="utf-8")
+        (out / "comparison.txt").write_text(comparison_text(rows),
+                                            encoding="utf-8")
+    return rows
 
 
 def run_check(bundle, check: str, n_samples: int, radius: float,

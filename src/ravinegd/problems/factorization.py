@@ -82,6 +82,7 @@ def random_instance(d: int, r: int, k: int,
     """Gaussian-factor ground truth X = G G^T, rescaled so sigma1 = 1.
 
     The rescaling keeps default stepsizes transferable across seeds.
+    ``seed`` may also be a Generator, which the draw continues.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, r))

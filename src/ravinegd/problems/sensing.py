@@ -67,9 +67,15 @@ class SensingInstance:
 
 def _quadratic_forms(a: np.ndarray, at: np.ndarray,
                      Z: np.ndarray) -> np.ndarray:
-    # a_i^T Z a_i - a~_i^T Z a~_i as two BLAS products; a three-operand
-    # einsum over the same indices runs several times slower.
-    return ((a @ Z) * a).sum(axis=1) - ((at @ Z) * at).sum(axis=1)
+    # a_i^T Z a_i - a~_i^T Z a~_i as two BLAS products into one (m, d)
+    # buffer; a three-operand einsum over the same indices runs several
+    # times slower.
+    t = a @ Z
+    t *= a
+    forms = t.sum(axis=1)
+    np.matmul(at, Z, out=t)
+    t *= at
+    return forms - t.sum(axis=1)
 
 
 def from_factors(fac_inst: fact.FactorizationInstance, a, at,
@@ -97,10 +103,7 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     if m < 1:
         raise ValueError("m must be >= 1")
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((d, r))
-    X = g @ g.T
-    X = X / np.linalg.eigvalsh(X)[-1]
-    fac_inst = fact.from_matrix(X, k, r=r)
+    fac_inst = fact.random_instance(d, r, k, rng)
     a = rng.standard_normal((m, d))
     at = rng.standard_normal((m, d))
     return from_factors(fac_inst, a, at, op_scale=2.0)

@@ -21,9 +21,13 @@ objective without ``eval_rows``: those are taken one row at a time, and a
 row whose Python-float value raises ``OverflowError`` far from S gets the
 value inf, so the check skips that sample alone.  The per-point callables
 of the descriptor and the objective are derived from their row and fused
-forms (see :class:`RavineDescriptor` and :class:`Objective`).  Every
-cloud check evaluates with float overflow ignored and skips a sample
-whose ratio is not finite.
+forms (see :class:`RavineDescriptor` and :class:`Objective`).
+
+Every cloud check evaluates with float overflow ignored and has one skip
+rule: an attempt whose ratio is not finite is skipped, so ``skipped`` is
+the attempts less ``samples_tested``, and past half skipped the check
+is refused.  A Lojasiewicz sample is two attempts, itself and its
+retraction.
 """
 
 from __future__ import annotations
@@ -181,73 +185,60 @@ def _cloud(sample_solution, n_samples: int, radius: float,
     return S + radius * (U / norms[:, None])
 
 
-def _finite_pairs(ratios, points):
-    """The ``(ratio, point)`` pairs whose ratio is finite, and how many
-    ratios were not."""
-    pairs = [(r, x) for r, x in zip(ratios.tolist(), points)
-             if math.isfinite(r)]
-    return pairs, len(ratios) - len(pairs)
+def _cloud_report(check, ratios, points, attempted, judge):
+    """Report of a cloud check from its ``(n,)`` ratios at the rows of its
+    ``(n, dim)`` points, out of ``attempted`` samples.
 
-
-def _worst_offenders(items, n=3):
-    """The n (ratio, point) pairs with extreme ratios, serializable."""
-    if not items:
-        return []
-    items = sorted(items, key=lambda t: t[0])
-    picked = items[:n] + items[-n:]
-    return [{"ratio": float(r), "point": np.asarray(x).ravel().tolist()}
-            for r, x in picked]
-
-
-def _cloud_report(check, ratios, skipped, attempted, judge):
-    """Report of a cloud check from its kept ``(ratio, point)`` pairs.
-
-    Raises :class:`InsufficientValidSamples` when too few samples were
-    kept; otherwise ``judge(lowest, highest)`` returns ``(passed, extras)``.
+    Finite ratios are kept and every other attempt is skipped.  Raises
+    :class:`InsufficientValidSamples` when none is kept or more than half
+    are skipped; otherwise ``judge(lowest, highest)`` returns
+    ``(passed, extras)``.  The details are the 3 lowest and 3 highest.
     """
-    _require_valid(ratios, skipped, attempted, check)
-    values = [r for r, _ in ratios]
+    keep = np.isfinite(ratios)
+    ratios, points = ratios[keep], points[keep]
+    skipped = attempted - len(ratios)
+    if not len(ratios) or skipped > 0.5 * attempted:
+        raise InsufficientValidSamples(
+            f"{check}: {skipped}/{attempted} samples skipped")
+    values = ratios.tolist()
     lo, hi = min(values), max(values)
     passed, extras = judge(lo, hi)
+    order = np.argsort(ratios, kind="stable").tolist()
     return DiagnosticsReport(
-        check=check,
-        samples_tested=len(ratios),
-        skipped=skipped,
-        measured_lower=lo,
-        measured_upper=hi,
-        passed=bool(passed),
-        details=_worst_offenders(ratios),
-        extras=extras,
-    )
+        check=check, samples_tested=len(values), skipped=skipped,
+        measured_lower=lo, measured_upper=hi, passed=bool(passed),
+        details=[{"ratio": values[i], "point": points[i].tolist()}
+                 for i in order[:3] + order[-3:]],
+        extras=extras)
 
 
 def _two_radius_report(check, ratios_at, per_cloud, radius, seed, passed,
                        **extras):
     """Report of a check comparing maximum ratios at ``radius`` and ``radius / 10``.
 
-    ``ratios_at(rad, rng)`` samples one cloud and returns its kept
-    ``(ratio, point)`` pairs and skip count, out of the ``per_cloud``
-    points it evaluates; ``passed(max_big, max_small)`` gives the verdict;
-    ``extras`` are appended to the report's extras.
+    ``ratios_at(rad, rng)`` samples one cloud of ``per_cloud`` attempts and
+    returns their ``(ratios, points)`` arrays; ``passed(max_big,
+    max_small)`` gives the verdict from the largest finite ratio of each
+    cloud; ``extras`` are appended to the report's extras.
     """
     rng = np.random.default_rng(seed)
-    big, skip_big = ratios_at(radius, rng)
-    small, skip_small = ratios_at(radius / 10.0, rng)
+    radii = (radius, radius / 10.0)
+    clouds = [ratios_at(rad, rng) for rad in radii]
 
     def judge(lo, hi):
-        for rad, kept in ((radius, big), (radius / 10.0, small)):
-            if not kept:
+        kept = [ratios[np.isfinite(ratios)].tolist() for ratios, _ in clouds]
+        for rad, ratios in zip(radii, kept):
+            if not ratios:
                 raise InsufficientValidSamples(
                     f"{check}: every sample at radius {rad:g} skipped")
-        max_big = max(r for r, _ in big)
-        max_small = max(r for r, _ in small)
+        max_big, max_small = map(max, kept)
         return passed(max_big, max_small), {
             "max_at_radius": float(max_big),
             "max_at_radius_over_10": float(max_small), "radius": radius,
             **extras}
 
-    return _cloud_report(check, big + small, skip_big + skip_small,
-                         2 * per_cloud, judge)
+    ratios, points = map(np.concatenate, zip(*clouds))
+    return _cloud_report(check, ratios, points, 2 * per_cloud, judge)
 
 
 def _values(obj, X):
@@ -272,6 +263,14 @@ def _grads(obj, X):
     return obj.value_and_grad_rows(X)[1] if len(X) else np.empty(X.shape)
 
 
+def _power(base: float, p: float) -> float:
+    """Python-float ``base ** p``, inf where it overflows."""
+    try:
+        return base ** p
+    except OverflowError:
+        return math.inf
+
+
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
                            n_samples: int, radius: float, seed: int, *,
@@ -291,15 +290,13 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
     values = _values(obj, np.concatenate([X[kept], R[kept]]))
     rho = (values[:len(kept)] - values[len(kept):]) / den[kept]
-    ratios, _ = _finite_pairs(rho, X[kept])
 
     def judge(lo, hi):
         return lo >= lower_bracket and hi <= upper_bracket, {
             "lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
             "radius": radius}
 
-    return _cloud_report("ravine", ratios, n_samples - len(ratios), n_samples,
-                         judge)
+    return _cloud_report("ravine", rho, X[kept], n_samples, judge)
 
 
 @np.errstate(**OVERFLOW_IS_DATA)
@@ -311,10 +308,9 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
     D = X - rav.retract_rows(X)
     den = _rowdot(D, D)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
-    ratios, _ = _finite_pairs(
-        _rowdot(_grads(obj, X[kept]), D[kept]) / den[kept], X[kept])
-    return _cloud_report("aiming", ratios, n_samples - len(ratios), n_samples,
-                         lambda lo, hi: (lo > 0.0, {"radius": radius}))
+    return _cloud_report(
+        "aiming", _rowdot(_grads(obj, X[kept]), D[kept]) / den[kept],
+        X[kept], n_samples, lambda lo, hi: (lo > 0.0, {"radius": radius}))
 
 
 @np.errstate(**OVERFLOW_IS_DATA)
@@ -328,14 +324,12 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
     ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
     satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
-    Each radius's retracted cloud is evaluated in one ``eval_rows`` call
-    (``eval`` per point for an objective without that row form).
+    The retracted clouds of all radii are evaluated in one ``eval_rows``
+    call (``eval`` per point for an objective without that row form).
     A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
     tolerance: the absolute rounding floor of the computed gap, for a
     problem whose value cancels terms of order one on the manifold.  The
-    report lists the two coefficients.  Samples are evaluated with float
-    overflow ignored, since a sample whose gap or dist^p overflows is
-    skipped.
+    report lists the two coefficients.
     """
     radius_grid = np.asarray(list(radius_grid), dtype=float)
     if radius_grid.max() < 10.0 * radius_grid.min():
@@ -344,46 +338,34 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         raise ValueError("no distance oracle available for growth check")
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
     p = obj.p_growth
-
+    rng = np.random.default_rng(seed)
+    per_radius = max(1, n_samples // len(radius_grid))
+    Y = rav.retract_rows(np.concatenate([
+        _cloud(rav.sample_solution, per_radius, radius, rng, obj.dim)
+        for radius in radius_grid]))
+    gaps = _values(obj, Y) - f_star
+    dists = obj.dist_rows(Y)
+    # Far from S the gap or dist^p can overflow, as inf or, in Python float
+    # powers, as OverflowError (which _values turns into inf); such a
+    # sample has no ratio and no point on the log-log fit.  The powers stay
+    # Python floats: numpy's array power rounds differently.
+    powers = np.array([_power(dist, p) for dist in dists.tolist()])
+    ok = ((dists >= SKIP_DISTANCE) & (0.0 < gaps) & (gaps < math.inf)
+          & (powers < math.inf))
+    gaps, dists, powers = gaps[ok], dists[ok], powers[ok]
+    bracket_ok = True
     if exact_bracket is not None:
         lo_c, hi_c = exact_bracket[:2]
         floor = exact_bracket[2] if len(exact_bracket) > 2 else 0.0
-
-    rng = np.random.default_rng(seed)
-    per_radius = max(1, n_samples // len(radius_grid))
-    logs = []
-    ratios = []
-    skipped = 0
-    bracket_ok = True
-    # Far from S the gap or dist^p can overflow, as inf or, in Python float
-    # powers, as OverflowError (which _values turns into inf); such a
-    # sample has no ratio and no point on the log-log fit.
-    for radius in radius_grid:
-        Y = rav.retract_rows(_cloud(rav.sample_solution, per_radius,
-                                    radius, rng, obj.dim))
-        for y, value, dist in zip(Y, _values(obj, Y).tolist(),
-                                  obj.dist_rows(Y).tolist()):
-            gap = value - f_star
-            try:
-                power = dist ** p
-            except OverflowError:
-                power = math.inf
-            if not (dist >= SKIP_DISTANCE and 0.0 < gap < math.inf
-                    and power < math.inf):
-                skipped += 1
-                continue
-            logs.append((np.log(dist), np.log(gap)))
-            ratios.append((gap / power, y))
-            if exact_bracket is not None:
-                tol = 1e-10 * max(abs(gap), lo_c * power) + floor
-                if gap < lo_c * power - tol or gap > hi_c * power + tol:
-                    bracket_ok = False
+        tol = 1e-10 * np.maximum(np.abs(gaps), lo_c * powers) + floor
+        bracket_ok = not np.any((gaps < lo_c * powers - tol)
+                                | (gaps > hi_c * powers + tol))
 
     def judge(lo, hi):
-        if len(logs) < 2:
+        if len(gaps) < 2:
             raise InsufficientValidSamples(
-                f"growth: {len(logs)} sample(s) left to fit a slope")
-        ld, lg = np.array([a for a, _ in logs]), np.array([b for _, b in logs])
+                f"growth: {len(gaps)} sample(s) left to fit a slope")
+        ld, lg = np.log(dists), np.log(gaps)
         slope, intercept = np.polyfit(ld, lg, 1)
         resid = float(np.sqrt(np.mean((lg - (slope * ld + intercept)) ** 2)))
         return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
@@ -392,7 +374,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
             "exact_bracket": [lo_c, hi_c] if exact_bracket else None,
             "bracket_ok": bracket_ok}
 
-    return _cloud_report("growth", ratios, skipped,
+    return _cloud_report("growth", gaps / powers, Y[ok],
                          per_radius * len(radius_grid), judge)
 
 
@@ -408,17 +390,15 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
     maps an ``(n, dim)`` stack to the stack of its rows' retractions (a
     descriptor's ``retract`` does) and is called once per cloud; the
     interleaved stack ``[x0, R(x0), x1, ...]`` is evaluated in one
-    ``value_and_grad_rows`` call.  Each of the ``4 * n_samples`` evaluated
-    points is one attempt, and a point whose ratio is not finite is
-    skipped.
-    Passes when both maxima are finite and within a factor 2 of each other.
+    ``value_and_grad_rows`` call, each of its points one attempt.
+    Passes when the two maxima are within a factor 2 of each other.
     """
     if obj.f_star is None:
         raise ValueError("lojasiewicz check requires obj.f_star")
     f_star = float(obj.f_star)
     exponent = (p - 1.0) / p
 
-    def max_ratio(rad, rng):
+    def ratios_at(rad, rng):
         X = _cloud(sample_solution, n_samples, rad, rng, obj.dim)
         R = retract(X)
         points = np.stack([X, R], axis=1).reshape(-1, obj.dim)
@@ -429,15 +409,12 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
                   if gap > 0.0 and gnorm > 1e-300 else math.nan
                   for gap, gnorm in zip((values - f_star).tolist(),
                                         row_norms(grads).tolist())]
-        return _finite_pairs(np.array(ratios), points)
+        return np.array(ratios), points
 
-    def stable(max_big, max_small):
-        return (np.isfinite(max_big) and np.isfinite(max_small)
-                and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
-
-    # Each sample and its retraction are two evaluated points.
-    return _two_radius_report("lojasiewicz", max_ratio, 2 * n_samples,
-                              radius, seed, stable, exponent=exponent)
+    return _two_radius_report(
+        "lojasiewicz", ratios_at, 2 * n_samples, radius, seed,
+        lambda big, small: max(big, small) <= 2.0 * min(big, small),
+        exponent=exponent)
 
 
 @np.errstate(**OVERFLOW_IS_DATA)
@@ -474,9 +451,8 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
             block = kept[start:start + per_block]
             g_comp[start:start + len(block)] = _central_differences(
                 composite, X[block], h[block])
-        vals, _ = _finite_pairs(
-            row_norms(_grads(obj, X[kept]) - g_comp) / den[kept], X[kept])
-        return vals, n_samples - len(vals)
+        return (row_norms(_grads(obj, X[kept]) - g_comp) / den[kept],
+                X[kept])
 
     return _two_radius_report(
         "gradcontrol", ratios_at, n_samples, radius, seed,
@@ -512,9 +488,3 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
         val = float(coeffs @ coeffs) / (inst.m * scale2)
         worst = max(worst, abs(val - 1.0))
     return worst
-
-
-def _require_valid(kept, skipped, attempted, check):
-    if not kept or skipped > 0.5 * attempted:
-        raise InsufficientValidSamples(
-            f"{check}: {skipped}/{attempted} samples skipped")

@@ -3,6 +3,8 @@ diagnostics dispatch and the CLI."""
 
 import json
 import math
+import re
+import shlex
 import tempfile
 import warnings
 from pathlib import Path
@@ -23,8 +25,10 @@ from ravinegd import (
     fit_linear_rate,
     run_experiment,
 )
-from ravinegd.cli import main
-from ravinegd.harness import ALL_CHECKS, CSV_HEADER, METHODS, trace_to_csv
+from ravinegd.cli import _config_from_args, build_parser, main
+from ravinegd.harness import (
+    ALL_CHECKS, CSV_HEADER, METHODS, comparison_csv, comparison_text,
+    trace_to_csv)
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD, RunTrace
 from ravinegd import problems
 from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
@@ -580,8 +584,8 @@ def test_compare_equal_budgets(tmp_path):
     cfg = ExperimentConfig(problem="quartic1d", eta=0.05, K=4, I=10,
                            init_radius=1.0, seed=2,
                            out_dir=str(tmp_path / "cmp"))
-    table = compare_methods(cfg)
-    budgets = {row["method"]: row["grad_evals"] for row in table.rows}
+    budgets = {row["method"]: row["grad_evals"]
+               for row in compare_methods(cfg)}
     assert budgets["gd"] == budgets["polyak"] == budgets["gdpolyak"] == 10 * 5
     assert (tmp_path / "cmp" / "comparison.csv").exists()
     assert (tmp_path / "cmp" / "gdpolyak" / "trace.csv").exists()
@@ -590,18 +594,17 @@ def test_compare_equal_budgets(tmp_path):
 def test_compare_includes_lb_when_configured():
     cfg = ExperimentConfig(problem="quartic1d", eta=0.0, K=1, I=10, J=4,
                            f_lb=-1.0, init_radius=1.0, seed=2)
-    table = compare_methods(cfg)
-    methods = [row["method"] for row in table.rows]
+    rows = compare_methods(cfg)
+    methods = [row["method"] for row in rows]
     assert methods == ["gd", "polyak", "gdpolyak", "gdpolyak_lb"]
-    lb_row = table.rows[-1]
+    lb_row = rows[-1]
     assert lb_row["grad_evals"] == 4 * 10 * 2
 
 
 def test_compare_rosenbrock_separation_desk_scale():
     cfg = ExperimentConfig(problem="rosenbrock", eta=0.0125, K=100, I=25,
                            init_radius=0.5, seed=0)
-    table = compare_methods(cfg)
-    rows = {row["method"]: row for row in table.rows}
+    rows = {row["method"]: row for row in compare_methods(cfg)}
     assert rows["gdpolyak"]["best_gap"] <= 1e-3 * rows["gd"]["best_gap"]
     assert rows["gdpolyak"]["slope"] < 0
 
@@ -611,11 +614,54 @@ def test_compare_quartic_polyak_also_linear():
     # 3/4 per step, so both adaptive methods show clean linear fits.
     cfg = ExperimentConfig(problem="quartic1d", eta=0.0, K=1, I=30,
                            init_radius=1.0, seed=0)
-    table = compare_methods(cfg)
-    rows = {row["method"]: row for row in table.rows}
+    rows = {row["method"]: row for row in compare_methods(cfg)}
     for method in ("polyak", "gdpolyak"):
         assert rows[method]["slope"] < 0
         assert rows[method]["r2"] >= 0.99
+
+
+def test_compare_rows_are_run_summaries(tmp_path):
+    cfg = ExperimentConfig(problem="rosenbrock", eta=0.0125, K=4, I=6, J=2,
+                           f_lb=-1.0, init_radius=0.5, seed=1,
+                           out_dir=str(tmp_path))
+    for row in compare_methods(cfg):
+        manifest = json.loads(
+            (tmp_path / row["method"] / "manifest.json").read_text())
+        del manifest["config"]
+        assert list(row) == ["method", *manifest, "slope", "r2"]
+        assert {k: row[k] for k in manifest} == manifest
+
+
+# Two hand-built rows: a float prints at 17 significant digits, an unset
+# slope or r2 is an empty cell, keys outside the six columns are not
+# printed, and a cell wider than its 12-wide text column is kept whole.
+COMPARE_ROWS = [
+    {"method": "gd", "final_gap": 0.1, "best_gap": 1e-20, "grad_evals": 12,
+     "slope": None, "r2": None, "x_out": [1.0]},
+    {"method": "gdpolyak_lb", "final_gap": 2.0 / 3.0, "best_gap": 0.0,
+     "grad_evals": 120, "slope": -0.5, "r2": 1.0},
+]
+
+
+def test_comparison_csv_bytes():
+    assert comparison_csv(COMPARE_ROWS) == (
+        "method,final_gap,best_gap,grad_evals,slope,r2\n"
+        "gd,0.10000000000000001,9.9999999999999995e-21,12,,\n"
+        "gdpolyak_lb,0.66666666666666663,0,120,-0.5,1\n")
+
+
+def test_comparison_text_bytes():
+    head = ("method        final_gap     best_gap      grad_evals    "
+            "slope         r2          ")
+    assert comparison_text(COMPARE_ROWS) == "\n".join([
+        head,
+        "-" * 82,
+        "gd            0.10000000000000001  9.9999999999999995e-21  12"
+        + " " * 38,
+        "gdpolyak_lb   0.66666666666666663  0             120           "
+        "-0.5          1           ",
+    ]) + "\n"
+    assert len(head) == 6 * 12 + 5 * 2
 
 
 # ---------------------------------------------------------------- diagnose
@@ -809,6 +855,36 @@ def test_cli_compare(tmp_path):
     assert rc == 0
     text = (tmp_path / "cmp" / "comparison.csv").read_text()
     assert text.startswith("method,final_gap,best_gap,grad_evals,slope,r2")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _readme_commands():
+    """The argument lists of the ``ravinegd`` lines in README code blocks,
+    continuation lines joined."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text,
+                                re.M | re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in code.splitlines()
+            if line.startswith("ravinegd ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_shows_every_command():
+    assert ({argv[0] for argv in README_COMMANDS}
+            == {"run", "compare", "diagnose", "morse"})
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_parses(argv, monkeypatch):
+    # Parsed and, for run and compare, validated as a config; nothing runs.
+    monkeypatch.chdir(ROOT)
+    args = build_parser().parse_args(argv)
+    if args.command in ("run", "compare"):
+        _config_from_args(args).validate()
 
 
 def test_every_export_resolves():

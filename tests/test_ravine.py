@@ -19,6 +19,7 @@ from ravinegd import (
     check_ravine_quadratic,
     morse_ravine_solve,
 )
+from ravinegd.harness import run_check
 from ravinegd.objective import (
     _central_differences,
     central_difference_gradient,
@@ -27,7 +28,8 @@ from ravinegd.objective import (
 )
 from ravinegd.opt_core import OVERFLOW_IS_DATA
 from ravinegd.problems import (
-    PROBLEM_NAMES, build, circle, factorization, sample_init)
+    PROBLEM_NAMES, PROBLEMS, build, circle, factorization, sample_init)
+from ravinegd.problems.spec import CLOUD_CHECKS
 from ravinegd.ravine import (
     GROWTH_SLOPE_TOL,
     SKIP_DISTANCE,
@@ -517,6 +519,15 @@ def _points(sampler, n_samples, radius, rng, dim):
         yield s + radius * (d / n)
 
 
+def _arrays(pairs, skipped, attempted, dim):
+    """The ``(ratios, points)`` arrays of a point loop's kept ``(ratio,
+    point)`` pairs; the loop's own skip count must be the attempts not
+    kept."""
+    assert len(pairs) + skipped == attempted
+    return (np.array([r for r, _ in pairs], dtype=float),
+            np.array([x for _, x in pairs], dtype=float).reshape(-1, dim))
+
+
 def _aiming_per_point(obj, rav, n_samples, radius, seed):
     rng = np.random.default_rng(seed)
     ratios = []
@@ -530,7 +541,8 @@ def _aiming_per_point(obj, rav, n_samples, radius, seed):
             continue
         g = np.asarray(obj.grad(x), dtype=float)
         ratios.append((float(g @ diff) / den, x))
-    return _cloud_report("aiming", ratios, skipped, n_samples,
+    return _cloud_report("aiming", *_arrays(ratios, skipped, n_samples,
+                                            obj.dim), n_samples,
                          lambda lo, hi: (lo > 0.0, {"radius": radius}))
 
 
@@ -549,10 +561,11 @@ def _ravine_per_point(obj, rav, n_samples, radius, seed, *, lower_bracket,
             skipped += 1
             continue
         ratios.append((rho, x))
-    return _cloud_report("ravine", ratios, skipped, n_samples, lambda lo, hi: (
-        lo >= lower_bracket and hi <= upper_bracket,
-        {"lower_bracket": lower_bracket, "upper_bracket": upper_bracket,
-         "radius": radius}))
+    return _cloud_report(
+        "ravine", *_arrays(ratios, skipped, n_samples, obj.dim), n_samples,
+        lambda lo, hi: (lo >= lower_bracket and hi <= upper_bracket,
+                        {"lower_bracket": lower_bracket,
+                         "upper_bracket": upper_bracket, "radius": radius}))
 
 
 def _lojasiewicz_per_point(obj, p, n_samples, radius, seed, *,
@@ -575,14 +588,15 @@ def _lojasiewicz_per_point(obj, p, n_samples, radius, seed, *,
                     skipped += 1
                     continue
                 vals.append((ratio, pt))
-        return vals, skipped
+        return _arrays(vals, skipped, 2 * n_samples, obj.dim)
 
     def stable(max_big, max_small):
         return (np.isfinite(max_big) and np.isfinite(max_small)
                 and max(max_big, max_small) <= 2.0 * min(max_big, max_small))
 
-    return _two_radius_report("lojasiewicz", max_ratio, n_samples, radius,
-                              seed, stable, exponent=exponent)
+    # Each sample and its retraction are two attempts.
+    return _two_radius_report("lojasiewicz", max_ratio, 2 * n_samples,
+                              radius, seed, stable, exponent=exponent)
 
 
 def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
@@ -624,8 +638,9 @@ def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
                               else None),
             "bracket_ok": bracket_ok}
 
-    return _cloud_report("growth", ratios, skipped,
-                         per_radius * len(radius_grid), judge)
+    attempted = per_radius * len(radius_grid)
+    return _cloud_report("growth", *_arrays(ratios, skipped, attempted,
+                                            obj.dim), attempted, judge)
 
 
 def _gradcontrol_per_point(obj, rav, n_samples, radius, seed):
@@ -649,7 +664,7 @@ def _gradcontrol_per_point(obj, rav, n_samples, radius, seed):
             g_comp = composite_gradient(
                 x, 1e-6 * (1.0 + float(np.linalg.norm(x))))
             vals.append((float(np.linalg.norm(g - g_comp)) / den, x))
-        return vals, skipped
+        return _arrays(vals, skipped, n_samples, obj.dim)
 
     return _two_radius_report(
         "gradcontrol", ratios_at, n_samples, radius, seed,
@@ -888,6 +903,34 @@ def test_lojasiewicz_refuses_only_past_half_its_points():
                             retract=rav.retract)
     assert rep.skipped == 2 * nan_rows
     assert rep.samples_tested == 4 * n - 2 * nan_rows
+
+
+# Attempts of each cloud check at n samples: the growth check spreads them
+# over its 4 radii, the two-radius checks draw two clouds, and the
+# lojasiewicz check evaluates each sample and its retraction.
+ATTEMPTS = {"ravine": lambda n: n, "aiming": lambda n: n,
+            "growth": lambda n: 4 * max(1, n // 4),
+            "lojasiewicz": lambda n: 4 * n, "gradcontrol": lambda n: 2 * n}
+
+
+@pytest.mark.parametrize("name, check", [
+    (name, check) for name in PROBLEM_NAMES for check in sorted(CLOUD_CHECKS)
+    if check in PROBLEMS[name].SPEC.checks])
+def test_every_attempt_is_tested_or_skipped(bundles, name, check):
+    assert set(ATTEMPTS) == CLOUD_CHECKS
+    rep = run_check(bundles[name], check, 30, 0.05, seed=0)
+    assert rep.samples_tested + rep.skipped == ATTEMPTS[check](30)
+
+
+@pytest.mark.parametrize("check", sorted(ATTEMPTS))
+def test_skipped_attempts_are_the_ones_not_kept(bundles, check):
+    # NaN beyond x = 0.05 on rosenbrock: part of the cloud at radius 0.1.
+    bundle = bundles["rosenbrock"]
+    bundle = dataclasses.replace(
+        bundle, objective=_nan_beyond(bundle.objective, 0.05))
+    rep = run_check(bundle, check, 60, 0.1, seed=0)
+    assert rep.skipped > 0
+    assert rep.samples_tested + rep.skipped == ATTEMPTS[check](60)
 
 
 def test_gradcontrol_large_stencil_goes_alone():
