@@ -23,8 +23,9 @@ class Objective:
     A problem states each map once: the fused ``value_and_grad`` and,
     where it has them, the row forms ``value_and_grad_rows``, ``eval_rows``
     and ``dist_rows``.  The per-point ``eval``, ``grad`` and
-    ``dist_solution`` are derived from them when not given, and so is
-    ``value_and_grad_rows``, by looping ``value_and_grad`` over the rows.
+    ``dist_solution`` are derived from them when not given, and so are
+    ``value_and_grad_rows``, by looping ``value_and_grad`` over the rows,
+    and ``eval_rows``, as the values of ``value_and_grad_rows``.
     They stay fields, not methods, so that ``dataclasses.replace`` can
     substitute wrapped callables for them (the perfbench tracer does); a
     substituted callable is kept as given.  A problem whose per-point
@@ -42,11 +43,11 @@ class Objective:
     dist_solution : point -> distance (or proxy) to the minimizer set;
         defaults to ``dist_rows`` on the one-row stack of the point, and
         stays None without ``dist_rows``.
-    eval_rows : optional row-batched value, ``(n, dim) -> (n,)``, equal bit
-        for bit to ``eval`` on each row; the ravine and growth checks
-        evaluate their clouds with it (``eval`` per row without it), and
-        the gradient-control check needs it to evaluate the
-        finite-difference stencils of a cloud's samples in blocks of rows.
+    eval_rows : row-batched value, ``(n, dim) -> (n,)``, equal bit for bit
+        to ``eval`` on each row; the ravine and growth checks evaluate
+        their clouds with it, and the gradient-control check the
+        finite-difference stencils of a cloud's samples, in blocks of rows.
+        Defaults to the values of ``value_and_grad_rows``.
     dist_rows : optional row-batched distance, ``(n, dim) -> (n,)``; a run
         that records distances evaluates it once per epoch, on the block of
         the epoch's departure iterates, and the growth check once per
@@ -55,7 +56,10 @@ class Objective:
         (n, dim))``, equal bit for bit to ``value_and_grad`` on each row;
         the ravine, aiming, Lojasiewicz and gradient-control checks take
         the values and gradients of a whole cloud from it.  Defaults to
-        ``value_and_grad`` looped over the rows.
+        ``value_and_grad`` looped over the rows, where a row whose
+        Python-float evaluation raises ``OverflowError`` far from S gets
+        the value inf and a NaN gradient, as float64 arithmetic would
+        overflow, so that the cloud checks skip it.
     """
 
     dim: int
@@ -81,6 +85,9 @@ class Objective:
         if self.value_and_grad_rows is None:
             object.__setattr__(self, "value_and_grad_rows",
                                _looped_rows(both, self.dim))
+        if self.eval_rows is None:
+            rows = self.value_and_grad_rows
+            object.__setattr__(self, "eval_rows", lambda X: rows(X)[0])
 
     def both(self, x: np.ndarray) -> tuple:
         """Value and gradient at ``x`` in one call."""
@@ -102,12 +109,16 @@ def fused_on_row(rows_fn):
 
 
 def _looped_rows(both, dim):
-    # The row form of a fused map that has none: one call per row.
+    # The row form of a fused map that has none: one call per row.  A
+    # Python-float power raises OverflowError where float64 gives inf.
     def rows(X):
         values = np.empty(len(X))
         grads = np.empty((len(X), dim))
         for i, x in enumerate(X):
-            values[i], grads[i] = both(x)
+            try:
+                values[i], grads[i] = both(x)
+            except OverflowError:
+                values[i], grads[i] = math.inf, math.nan
         return values, grads
     return rows
 
@@ -151,23 +162,6 @@ def _central_differences(func_rows, X, h):
     rows = np.concatenate([X[:, None] + step, X[:, None] - step], axis=1)
     values = func_rows(rows.reshape(-1, dim)).reshape(n, 2, dim)
     return (values[:, 0] - values[:, 1]) / (2.0 * h[:, None])
-
-
-def max_relative_gradient_error(obj: Objective, points) -> float:
-    """Worst relative disagreement between analytic and FD gradients.
-
-    The error at a point is ``||g_analytic - g_fd|| / max(1e-12, ||g_analytic||)``
-    unless the analytic gradient is tiny, in which case the absolute error
-    is used.
-    """
-    worst = 0.0
-    for x in points:
-        g = np.asarray(obj.grad(np.asarray(x, dtype=float)))
-        fd = central_difference_gradient(obj.eval, x)
-        gn = np.linalg.norm(g)
-        err = np.linalg.norm(g - fd)
-        worst = max(worst, err / gn if gn > 1e-8 else err)
-    return worst
 
 
 def unit_direction(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -7,7 +7,8 @@ value-and-gradient, the row forms ``value_and_grad_rows``, ``eval_rows``
 and ``dist_rows`` and the ravine's ``retract_rows`` where it has them, and
 its solution sampler as a :class:`~ravinegd.ravine.SolutionSampler`; the
 per-point ``eval``, ``grad`` and ``dist_solution``, the point-or-stack
-``retract`` and a looped ``value_and_grad_rows`` are derived from these by
+``retract``, a looped ``value_and_grad_rows`` and ``eval_rows`` as its
+values are derived from these by
 :class:`~ravinegd.objective.Objective` and
 :class:`~ravinegd.ravine.RavineDescriptor`.  ``build`` and
 ``param_errors`` read that table;

@@ -30,16 +30,21 @@ def circle_eval(z):
     With n = ||z||, the direction term simplifies to
     ||z/n - e2||^2 = 2 - 2 y / n, so f = (n - 1)^2 + (2 - 2 y / n)^2.
     Computed in Python floats, bitwise equal to float64 arithmetic; the
-    norm is np.hypot's, as in the row forms, since math.hypot differs from
-    it in the last bit on some pairs.
+    norm is the absolute value of a complex, which CPython takes with C
+    hypot, as np.hypot in the row forms does (math.hypot differs from it
+    in the last bit on some pairs).
     """
     x, y = z.tolist()
-    n = float(np.hypot(x, y))
+    # A Python float operation raises OverflowError where float64
+    # arithmetic gives inf; a diverged iterate must reach the run's
+    # finiteness checks.
+    try:
+        n = abs(complex(x, y))
+    except OverflowError:
+        n = math.inf
     if n < _ORIGIN_TOL:
         raise OriginSingularity(f"||z|| = {n:.2e} below {_ORIGIN_TOL:.0e}")
     w = 2.0 - 2.0 * y / n
-    # A Python float power raises OverflowError where float64 arithmetic
-    # gives inf; a diverged iterate must reach the run's finiteness checks.
     try:
         value = (n - 1.0) ** 2 + w * w
     except OverflowError:

@@ -63,12 +63,6 @@ def make_neuron_instance(d: int, seed: int,
     return NeuronInstance(d=d, v=v)
 
 
-def _angle(a, b, na, nb):
-    # A scalar clamp, but np.arccos: math.acos can differ from it in the
-    # last bit, and neuron_values must match these values bit for bit.
-    return float(np.arccos(min(max((a @ b) / (na * nb), -1.0), 1.0)))
-
-
 def _check_floor(n1, n2, nv):
     if min(n1, n2) < NORM_FLOOR * nv:
         raise ZeroNeuron(f"student norms ({n1:.2e}, {n2:.2e}) below "
@@ -92,17 +86,20 @@ def neuron_eval(w1, w2, inst: NeuronInstance):
         raise ShapeMismatch(f"weights must have shape ({inst.d},)")
     v = inst.v
     n1, n2, nv = _norms(w1, w2, inst)
-    t12 = _angle(w1, w2, n1, n2)
-    t1 = _angle(w1, v, n1, nv)
-    t2 = _angle(w2, v, n2, nv)
-
-    s12, s1, s2 = np.sin(t12), np.sin(t1), np.sin(t2)
+    # The three angles as one array, through the same numpy calls as the
+    # row form (math.acos can differ from np.arccos in the last bit).
+    angles = np.arccos(np.clip(np.array([
+        (w1 @ w2) / (n1 * n2), (w1 @ v) / (n1 * nv), (w2 @ v) / (n2 * nv)]),
+        -1.0, 1.0))
+    t12, t1, t2 = angles.tolist()
+    s12, s1, s2 = np.sin(angles).tolist()
+    c12, c1, c2 = np.cos(angles).tolist()
     misfit = w1 + w2 - v
     value = 0.25 * float(misfit @ misfit)
     value += (1.0 / (2.0 * np.pi)) * (
-        (s12 - t12 * np.cos(t12)) * n1 * n2
-        - (s1 - t1 * np.cos(t1)) * n1 * nv
-        - (s2 - t2 * np.cos(t2)) * n2 * nv)
+        (s12 - t12 * c12) * n1 * n2
+        - (s1 - t1 * c1) * n1 * nv
+        - (s2 - t2 * c2) * n2 * nv)
 
     base = 0.5 * misfit
     g1 = base + (1.0 / (2.0 * np.pi)) * (

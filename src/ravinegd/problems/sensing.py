@@ -109,25 +109,6 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     return from_factors(fac_inst, a, at, op_scale=2.0)
 
 
-def complete_sensing_instance(
-        fac_inst: fact.FactorizationInstance) -> SensingInstance:
-    """Complete measurements from the orthonormal symmetric basis.
-
-    With the basis scaled by sqrt(m), sum_i <A_i, Z>^2 / m = ||Z||_F^2 for
-    symmetric Z, so the operator is an exact isometry (op_scale = 1) and
-    the objective coincides with the factorization objective.  As factor
-    pairs: a = m^(1/4) e_i, a~ = 0 for the diagonal basis matrices and
-    a, a~ = (m/8)^(1/4) (e_i +- e_j) for the off-diagonal ones, i < j.
-    """
-    d = fac_inst.d
-    i, j = np.triu_indices(d, k=1)
-    m, eye = d + len(i), np.eye(d)
-    c = (m / 8.0) ** 0.25
-    a = np.vstack([m ** 0.25 * eye, c * (eye[i] + eye[j])])
-    at = np.vstack([np.zeros((d, d)), c * (eye[i] - eye[j])])
-    return from_factors(fac_inst, a, at, op_scale=1.0)
-
-
 def _block_terms(B, a, at, y):
     # Sum of squared residuals and a^T(r * aB) - a~^T(r * a~B) over one
     # block of measurement rows.  The row sums stay (v * v).sum(axis=1):

@@ -16,12 +16,10 @@ stack (the perfbench tracer records it as the ``ravine.retract`` span),
 the others through ``retract_rows``.  Every check takes a cloud's values
 and gradients from one ``eval_rows`` or ``value_and_grad_rows`` call, and
 gradient control evaluates the finite-difference stencils of its samples
-in row blocks.  No cloud check works per point, except the values of an
-objective without ``eval_rows``: those are taken one row at a time, and a
-row whose Python-float value raises ``OverflowError`` far from S gets the
-value inf, so the check skips that sample alone.  The per-point callables
+in row blocks.  No cloud check works per point.  The per-point callables
 of the descriptor and the objective are derived from their row and fused
-forms (see :class:`RavineDescriptor` and :class:`Objective`).
+forms, and so are the row forms a problem does not state (see
+:class:`RavineDescriptor` and :class:`Objective`).
 
 Every cloud check evaluates with float overflow ignored and has one skip
 rule: an attempt whose ratio is not finite is skipped, so ``skipped`` is
@@ -242,20 +240,10 @@ def _two_radius_report(check, ratios_at, per_cloud, radius, seed, passed,
 
 
 def _values(obj, X):
-    """Values at the rows of X: one ``eval_rows`` call, or ``eval`` per row
-    for an objective without that row form, where a row whose value raises
-    ``OverflowError`` (a Python-float power far from S) gets inf."""
+    """Values at the rows of X from one ``eval_rows`` call."""
     # An empty stack is not evaluated: row forms that guard a minimum norm
     # take the minimum over the rows.
-    if obj.eval_rows is not None:
-        return obj.eval_rows(X) if len(X) else np.empty(0)
-    values = np.empty(len(X))
-    for i, x in enumerate(X):
-        try:
-            values[i] = float(obj.eval(x))
-        except OverflowError:
-            values[i] = math.inf
-    return values
+    return obj.eval_rows(X) if len(X) else np.empty(0)
 
 
 def _grads(obj, X):
@@ -279,8 +267,7 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
     """Extremes of (f(x) - f(R(x))) / ||x - R(x)||^2 over an anchored cloud.
 
     The cloud is retracted with one ``rav.retract`` call, and the kept
-    samples and their retractions are evaluated in one ``eval_rows`` call
-    (``eval`` per point for an objective without that row form).
+    samples and their retractions are evaluated in one ``eval_rows`` call.
     Passes when every ratio lies inside [lower_bracket, upper_bracket].
     """
     X = _cloud(rav.sample_solution, n_samples, radius,
@@ -325,8 +312,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
     satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
     The retracted clouds of all radii are evaluated in one ``eval_rows``
-    call (``eval`` per point for an objective without that row form).
-    A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
+    call.  A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
     tolerance: the absolute rounding floor of the computed gap, for a
     problem whose value cancels terms of order one on the manifold.  The
     report lists the two coefficients.
@@ -346,9 +332,9 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     gaps = _values(obj, Y) - f_star
     dists = obj.dist_rows(Y)
     # Far from S the gap or dist^p can overflow, as inf or, in Python float
-    # powers, as OverflowError (which _values turns into inf); such a
-    # sample has no ratio and no point on the log-log fit.  The powers stay
-    # Python floats: numpy's array power rounds differently.
+    # powers, as OverflowError (which a looped row form turns into inf);
+    # such a sample has no ratio and no point on the log-log fit.  The
+    # powers stay Python floats: numpy's array power rounds differently.
     powers = np.array([_power(dist, p) for dist in dists.tolist()])
     ok = ((dists >= SKIP_DISTANCE) & (0.0 < gaps) & (gaps < math.inf)
           & (powers < math.inf))
@@ -429,13 +415,9 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
     the ``2 * dim`` points ``x + h e_i`` and ``x - h e_i`` of each kept
     sample are retracted by ``rav.retract_rows`` and evaluated by
     ``obj.eval_rows`` in blocks of consecutive samples of at most
-    :data:`STENCIL_ROWS` rows, so the objective's row form is required.
-    Passes when the maximum ratio grows by at most a factor 2 as the
-    sampling radius shrinks tenfold.
+    :data:`STENCIL_ROWS` rows.  Passes when the maximum ratio grows by at
+    most a factor 2 as the sampling radius shrinks tenfold.
     """
-    if obj.eval_rows is None:
-        raise ValueError("gradcontrol check requires obj.eval_rows")
-
     def composite(rows):
         return obj.eval_rows(rav.retract_rows(rows))
 

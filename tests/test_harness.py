@@ -261,10 +261,13 @@ def test_cli_cloud_check_at_a_huge_radius_fails_cleanly(problem, check,
         assert "NaN" not in text and "Infinity" not in text
 
 
-def test_cli_lojasiewicz_counts_every_evaluated_point(tmp_path, capsys):
+@pytest.mark.parametrize("problem", ["rosenbrock", "quartic1d"])
+def test_cli_lojasiewicz_counts_every_evaluated_point(tmp_path, capsys,
+                                                      problem):
     # Each of 200 samples and its retraction, at two radii: 800 attempts,
-    # all of which overflow on rosenbrock at radius 1e200.
-    rc = main(["diagnose", "--problem", "rosenbrock", "--suite",
+    # all of which overflow at radius 1e200, in float64 arithmetic
+    # (rosenbrock) or in quartic1d's Python-float powers.
+    rc = main(["diagnose", "--problem", problem, "--suite",
                "lojasiewicz", "--radius", "1e200",
                "--out", str(tmp_path / "diag")])
     assert rc == 1

@@ -364,10 +364,15 @@ def test_descriptor_retract_takes_a_point_or_a_stack(bundles, name):
         assert r.tobytes() == rav.retract_rows(z[None])[0].tobytes()
 
 
-def test_row_forms_absent_without_gradcontrol(bundles):
-    assert bundles["quartic1d"].objective.eval_rows is None
-    sensing = build("sensing", {"d": 4, "r": 1, "k": 2, "m": 40})
-    assert sensing.objective.eval_rows is None
+def test_looped_row_form_turns_overflow_into_inf(bundles):
+    # quartic1d has no native row form, and its Python-float powers raise
+    # OverflowError: x^4 beyond 1e77, x^3 beyond 1e103.
+    obj = bundles["quartic1d"].objective
+    X = np.array([[1e80], [2.0], [1e200]])
+    values, grads = obj.value_and_grad_rows(X)
+    assert values.tolist() == [math.inf, 4.0, math.inf]
+    assert np.isnan(grads[[0, 2]]).all() and grads[1].tolist() == [8.0]
+    assert obj.eval_rows(X).tobytes() == values.tobytes()
 
 
 @pytest.mark.parametrize("name", RAVINE_PROBLEMS)
@@ -406,11 +411,16 @@ def test_factorization_svd_failure_is_degenerate(fact_inst, fn):
         fn(Bs, fact_inst)
 
 
-def test_gradient_control_requires_row_forms(bundles):
+def test_gradient_control_derives_missing_eval_rows(bundles):
+    # Without a native eval_rows, the stencils are evaluated through the
+    # values of value_and_grad_rows, to the same bytes.
     bundle = bundles["rosenbrock"]
     plain = dataclasses.replace(bundle.objective, eval_rows=None)
-    with pytest.raises(ValueError):
-        check_gradient_control(plain, bundle.descriptor, 10, 0.1, seed=0)
+    assert plain.eval_rows is not bundle.objective.eval_rows
+    assert check_gradient_control(
+        plain, bundle.descriptor, 10, 0.1, seed=0).to_json() == \
+        check_gradient_control(
+            bundle.objective, bundle.descriptor, 10, 0.1, seed=0).to_json()
 
 
 def test_gradient_control_empty_radius_names_it(bundles):
@@ -471,7 +481,8 @@ def test_factorization_sampler_is_l_times_q_transpose(d, r, k):
     ("factorization", {"d": 20, "r": 3, "k": 5}),
     ("neuron", SMALL_PARAMS["neuron"]), ("neuron", {"d": 100})])
 def test_value_and_grad_rows_match_value_and_grad_bitwise(name, params):
-    # Native row forms (factorization, neuron) and looped ones alike.
+    # Native row forms (factorization, neuron) and looped ones alike, and
+    # eval_rows, native or derived.
     bundle = build(name, params)
     obj = bundle.objective
     rng = np.random.default_rng(8)
@@ -479,6 +490,7 @@ def test_value_and_grad_rows_match_value_and_grad_bitwise(name, params):
         Z = _near_solution_stack(bundle, rng, 7, radius)
         values, grads = obj.value_and_grad_rows(Z)
         assert values.shape == (7,) and grads.shape == (7, obj.dim)
+        assert obj.eval_rows(Z).tobytes() == values.tobytes()
         for z, value, grad in zip(Z, values, grads):
             v, g = obj.value_and_grad(z)
             assert np.float64(v).tobytes() == value.tobytes()
