@@ -57,6 +57,9 @@ METHODS = tuple(_RUNNERS)
 
 CSV_HEADER = "iter,epoch,kind,value_gap,grad_norm,stepsize,dist_solution,dist_ravine"
 
+# Trace rows per write of ``trace_to_csv``.
+CSV_BLOCK = 1024
+
 # Gaps at or below this floor count as numerically converged and are
 # excluded from log-linear rate fits.
 GAP_FLOOR = 1e-30
@@ -159,18 +162,25 @@ def comparison_text(rows) -> str:
     return "\n".join([head, "-" * len(head), *body]) + "\n"
 
 
-def trace_to_csv(trace: RunTrace) -> str:
-    """Render a trace with the stable eight-column schema."""
+def trace_to_csv(trace: RunTrace, out) -> None:
+    """Write a trace with the stable eight-column schema to the text
+    stream ``out``: the header, then the rows ``CSV_BLOCK`` at a time, so
+    the text and cells held at once stay one block's whatever the trace's
+    length."""
     columns = (trace.iter, trace.epoch, trace.kind, trace.value_gap,
                trace.grad_norm, trace.stepsize, trace.dist_solution,
                trace.dist_ravine)
     # Floats at 17 significant digits; an unrecorded column stays empty.
     row = ",".join("" if c is None else "%.17g" if c.dtype.kind == "f"
                    else "%s" for c in columns) + "\n"
-    # One %-format: the row template repeated over the flat tuple of cells.
-    cells = tuple(chain.from_iterable(
-        zip(*(c.tolist() for c in columns if c is not None))))
-    return CSV_HEADER + "\n" + row * len(trace.iter) % cells
+    recorded = [c for c in columns if c is not None]
+    out.write(CSV_HEADER + "\n")
+    for lo in range(0, len(trace.iter), CSV_BLOCK):
+        # One %-format per block: the row template repeated over the flat
+        # tuple of the block's cells.
+        block = [c[lo:lo + CSV_BLOCK].tolist() for c in recorded]
+        cells = tuple(chain.from_iterable(zip(*block)))
+        out.write(row * len(block[0]) % cells)
 
 
 def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:
@@ -220,12 +230,15 @@ def run_summary(trace: RunTrace) -> dict:
 
 
 def _write_run(config: ExperimentConfig, trace: RunTrace):
+    """Write ``config.json``, ``trace.csv`` and ``manifest.json`` under
+    ``config.out_dir``; ``trace.csv`` streams into the open file through
+    ``trace_to_csv``."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(config.to_dict(), indent=2) + "\n", encoding="utf-8")
-    (out / "trace.csv").write_text(trace_to_csv(trace), encoding="utf-8",
-                                   newline="\n")
+    with open(out / "trace.csv", "w", encoding="utf-8", newline="\n") as f:
+        trace_to_csv(trace, f)
     manifest = {"config": config.to_dict(), **run_summary(trace)}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -229,8 +229,8 @@ def _check_args(eta: float = 0.0, **counts):
     for name, n in counts.items():
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not (math.isfinite(eta) and eta >= 0):
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 
 
 def _run(x0, K: int, I: int, obj: Objective, f_ref: float,
@@ -257,6 +257,8 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     """
     if scale not in (1.0, 2.0, 1, 2):
         raise ValueError(f"scale must be 1 or 2, got {scale}")
+    if not math.isfinite(f_target):
+        raise ValueError(f"f_target must be finite, got {f_target}")
     x = np.asarray(x, dtype=float)
     f, g = obj.both(x)
     g = np.asarray(g, dtype=float)
@@ -315,9 +317,11 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     Epochs whose target exceeds the current value skip the Polyak step.
     """
     _check_args(eta, K=K, I=I, J=J)
-    x0 = np.asarray(x0, dtype=float)
-    f_ref = float(obj.f_star) if obj.f_star is not None else float(f0)
     f0 = float(f0)
+    if not math.isfinite(f0):
+        raise ValueError(f"f0 must be finite, got {f0}")
+    x0 = np.asarray(x0, dtype=float)
+    f_ref = float(obj.f_star) if obj.f_star is not None else f0
     f_est = f0
 
     def toward_estimate(f, gnorm2):

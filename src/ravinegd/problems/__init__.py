@@ -19,6 +19,7 @@ points at an exact distance from a known solution.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -80,8 +81,8 @@ def param_errors(name: str, params: Optional[dict]) -> list:
 
 def sample_init(bundle: ProblemBundle, radius: float, seed: int) -> np.ndarray:
     """Known solution plus a random direction scaled to exactly ``radius``."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     base = np.asarray(bundle.base_solution, dtype=float)
     return base + radius * unit_direction(rng, bundle.objective.dim)

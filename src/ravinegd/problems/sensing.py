@@ -18,6 +18,15 @@ from memory once per evaluation instead of twice.  With m <= ROW_BLOCK
 there is one block and the result is bit for bit that of the unblocked
 formula; above it the value and gradient sums are regrouped by block and
 differ from it by rounding only.
+
+The targets ``y`` and the RIP measurements ``SensingInstance.measure``
+walk the rows in ``ROW_BLOCK`` pieces too, through one reused block-sized
+buffer, so they hold no (m, d) temporary.  Each form is a row's own
+product, so no sum is regrouped: up to ``ROW_BLOCK`` rows they are the
+one-pass forms bit for bit, and above it wherever the BLAS rounds a row of
+a block-sized product as it does in an m-row one.  OpenBLAS 0.3.31 does
+at the paper's d = 100; at some d between 17 and 28 it picks a different
+kernel by size, and there the forms differ by rounding only.
 """
 
 from __future__ import annotations
@@ -31,9 +40,10 @@ from ..objective import Objective
 from . import factorization as fact
 from .spec import NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec
 
-# Rows of measurements per block of ``sensing_eval``.  A block's rows of a
-# and a~ are read by the forward products a @ B and again, while still in
-# cache, by the gradient products.  At d = 100 a block of both arrays holds
+# Rows of measurements per block of ``sensing_eval`` and of the quadratic
+# forms behind the targets and ``measure``.  A block's rows of a and a~ are
+# read by the forward products a @ B and again, while still in cache, by
+# the gradient products.  At d = 100 a block of both arrays holds
 # 2 * 1024 * 100 * 8 B = 1.6 MB, which fits in a 2-4 MiB per-core L2; the
 # whole arrays of the paper-size instance (m = 4000, 6.4 MB) do not, so
 # unblocked, both passes read them from L3.
@@ -67,15 +77,27 @@ class SensingInstance:
 
 def _quadratic_forms(a: np.ndarray, at: np.ndarray,
                      Z: np.ndarray) -> np.ndarray:
-    # a_i^T Z a_i - a~_i^T Z a~_i as two BLAS products into one (m, d)
-    # buffer; a three-operand einsum over the same indices runs several
-    # times slower.
-    t = a @ Z
-    t *= a
-    forms = t.sum(axis=1)
-    np.matmul(at, Z, out=t)
-    t *= at
-    return forms - t.sum(axis=1)
+    # a_i^T Z a_i - a~_i^T Z a~_i, ROW_BLOCK rows at a time, as two BLAS
+    # products into one block buffer; a three-operand einsum over the same
+    # indices runs several times slower.  The last block ends at row m and
+    # may overlap the one before it, so every product has the buffer's
+    # shape: a short tail would go to another BLAS kernel (gemv for one
+    # row, a small-matrix kernel for a few) and could round its rows
+    # differently from the one-pass product.
+    m = a.shape[0]
+    n = min(m, ROW_BLOCK)
+    forms = np.empty(m)
+    t = np.empty((n, a.shape[1]))
+    for lo in range(0, m, ROW_BLOCK):
+        start = min(lo, m - n)
+        rows = slice(start, start + n)
+        np.matmul(a[rows], Z, out=t)
+        t *= a[rows]
+        plus = t.sum(axis=1)
+        np.matmul(at[rows], Z, out=t)
+        t *= at[rows]
+        np.subtract(plus, t.sum(axis=1), out=forms[rows])
+    return forms
 
 
 def from_factors(fac_inst: fact.FactorizationInstance, a, at,

@@ -452,10 +452,12 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     analytic normalization of the measurement ensemble (see the sensing
     module); an orthonormal-basis operator uses op_scale = 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     d = inst.fac.d
-    if rank_l > d:
-        raise ValueError(f"rank_l = {rank_l} exceeds dimension {d}")
+    if not 1 <= rank_l <= d:
+        raise ValueError(f"rank_l = {rank_l} is not in 1..{d}")
     scale2 = float(inst.op_scale) ** 2
     worst = 0.0
     for _ in range(trials):

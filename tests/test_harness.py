@@ -1,11 +1,13 @@
 """Harness tests: config validation, run artifacts, rate fits, comparisons,
 diagnostics dispatch and the CLI."""
 
+import io
 import json
 import math
 import re
 import shlex
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,8 +29,8 @@ from ravinegd import (
 )
 from ravinegd.cli import _config_from_args, build_parser, main
 from ravinegd.harness import (
-    ALL_CHECKS, CSV_HEADER, METHODS, comparison_csv, comparison_text,
-    trace_to_csv)
+    ALL_CHECKS, CSV_BLOCK, CSV_HEADER, METHODS, comparison_csv,
+    comparison_text, trace_to_csv)
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD, RunTrace
 from ravinegd import problems
 from ravinegd.problems import PROBLEM_NAMES, PROBLEMS
@@ -486,14 +488,20 @@ def test_csv_optional_columns_empty_not_absent():
     cfg = ExperimentConfig(problem="quartic1d", method="gd", eta=0.1, K=2,
                            I=2, init_radius=0.5, seed=0)
     trace = run_experiment(cfg)
-    lines = trace_to_csv(trace).strip().split("\n")
+    lines = _csv_text(trace).strip().split("\n")
     assert lines[0] == CSV_HEADER
     assert lines[1].endswith(",,")
 
 
+def _csv_text(trace):
+    out = io.StringIO()
+    trace_to_csv(trace, out)
+    return out.getvalue()
+
+
 def _csv_per_row(trace):
-    """The per-row ``str.format`` writer the one-pass writer replaced, kept
-    as the reference."""
+    """A per-row ``str.format`` writer, kept as the reference for
+    ``trace_to_csv``."""
     columns = (trace.iter, trace.epoch, trace.kind, trace.value_gap,
                trace.grad_norm, trace.stepsize, trace.dist_solution,
                trace.dist_ravine)
@@ -538,12 +546,44 @@ def _traces(draw):
         draw(st.booleans()))
 
 
+def _long_trace(n, distances):
+    """A trace of ``n`` rows with distinct iterations and random floats."""
+    rows = range(n)
+    return _trace_rows(rows, [i // 101 for i in rows],
+                       [i % 101 == 100 for i in rows],
+                       np.random.default_rng(n).standard_normal(n).tolist(),
+                       distances)
+
+
 @settings(max_examples=100, deadline=None)
 @given(trace=_traces())
 @example(trace=_trace_rows([], [], [], [], False))
 @example(trace=_trace_rows([], [], [], [], True))
+# Two full blocks of trace_to_csv and one row more.
+@example(trace=_long_trace(2 * CSV_BLOCK + 1, False))
+@example(trace=_long_trace(2 * CSV_BLOCK + 1, True))
 def test_trace_csv_equals_the_per_row_writer(trace):
-    assert trace_to_csv(trace) == _csv_per_row(trace)
+    assert _csv_text(trace) == _csv_per_row(trace)
+
+
+class _Discard(io.TextIOBase):
+    """A text sink that drops what it is given."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_trace_csv_holds_one_block_at_a_time():
+    # The whole text and cell tuple of these 50,000 rows take ~26 MB; one
+    # block's take ~0.7 MB.
+    trace = _long_trace(50_000, True)
+    tracemalloc.start()
+    try:
+        trace_to_csv(trace, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # --------------------------------------------------------------------- fit

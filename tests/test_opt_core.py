@@ -1,6 +1,7 @@
 """Stepper and algorithm tests against hand-computed oracles."""
 
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -29,6 +30,12 @@ from ravinegd.objective import row_norms
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD
 from ravinegd.problems import (
     PROBLEM_NAMES, build, circle, quartic, sample_init)
+
+
+def _csv_text(trace):
+    out = io.StringIO()
+    trace_to_csv(trace, out)
+    return out.getvalue()
 
 
 @pytest.fixture
@@ -125,6 +132,12 @@ def test_polyak_step_target_above_value(qobj):
 def test_polyak_step_rejects_other_scales(qobj):
     with pytest.raises(ValueError):
         polyak_step(np.array([1.0]), qobj, 0.0, scale=3.0)
+
+
+@pytest.mark.parametrize("f_target", [math.nan, math.inf, -math.inf])
+def test_polyak_step_rejects_a_non_finite_target(qobj, f_target):
+    with pytest.raises(ValueError, match="f_target must be finite"):
+        polyak_step(np.array([1.0]), qobj, f_target)
 
 
 def test_polyak_step_stationary_guard(qobj):
@@ -293,6 +306,25 @@ def test_gdpolyak_lb_rejects_f0_above_value(qobj):
         gdpolyak_lb(np.array([1.0]), 0.0, 1, 1, 1, 10.0, qobj)
 
 
+@pytest.mark.parametrize("f0", [math.nan, -math.inf, math.inf])
+def test_gdpolyak_lb_rejects_a_non_finite_f0(qobj, f0):
+    with pytest.raises(ValueError, match="f0 must be finite"):
+        gdpolyak_lb(np.array([1.0]), 0.1, 2, 2, 2, f0, qobj)
+
+
+@pytest.mark.parametrize("eta", [math.nan, math.inf])
+@pytest.mark.parametrize("method", ["gd", "gdpolyak", "gdpolyak_lb"])
+def test_methods_reject_a_non_finite_eta(qobj, method, eta):
+    x0 = np.array([1.0])
+    with pytest.raises(ValueError, match="eta must be finite"):
+        if method == "gd":
+            gd_baseline(x0, eta, 2, 2, qobj)
+        elif method == "gdpolyak":
+            gdpolyak(x0, eta, 2, 2, qobj)
+        else:
+            gdpolyak_lb(x0, eta, 2, 2, 2, -1.0, qobj)
+
+
 def test_gdpolyak_lb_survives_diverging_round():
     # A target far below f* catapults some round; the argmin base plus
     # restart semantics must still deliver a finite answer.
@@ -332,7 +364,7 @@ def test_gdpolyak_lb_aborted_round_leaves_no_row():
     assert trace.grad_evals == 5 + 6
     assert len(trace.iter) == trace.grad_evals - len(trace.aborted_rounds)
     assert trace.iter.tolist() == [0, 1, 2, 3] + list(range(5, 11))
-    lines = trace_to_csv(trace).split("\n")
+    lines = _csv_text(trace).split("\n")
     # Round 1: 1 -> 0.5 -> 0.25, then a scale-2 Polyak step toward -1 of
     # stepsize (0.03125 + 1) / (2 * 0.0625) lands at -1.8125.  Round 2
     # restarts from x0 in epoch 3.
@@ -521,7 +553,7 @@ def _outcome(config):
         return type(exc), str(exc)
     optional = [None if a is None else a.tobytes()
                 for a in (t.f_estimates, t.round_values)]
-    return (trace_to_csv(t), t.x_out.tobytes(), repr(t.best_value),
+    return (_csv_text(t), t.x_out.tobytes(), repr(t.best_value),
             t.grad_evals, t.func_evals, t.epoch_phase_gaps.tobytes(),
             t.epoch_end_gaps.tobytes(), *optional, t.aborted_rounds)
 

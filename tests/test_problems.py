@@ -285,6 +285,17 @@ def test_rip_full_rank_instance():
     assert delta < 0.5
 
 
+@pytest.mark.parametrize("trials, rank_l, message", [
+    (0, 2, "trials must be >= 1"), (-1, 2, "trials must be >= 1"),
+    (5, 0, "rank_l = 0 is not in 1..4"), (5, 5, "rank_l = 5 is not in 1..4")])
+def test_rip_rejects_an_empty_measurement(trials, rank_l, message):
+    # Zero trials or rank-0 samples measure nothing; the constant 0.0 they
+    # would report passes the delta < 0.5 verdict.
+    inst = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
+    with pytest.raises(ValueError, match=message):
+        measure_rip(inst, rank_l=rank_l, trials=trials, seed=0)
+
+
 def test_rip_parseval_identity():
     fac = factorization.random_instance(d=5, r=2, k=3, seed=7)
     inst = _complete_sensing_instance(fac)
@@ -347,6 +358,31 @@ def test_sensing_single_block_is_the_unblocked_formula_bitwise(m):
         v_ref, g_ref = _unblocked_sensing_eval(B, inst)
         assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
         assert g.tobytes() == g_ref.tobytes()
+
+
+def _one_pass_forms(a, at, Z):
+    # The quadratic forms a_i^T Z a_i - a~_i^T Z a~_i as one pass over all
+    # m rows, before row blocks.
+    t = a @ Z
+    t *= a
+    forms = t.sum(axis=1)
+    np.matmul(at, Z, out=t)
+    t *= at
+    return forms - t.sum(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, sensing.ROW_BLOCK, sensing.ROW_BLOCK + 1,
+                               2 * sensing.ROW_BLOCK + 37])
+def test_sensing_forms_are_the_one_pass_forms_bitwise(m):
+    # At the paper's d = 100 the BLAS rounds a row of a block-sized product
+    # as it does in an m-row one (see the sensing module docstring).
+    inst = sensing.make_sensing_instance(d=100, r=2, k=3, m=m, seed=m)
+    z = np.random.default_rng(m).standard_normal((100, 100))
+    z += z.T
+    assert inst.y.tobytes() == \
+        _one_pass_forms(inst.a, inst.at, inst.fac.X).tobytes()
+    assert inst.measure(z).tobytes() == \
+        _one_pass_forms(inst.a, inst.at, z).tobytes()
 
 
 def test_sensing_multi_block_gradient_matches_finite_differences():
@@ -514,6 +550,12 @@ def test_sample_init_radius_and_determinism(bundles, name):
     assert np.array_equal(x1, x2)
     base = bundle.base_solution
     assert np.linalg.norm(x1 - base) == pytest.approx(0.03, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf])
+def test_sample_init_rejects_a_non_finite_radius(bundles, radius):
+    with pytest.raises(ValueError, match="radius must be positive and finite"):
+        sample_init(bundles["rosenbrock"], radius, 0)
 
 
 @pytest.mark.parametrize("name", ALL_PROBLEMS)
