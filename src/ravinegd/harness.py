@@ -36,6 +36,7 @@ from .problems.spec import (
     rule_errors)
 from .ravine import (
     DiagnosticsReport,
+    SampleStream,
     check_aiming,
     check_gradient_control,
     check_growth_exponent,
@@ -307,28 +308,34 @@ def compare_methods(config: ExperimentConfig) -> list:
 
 
 def run_check(bundle, check: str, n_samples: int, radius: float,
-              seed: int) -> DiagnosticsReport:
+              seed: int, stream: Optional[SampleStream] = None
+              ) -> DiagnosticsReport:
     """Run one named diagnostic on a bundle; ``diagnose`` checks first
-    that the bundle's problem supports it."""
+    that the bundle's problem supports it.
+
+    A cloud check reads its samples from ``stream``, a
+    :class:`SampleStream` of the bundle's sampler at ``seed``, when one is
+    given, and from a stream of its own otherwise."""
     obj = bundle.objective
     rav = bundle.descriptor
+    samples = seed if stream is None else stream
     if check == "ravine":
         lo, hi = bundle.ravine_bracket
-        return check_ravine_quadratic(obj, rav, n_samples, radius, seed,
+        return check_ravine_quadratic(obj, rav, n_samples, radius, samples,
                                       lower_bracket=lo, upper_bracket=hi)
     if check == "aiming":
-        return check_aiming(obj, rav, n_samples, radius, seed)
+        return check_aiming(obj, rav, n_samples, radius, samples)
     if check == "growth":
         grid = np.geomspace(radius / 30.0, radius, 4)
-        return check_growth_exponent(obj, rav, n_samples, grid, seed,
+        return check_growth_exponent(obj, rav, n_samples, grid, samples,
                                      exact_bracket=bundle.growth_bracket)
     if check == "lojasiewicz":
         return check_lojasiewicz(
-            obj, obj.p_growth, n_samples, radius, seed,
+            obj, obj.p_growth, n_samples, radius, samples,
             sample_solution=bundle.sample_solution,
             retract=rav.retract)
     if check == "gradcontrol":
-        return check_gradient_control(obj, rav, n_samples, radius, seed)
+        return check_gradient_control(obj, rav, n_samples, radius, samples)
     if check == "morse":
         spec = bundle.spec.morse
         solver = morse_ravine_solve(obj, bundle.base_solution, tol=1e-12,
@@ -362,7 +369,9 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
 
     Writes one JSON report per check under ``out_dir/reports`` when an
     output directory is given.  Bad input raises :class:`ConfigInvalid`
-    (:class:`UnsupportedCheck` for a check) before any work starts.
+    (:class:`UnsupportedCheck` for a check) before any work starts.  The
+    cloud checks share one :class:`SampleStream`, so each sample is drawn
+    once per suite and every report equals the one its check writes alone.
     """
     suite = list(suite)
     check_input(problem, problem_params,
@@ -375,9 +384,11 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
                                 f"{unsupported}; it supports "
                                 f"{[c for c in ALL_CHECKS if c in supported]}"])
     bundle = problems.build(problem, problem_params)
+    stream = SampleStream(bundle.sample_solution, bundle.objective.dim, seed)
     reports = {}
     for check in suite:
-        reports[check] = run_check(bundle, check, n_samples, radius, seed)
+        reports[check] = run_check(bundle, check, n_samples, radius, seed,
+                                   stream=stream)
     if out_dir is not None:
         rep_dir = Path(out_dir) / "reports"
         rep_dir.mkdir(parents=True, exist_ok=True)

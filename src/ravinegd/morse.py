@@ -134,8 +134,10 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
 
     Splits the space into the numerical nullspace of the finite-difference
     Hessian (eigenvalues below RANK_EPS * |lambda|_max) and its complement.
-    Raises :class:`RankAmbiguity` when the spectrum has no factor-1e3 gap
-    around the cutoff, and ValueError when the basepoint is not critical.
+    Raises :class:`RankAmbiguity` when the Hessian is zero or its spectrum
+    not finite, when no direction is null, and when the spectrum has no
+    factor-1e3 gap around the cutoff; ValueError when the basepoint is not
+    critical.
     """
     basepoint = np.asarray(basepoint, dtype=float)
     if obj.dim > 10:
@@ -151,12 +153,16 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
     lam_max = abs_vals.max()
     if lam_max <= 0.0:
         raise RankAmbiguity("Hessian is numerically zero; no curvature split")
+    # A NaN or inf Hessian entry gives NaN eigenvalues, and an eigenvalue
+    # past the float range is inf: neither leaves a cutoff.
+    if not np.isfinite(lam_max):
+        raise RankAmbiguity(f"Hessian spectrum is not finite (max |lambda| "
+                            f"= {lam_max}); no curvature split")
+    # The cutoff lies below lam_max, so its direction is never null.
     cutoff = RANK_EPS * lam_max
     null_mask = abs_vals <= cutoff
     if not null_mask.any():
         raise RankAmbiguity("no null directions below the cutoff")
-    if null_mask.all():
-        raise RankAmbiguity("every direction falls below the cutoff")
     max_null = abs_vals[null_mask].max()
     min_rest = abs_vals[~null_mask].min()
     if min_rest < SPECTRAL_GAP * max_null:

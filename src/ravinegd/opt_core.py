@@ -225,10 +225,23 @@ class _Engine:
             epoch_end_gaps=end_gaps, **extra)
 
 
-def _check_args(eta: float = 0.0, **counts):
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_counts(**counts):
+    """Raise ValueError, naming the count, for the first that is not an
+    integer >= 1 (a float, NaN, inf or bool included)."""
     for name, n in counts.items():
+        if not is_integer(n):
+            raise ValueError(f"{name} must be an integer, got {n!r}")
         if n < 1:
             raise ValueError(f"{name} must be >= 1, got {n}")
+
+
+def _check_args(eta: float = 0.0, **counts):
+    check_counts(**counts)
     if not (math.isfinite(eta) and eta >= 0):
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
 

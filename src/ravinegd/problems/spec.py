@@ -16,11 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..objective import Objective
+from ..opt_core import is_integer
 from ..ravine import RavineDescriptor
-
-
-def is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def is_finite(value) -> bool:

@@ -10,6 +10,14 @@ the inequality under test.
 The cloud checks are row-first.  A cloud is one ``(n, dim)`` array: each
 sample takes its draws from the rng one at a time, and the problem's
 :class:`SolutionSampler` maps the stacked draws to solutions in one call.
+A cloud is a row range of a :class:`SampleStream`, the samples of one
+seed: the ravine and aiming checks read samples ``[0, n)``, the
+Lojasiewicz and gradient-control checks ``[0, n)`` at their radius and
+``[n, 2n)`` at a tenth of it, and the growth check its radii's segments
+from 0.  The cloud checks of one ``diagnose`` suite share one stream per
+seed, so each sample is drawn once, and a suite's report of a check
+equals the report that check writes alone; a check given an int seed
+draws a stream of its own.
 Every check retracts a cloud in one call: the ravine and Lojasiewicz
 checks through the descriptor's ``retract``, which takes a point or a
 stack (the perfbench tracer records it as the ``ravine.retract`` span),
@@ -45,7 +53,7 @@ from .objective import (
     gaussian_direction,
     row_norms,
 )
-from .opt_core import OVERFLOW_IS_DATA
+from .opt_core import OVERFLOW_IS_DATA, check_counts, is_integer
 
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
@@ -158,29 +166,65 @@ class DiagnosticsReport:
         return json.dumps(self.to_dict(), **kwargs)
 
 
-def _cloud(sample_solution, n_samples: int, radius: float,
-           rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Solution-anchored sample cloud, one row s + radius * u per sample.
+class SampleStream:
+    """The diagnostic samples of one seed, each drawn once.
 
-    Each sample takes the draws of its solution s, then its random unit
-    direction u, so the stream of ``rng`` is that of drawing the points one
-    at a time.  The solutions are then mapped and the directions
-    normalised for all rows at once.  ``sample_solution`` is a
-    :class:`SolutionSampler` or a plain rng -> point callable, whose
-    points are stacked as they are.
+    Sample i is an anchor solution s_i and a unit direction u_i, drawn
+    from ``np.random.default_rng(seed)`` in the order of drawing the
+    samples one at a time: the draws of s_i, then its Gaussian direction.
+    ``cloud(start, n, radius)`` is the ``(n, dim)`` stack of rows
+    ``s_i + radius * u_i`` for i in ``[start, start + n)``; samples are
+    drawn when a cloud first reaches them and kept, so the cloud checks of
+    one suite read one stream and a sample costs its draws once.
+    ``sample_solution`` is a :class:`SolutionSampler`, whose ``rows`` maps
+    the draws of the samples drawn together in one call (row by row, so a
+    cloud does not depend on how the stream was extended), or a plain
+    rng -> point callable, whose points are stacked as they are.
     """
-    if isinstance(sample_solution, SolutionSampler):
-        draw, rows = sample_solution.draw, sample_solution.rows
-    else:
-        draw, rows = sample_solution, lambda points: points
-    draws = []
-    U = np.empty((n_samples, dim))
-    norms = np.empty(n_samples)
-    for i in range(n_samples):
-        draws.append(draw(rng))
-        U[i], norms[i] = gaussian_direction(rng, dim)
-    S = np.reshape(rows(np.array(draws, dtype=float)), (n_samples, dim))
-    return S + radius * (U / norms[:, None])
+
+    def __init__(self, sample_solution, dim: int, seed: int):
+        self.sample_solution = sample_solution
+        self.dim = dim
+        if isinstance(sample_solution, SolutionSampler):
+            self._draw, self._rows = sample_solution.draw, sample_solution.rows
+        else:
+            self._draw, self._rows = sample_solution, lambda points: points
+        self._rng = np.random.default_rng(seed)
+        self._solutions = np.empty((0, dim))
+        self._directions = np.empty((0, dim))
+
+    def _extend(self, count: int):
+        rng, dim = self._rng, self.dim
+        draws = []
+        U = np.empty((count, dim))
+        norms = np.empty(count)
+        for i in range(count):
+            draws.append(self._draw(rng))
+            U[i], norms[i] = gaussian_direction(rng, dim)
+        S = np.reshape(self._rows(np.array(draws, dtype=float)), (count, dim))
+        self._solutions = np.concatenate([self._solutions, S])
+        self._directions = np.concatenate(
+            [self._directions, U / norms[:, None]])
+
+    def cloud(self, start: int, n: int, radius: float) -> np.ndarray:
+        """The samples ``[start, start + n)`` at ``radius`` from their
+        anchors, one row each."""
+        stop = start + n
+        if stop > len(self._solutions):
+            self._extend(stop - len(self._solutions))
+        return (self._solutions[start:stop]
+                + radius * self._directions[start:stop])
+
+
+def _stream(seed, sample_solution, dim) -> SampleStream:
+    """``seed`` itself when it is a :class:`SampleStream` of this sampler
+    and dimension, else a stream of its own from the int ``seed``."""
+    if not isinstance(seed, SampleStream):
+        return SampleStream(sample_solution, dim, seed)
+    if seed.sample_solution is not sample_solution or seed.dim != dim:
+        raise ValueError("the sample stream belongs to another sampler "
+                         "or dimension")
+    return seed
 
 
 def _cloud_report(check, ratios, points, attempted, judge):
@@ -210,18 +254,18 @@ def _cloud_report(check, ratios, points, attempted, judge):
         extras=extras)
 
 
-def _two_radius_report(check, ratios_at, per_cloud, radius, seed, passed,
+def _two_radius_report(check, ratios_at, per_cloud, radius, passed,
                        **extras):
     """Report of a check comparing maximum ratios at ``radius`` and ``radius / 10``.
 
-    ``ratios_at(rad, rng)`` samples one cloud of ``per_cloud`` attempts and
-    returns their ``(ratios, points)`` arrays; ``passed(max_big,
-    max_small)`` gives the verdict from the largest finite ratio of each
-    cloud; ``extras`` are appended to the report's extras.
+    ``ratios_at(rad, index)`` samples cloud ``index`` (0, then 1) of
+    ``per_cloud`` attempts at radius ``rad`` and returns their ``(ratios,
+    points)`` arrays; ``passed(max_big, max_small)`` gives the verdict from
+    the largest finite ratio of each cloud; ``extras`` are appended to the
+    report's extras.
     """
-    rng = np.random.default_rng(seed)
     radii = (radius, radius / 10.0)
-    clouds = [ratios_at(rad, rng) for rad in radii]
+    clouds = [ratios_at(rad, index) for index, rad in enumerate(radii)]
 
     def judge(lo, hi):
         kept = [ratios[np.isfinite(ratios)].tolist() for ratios, _ in clouds]
@@ -261,8 +305,8 @@ def _power(base: float, p: float) -> float:
 
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
-                           n_samples: int, radius: float, seed: int, *,
-                           lower_bracket: float,
+                           n_samples: int, radius: float,
+                           seed: int | SampleStream, *, lower_bracket: float,
                            upper_bracket: float) -> DiagnosticsReport:
     """Extremes of (f(x) - f(R(x))) / ||x - R(x)||^2 over an anchored cloud.
 
@@ -270,8 +314,8 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
     samples and their retractions are evaluated in one ``eval_rows`` call.
     Passes when every ratio lies inside [lower_bracket, upper_bracket].
     """
-    X = _cloud(rav.sample_solution, n_samples, radius,
-               np.random.default_rng(seed), obj.dim)
+    X = _stream(seed, rav.sample_solution, obj.dim).cloud(
+        0, n_samples, radius)
     R = rav.retract(X)
     den = np.sum((X - R) ** 2, axis=1)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
@@ -288,10 +332,10 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
 
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
-                 radius: float, seed: int) -> DiagnosticsReport:
+                 radius: float, seed: int | SampleStream) -> DiagnosticsReport:
     """Extremes of <grad f(x), x - R(x)> / ||x - R(x)||^2; passes when min > 0."""
-    X = _cloud(rav.sample_solution, n_samples, radius,
-               np.random.default_rng(seed), obj.dim)
+    X = _stream(seed, rav.sample_solution, obj.dim).cloud(
+        0, n_samples, radius)
     D = X - rav.retract_rows(X)
     den = _rowdot(D, D)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
@@ -302,7 +346,8 @@ def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
 
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
-                          n_samples: int, radius_grid, seed: int, *,
+                          n_samples: int, radius_grid,
+                          seed: int | SampleStream, *,
                           exact_bracket=None) -> DiagnosticsReport:
     """Log-log regression of the value gap against distance to S on the manifold.
 
@@ -324,11 +369,11 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         raise ValueError("no distance oracle available for growth check")
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
     p = obj.p_growth
-    rng = np.random.default_rng(seed)
+    stream = _stream(seed, rav.sample_solution, obj.dim)
     per_radius = max(1, n_samples // len(radius_grid))
     Y = rav.retract_rows(np.concatenate([
-        _cloud(rav.sample_solution, per_radius, radius, rng, obj.dim)
-        for radius in radius_grid]))
+        stream.cloud(i * per_radius, per_radius, radius)
+        for i, radius in enumerate(radius_grid)]))
     gaps = _values(obj, Y) - f_star
     dists = obj.dist_rows(Y)
     # Far from S the gap or dist^p can overflow, as inf or, in Python float
@@ -366,7 +411,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
 
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
-                      seed: int, *, sample_solution,
+                      seed: int | SampleStream, *, sample_solution,
                       retract) -> DiagnosticsReport:
     """Stability of (f - f*)^((p-1)/p) / ||grad f|| over shrinking clouds.
 
@@ -383,9 +428,10 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
         raise ValueError("lojasiewicz check requires obj.f_star")
     f_star = float(obj.f_star)
     exponent = (p - 1.0) / p
+    stream = _stream(seed, sample_solution, obj.dim)
 
-    def ratios_at(rad, rng):
-        X = _cloud(sample_solution, n_samples, rad, rng, obj.dim)
+    def ratios_at(rad, index):
+        X = stream.cloud(index * n_samples, n_samples, rad)
         R = retract(X)
         points = np.stack([X, R], axis=1).reshape(-1, obj.dim)
         values, grads = obj.value_and_grad_rows(points)
@@ -398,7 +444,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
         return np.array(ratios), points
 
     return _two_radius_report(
-        "lojasiewicz", ratios_at, 2 * n_samples, radius, seed,
+        "lojasiewicz", ratios_at, 2 * n_samples, radius,
         lambda big, small: max(big, small) <= 2.0 * min(big, small),
         exponent=exponent)
 
@@ -406,7 +452,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                            n_samples: int, radius: float,
-                           seed: int) -> DiagnosticsReport:
+                           seed: int | SampleStream) -> DiagnosticsReport:
     """Stability of ||grad f(x) - grad (f o R)(x)|| / ||x - R(x)||.
 
     The gradients of a cloud's kept samples come from one
@@ -422,9 +468,10 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
         return obj.eval_rows(rav.retract_rows(rows))
 
     per_block = max(1, STENCIL_ROWS // (2 * obj.dim))
+    stream = _stream(seed, rav.sample_solution, obj.dim)
 
-    def ratios_at(rad, rng):
-        X = _cloud(rav.sample_solution, n_samples, rad, rng, obj.dim)
+    def ratios_at(rad, index):
+        X = stream.cloud(index * n_samples, n_samples, rad)
         den = row_norms(X - rav.retract_rows(X))
         kept = np.flatnonzero(~(den < SKIP_DISTANCE))
         h = 1e-6 * (1.0 + row_norms(X))
@@ -437,7 +484,7 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
                 X[kept])
 
     return _two_radius_report(
-        "gradcontrol", ratios_at, n_samples, radius, seed,
+        "gradcontrol", ratios_at, n_samples, radius,
         lambda max_big, max_small: max_small <= 2.0 * max(max_big, 1e-300))
 
 
@@ -452,11 +499,10 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     analytic normalization of the measurement ensemble (see the sensing
     module); an orthonormal-basis operator uses op_scale = 1.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_counts(trials=trials)
     rng = np.random.default_rng(seed)
     d = inst.fac.d
-    if not 1 <= rank_l <= d:
+    if not (is_integer(rank_l) and 1 <= rank_l <= d):
         raise ValueError(f"rank_l = {rank_l} is not in 1..{d}")
     scale2 = float(inst.op_scale) ** 2
     worst = 0.0

@@ -325,6 +325,35 @@ def test_methods_reject_a_non_finite_eta(qobj, method, eta):
             gdpolyak_lb(x0, eta, 2, 2, 2, -1.0, qobj)
 
 
+_COUNT_CALLS = {
+    "gd": lambda obj, K, I, J: gd_baseline(np.array([1.0]), 0.1, K, I, obj),
+    "polyak": lambda obj, K, I, J: polyak_baseline(np.array([1.0]), K, I,
+                                                   obj),
+    "gdpolyak": lambda obj, K, I, J: gdpolyak(np.array([1.0]), 0.1, K, I,
+                                              obj),
+    "gdpolyak_lb": lambda obj, K, I, J: gdpolyak_lb(
+        np.array([1.0]), 0.1, K, I, J, -1.0, obj),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 2.5, 2.0, True, "2"])
+@pytest.mark.parametrize("method, count", [
+    (method, count) for method in sorted(_COUNT_CALLS)
+    for count in ("K", "I", "J") if count != "J" or method == "gdpolyak_lb"])
+def test_methods_reject_a_count_that_is_not_an_integer(qobj, method, count,
+                                                       bad):
+    counts = {"K": 2, "I": 2, "J": 2, count: bad}
+    with pytest.raises(ValueError, match=f"^{count} must be an integer, "):
+        _COUNT_CALLS[method](qobj, **counts)
+
+
+@pytest.mark.parametrize("method", sorted(_COUNT_CALLS))
+def test_methods_take_numpy_integer_counts(qobj, method):
+    plain = _COUNT_CALLS[method](qobj, 2, 3, 2)
+    numpy = _COUNT_CALLS[method](qobj, np.int64(2), np.int32(3), np.int8(2))
+    assert _csv_text(numpy) == _csv_text(plain)
+
+
 def test_gdpolyak_lb_survives_diverging_round():
     # A target far below f* catapults some round; the argmin base plus
     # restart semantics must still deliver a finite answer.

@@ -296,6 +296,25 @@ def test_rip_rejects_an_empty_measurement(trials, rank_l, message):
         measure_rip(inst, rank_l=rank_l, trials=trials, seed=0)
 
 
+@pytest.mark.parametrize("trials, rank_l, message", [
+    (2.5, 2, "trials must be an integer, got 2.5"),
+    (math.nan, 2, "trials must be an integer, got nan"),
+    (math.inf, 2, "trials must be an integer, got inf"),
+    (True, 2, "trials must be an integer, got True"),
+    (5, 1.5, "rank_l = 1.5 is not in 1..4"),
+    (5, True, "rank_l = True is not in 1..4")])
+def test_rip_rejects_a_count_that_is_not_an_integer(trials, rank_l, message):
+    inst = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
+    with pytest.raises(ValueError, match=message):
+        measure_rip(inst, rank_l=rank_l, trials=trials, seed=0)
+
+
+def test_rip_takes_numpy_integer_counts():
+    inst = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
+    assert (measure_rip(inst, rank_l=np.int64(2), trials=np.int32(5), seed=0)
+            == measure_rip(inst, rank_l=2, trials=5, seed=0))
+
+
 def test_rip_parseval_identity():
     fac = factorization.random_instance(d=5, r=2, k=3, seed=7)
     inst = _complete_sensing_instance(fac)

@@ -19,7 +19,7 @@ from ravinegd import (
     check_ravine_quadratic,
     morse_ravine_solve,
 )
-from ravinegd.harness import run_check
+from ravinegd.harness import diagnose, run_check
 from ravinegd.objective import (
     _central_differences,
     central_difference_gradient,
@@ -28,15 +28,16 @@ from ravinegd.objective import (
 )
 from ravinegd.opt_core import OVERFLOW_IS_DATA
 from ravinegd.problems import (
-    PROBLEM_NAMES, PROBLEMS, build, circle, factorization, sample_init)
+    PROBLEM_NAMES, PROBLEMS, build, circle, factorization, quartic,
+    sample_init)
 from ravinegd.problems.spec import CLOUD_CHECKS
 from ravinegd.ravine import (
     GROWTH_SLOPE_TOL,
     SKIP_DISTANCE,
     STENCIL_ROWS,
     RavineDescriptor,
+    SampleStream,
     SolutionSampler,
-    _cloud,
     _cloud_report,
     _two_radius_report,
 )
@@ -459,9 +460,74 @@ def test_cloud_equals_points_drawn_one_at_a_time(bundles, name):
     # A plain callable is stacked as it is.
     plain = lambda rng: bundle.sample_solution(rng)  # noqa: E731
     for sampler in (bundle.sample_solution, plain):
-        X = _cloud(sampler, 11, 0.05, np.random.default_rng(6), dim)
+        X = SampleStream(sampler, dim, 6).cloud(0, 11, 0.05)
         assert np.array_equal(X, np.array(list(_points(
             sampler, 11, 0.05, np.random.default_rng(6), dim))))
+
+
+@pytest.mark.parametrize("name", PROBLEM_NAMES)
+def test_stream_clouds_equal_clouds_drawn_one_after_another(name):
+    params = {**SMALL_PARAMS, "sensing": {"d": 4, "r": 1, "k": 2, "m": 40}}
+    bundle = build(name, params.get(name))
+    dim, n = bundle.objective.dim, 9
+    plain = lambda rng: bundle.sample_solution(rng)  # noqa: E731
+    for sampler in (bundle.sample_solution, plain):
+        rng = np.random.default_rng(5)
+        first, second = (np.array(list(_points(sampler, n, rad, rng, dim)))
+                         for rad in (0.05, 0.005))
+        in_turn = SampleStream(sampler, dim, 5)
+        at_once = SampleStream(sampler, dim, 5)
+        # All 2n samples drawn by one cloud, then read back as two.
+        assert np.array_equal(at_once.cloud(0, 2 * n, 0.05)[:n], first)
+        for stream in (in_turn, at_once):
+            assert np.array_equal(stream.cloud(0, n, 0.05), first)
+            assert np.array_equal(stream.cloud(n, n, 0.005), second)
+        # Uneven segments, as the growth check reads them.
+        segments = SampleStream(sampler, dim, 5)
+        assert np.array_equal(np.concatenate(
+            [segments.cloud(0, 4, 0.05), segments.cloud(4, 5, 0.05),
+             segments.cloud(9, n, 0.005)]), np.concatenate([first, second]))
+
+
+def test_stream_of_another_sampler_or_dimension_is_refused(bundles):
+    bundle = bundles["circle"]
+    obj, rav = bundle.objective, bundle.descriptor
+    for stream in (SampleStream(bundles["rosenbrock"].sample_solution, 2, 0),
+                   SampleStream(rav.sample_solution, 3, 0)):
+        with pytest.raises(ValueError, match="another sampler"):
+            check_aiming(obj, rav, 10, 0.05, stream)
+
+
+@pytest.fixture
+def direction_draws(monkeypatch):
+    """The count of sample directions the cloud checks draw."""
+    import ravinegd.ravine as ravine_module
+    draws = [0]
+    direction = ravine_module.gaussian_direction
+
+    def counted(rng, dim):
+        draws[0] += 1
+        return direction(rng, dim)
+
+    monkeypatch.setattr(ravine_module, "gaussian_direction", counted)
+    return draws
+
+
+@pytest.mark.parametrize("name", ["rosenbrock", "factorization"])
+def test_diagnose_suite_draws_each_sample_once(direction_draws, name):
+    n = 40
+    params = SMALL_PARAMS.get(name)
+    _, suite = diagnose(name, sorted(CLOUD_CHECKS), n_samples=n,
+                        radius=0.05, seed=1, problem_params=params)
+    assert direction_draws[0] == 2 * n
+    for check in sorted(CLOUD_CHECKS):
+        direction_draws[0] = 0
+        _, alone = diagnose(name, [check], n_samples=n, radius=0.05, seed=1,
+                            problem_params=params)
+        # One check alone draws what it reads, as it always has.
+        assert direction_draws[0] == {"lojasiewicz": 2 * n,
+                                      "gradcontrol": 2 * n}.get(check, n)
+        assert alone[check].to_dict() == suite[check].to_dict()
 
 
 @pytest.mark.parametrize("d, r, k", [(5, 2, 3), (5, 2, 2), (20, 3, 5),
@@ -584,8 +650,10 @@ def _lojasiewicz_per_point(obj, p, n_samples, radius, seed, *,
                            sample_solution, retract):
     f_star = float(obj.f_star)
     exponent = (p - 1.0) / p
+    rng = np.random.default_rng(seed)
 
-    def max_ratio(rad, rng):
+    def max_ratio(rad, index):
+        # The two clouds continue one rng, the first cloud first.
         vals = []
         skipped = 0
         for x in _points(sample_solution, n_samples, rad, rng, obj.dim):
@@ -608,7 +676,7 @@ def _lojasiewicz_per_point(obj, p, n_samples, radius, seed, *,
 
     # Each sample and its retraction are two attempts.
     return _two_radius_report("lojasiewicz", max_ratio, 2 * n_samples,
-                              radius, seed, stable, exponent=exponent)
+                              radius, stable, exponent=exponent)
 
 
 def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
@@ -663,7 +731,10 @@ def _gradcontrol_per_point(obj, rav, n_samples, radius, seed):
             np.concatenate([x + step, x - step])))
         return (values[:x.size] - values[x.size:]) / (2.0 * h)
 
-    def ratios_at(rad, rng):
+    rng = np.random.default_rng(seed)
+
+    def ratios_at(rad, index):
+        # The two clouds continue one rng, the first cloud first.
         vals = []
         skipped = 0
         for x in _points(rav, n_samples, rad, rng, obj.dim):
@@ -679,7 +750,7 @@ def _gradcontrol_per_point(obj, rav, n_samples, radius, seed):
         return _arrays(vals, skipped, n_samples, obj.dim)
 
     return _two_radius_report(
-        "gradcontrol", ratios_at, n_samples, radius, seed,
+        "gradcontrol", ratios_at, n_samples, radius,
         lambda max_big, max_small: max_small <= 2.0 * max(max_big, 1e-300))
 
 
@@ -888,7 +959,7 @@ def test_cloud_checks_skip_non_finite_ratios(bundles, check):
             retract=rav.retract),
         "gradcontrol": lambda: check_gradient_control(obj, rav, 60, 0.1, 0),
     }[check]()
-    X = _cloud(bundle.sample_solution, 60, 0.1, np.random.default_rng(0), 2)
+    X = SampleStream(bundle.sample_solution, 2, 0).cloud(0, 60, 0.1)
     per_sample = 2 if check == "lojasiewicz" else 1
     assert rep.skipped == per_sample * int(np.sum(X[:, 0] > 0.05)) > 0
     text = rep.to_json()
@@ -905,10 +976,9 @@ def test_lojasiewicz_refuses_only_past_half_its_points():
     bundle = build("rosenbrock")
     rav = bundle.descriptor
     n = 60
-    rng = np.random.default_rng(0)
-    nan_rows = sum(int(np.sum(_cloud(rav.sample_solution, n, rad, rng,
-                                     2)[:, 0] > 0.005))
-                   for rad in (0.1, 0.01))
+    stream = SampleStream(rav.sample_solution, 2, 0)
+    nan_rows = sum(int(np.sum(stream.cloud(i * n, n, rad)[:, 0] > 0.005))
+                   for i, rad in enumerate((0.1, 0.01)))
     assert n < 2 * nan_rows <= 2 * n
     rep = check_lojasiewicz(_nan_beyond(bundle.objective, 0.005), 4.0, n,
                             0.1, 0, sample_solution=rav.sample_solution,
@@ -1014,6 +1084,48 @@ def test_morse_rank_ambiguity():
     obj = Objective(dim=3, value_and_grad=lambda x: (f(x), g(x)))
     with pytest.raises(RankAmbiguity):
         morse_ravine_solve(obj, np.zeros(3), tol=1e-12)
+
+
+def _linear_gradient(hessian):
+    """The objective x -> x.H.x / 2, whose gradient is H x."""
+    hessian = np.asarray(hessian, dtype=float)
+
+    def both(x):
+        g = hessian @ x
+        return float(x @ g) / 2.0, g
+
+    return Objective(dim=len(hessian), value_and_grad=both)
+
+
+def test_morse_zero_hessian_has_no_curvature_split():
+    with pytest.raises(RankAmbiguity, match="numerically zero"):
+        morse_ravine_solve(_linear_gradient(np.zeros((2, 2))), np.zeros(2),
+                           tol=1e-12)
+
+
+def test_morse_quartic_minimizer_is_full_rank():
+    # quartic1d is flat to second order at 0, but its central-difference
+    # Hessian is of order h^2, so its one direction is the largest.
+    with pytest.raises(RankAmbiguity, match="no null directions"):
+        morse_ravine_solve(quartic.objective(), np.zeros(1), tol=1e-12)
+
+
+def test_morse_full_rank_hessian_has_no_null_direction():
+    obj = _linear_gradient([[2.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(RankAmbiguity, match="no null directions"):
+        morse_ravine_solve(obj, np.zeros(2), tol=1e-12)
+
+
+@pytest.mark.parametrize("hessian", [
+    # Finite entries whose largest eigenvalue, 2.4e308, overflows to inf.
+    np.full((3, 3), 8e307),
+    # An infinite entry gives NaN eigenvalues.
+    [[math.inf, 0.0], [0.0, 1.0]]])
+def test_morse_non_finite_spectrum_has_no_curvature_split(hessian):
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(RankAmbiguity, match="spectrum is not finite"):
+            morse_ravine_solve(_linear_gradient(hessian),
+                               np.zeros(len(hessian)), tol=1e-12)
 
 
 def test_morse_rejects_large_dimension():
