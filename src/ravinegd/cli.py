@@ -9,6 +9,7 @@ supply any run/compare field; explicitly passed flags override it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -190,9 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser holds no state between calls (parse_args starts each from a
+# new namespace and copies the --param default list before appending to
+# it), so one per process serves every call of main.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigInvalid as exc:

@@ -167,21 +167,52 @@ def trace_to_csv(trace: RunTrace, out) -> None:
     """Write a trace with the stable eight-column schema to the text
     stream ``out``: the header, then the rows ``CSV_BLOCK`` at a time, so
     the text and cells held at once stay one block's whatever the trace's
-    length."""
+    length.
+
+    Floats take 17 significant digits.  Within a block, a numeric column
+    with fewer runs of equal cells than half the block's rows formats each
+    run once and repeats its text; equal bits give equal text, so the
+    output is the same as formatting every cell.
+    """
     columns = (trace.iter, trace.epoch, trace.kind, trace.value_gap,
                trace.grad_norm, trace.stepsize, trace.dist_solution,
                trace.dist_ravine)
-    # Floats at 17 significant digits; an unrecorded column stays empty.
-    row = ",".join("" if c is None else "%.17g" if c.dtype.kind == "f"
-                   else "%s" for c in columns) + "\n"
-    recorded = [c for c in columns if c is not None]
+    # An unrecorded column stays empty.
+    formats = ["" if c is None else "%.17g" if c.dtype.kind == "f" else "%s"
+               for c in columns]
+    recorded = [i for i, c in enumerate(columns) if c is not None]
     out.write(CSV_HEADER + "\n")
     for lo in range(0, len(trace.iter), CSV_BLOCK):
-        # One %-format per block: the row template repeated over the flat
-        # tuple of the block's cells.
-        block = [c[lo:lo + CSV_BLOCK].tolist() for c in recorded]
+        # One %-format per block: the block's row template repeated over
+        # the flat tuple of its cells; a column given as texts takes %s.
+        block, row = [], list(formats)
+        for i in recorded:
+            cells = columns[i][lo:lo + CSV_BLOCK]
+            texts = _run_texts(cells, formats[i])
+            if texts is None:
+                block.append(cells.tolist())
+            else:
+                block.append(texts)
+                row[i] = "%s"
         cells = tuple(chain.from_iterable(zip(*block)))
-        out.write(row * len(block[0]) % cells)
+        out.write((",".join(row) + "\n") * len(block[0]) % cells)
+
+
+def _run_texts(cells, fmt):
+    """The text of each cell of a numeric column, each run of equal bit
+    patterns formatted once with ``fmt``; None when the column is not
+    numeric or has at least half as many runs as cells."""
+    if cells.dtype.kind not in "iuf":
+        return None
+    bits = cells.view(f"i{cells.itemsize}")
+    starts = np.empty(len(bits), dtype=bool)
+    starts[:1] = True
+    np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+    firsts = np.flatnonzero(starts)
+    if 2 * len(firsts) >= len(bits):
+        return None
+    texts = np.array([fmt % v for v in cells[firsts].tolist()], dtype=object)
+    return texts[np.cumsum(starts) - 1].tolist()
 
 
 def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:

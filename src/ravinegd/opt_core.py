@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import List, Optional
 
 import numpy as np
@@ -194,7 +195,8 @@ class _Engine:
         distance column takes one oracle call on the stacked departures."""
         n = len(records)
         rows = slice(self.rows, self.rows + n)
-        f, gnorm2, s = np.array(records).reshape(n, 3).T
+        f, gnorm2, s = np.fromiter(chain.from_iterable(records), float,
+                                   3 * n).reshape(n, 3).T
         columns = self.columns
         columns["iter"][rows] = np.arange(self.grad_evals, self.grad_evals + n)
         columns["epoch"][rows] = epoch
@@ -292,17 +294,12 @@ def _polyak_stepsize(f, gnorm2, f_target, scale):
     return gap / (scale * gnorm2)
 
 
-def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
-             dist_solution=None, dist_ravine=None) -> RunTrace:
-    """I epochs of K short gradient steps plus one Polyak step toward f*.
-
-    Requires ``obj.f_star``.  Performs exactly I*(K+1) gradient evaluations.
-    The returned iterate is the earliest argmin of f over the epoch points
-    (both the short-phase endpoints and the Polyak outputs).
-    """
+def _toward_f_star(obj: Objective, method: str):
+    """f* and the guarded long step toward it of gdpolyak and the Polyak
+    baseline.  Raises :class:`MissingFStar` without f*; the step raises
+    :class:`TargetAboveValue` when f* exceeds the value beyond tolerance."""
     if obj.f_star is None:
-        raise MissingFStar("gdpolyak requires obj.f_star")
-    _check_args(eta, K=K, I=I)
+        raise MissingFStar(f"{method} requires obj.f_star")
     f_star = float(obj.f_star)
 
     def toward_f_star(f, gnorm2):
@@ -311,6 +308,19 @@ def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
                 f"f_star {f_star} exceeds value {f} beyond tolerance")
         return _polyak_stepsize(f, gnorm2, f_star, 1.0)
 
+    return f_star, toward_f_star
+
+
+def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
+             dist_solution=None, dist_ravine=None) -> RunTrace:
+    """I epochs of K short gradient steps plus one Polyak step toward f*.
+
+    Requires ``obj.f_star``.  Performs exactly I*(K+1) gradient evaluations.
+    The returned iterate is the earliest argmin of f over the epoch points
+    (both the short-phase endpoints and the Polyak outputs).
+    """
+    f_star, toward_f_star = _toward_f_star(obj, "gdpolyak")
+    _check_args(eta, K=K, I=I)
     return _run(x0, K, I, obj, f_star, False, K, eta, toward_f_star,
                 dist_solution, dist_ravine)
 
@@ -398,11 +408,10 @@ def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
     """A Polyak step toward f* at every iteration, budget I*(K+1).
 
     Grouped into I blocks of K+1 steps for equal-budget comparisons.
+    Raises :class:`TargetAboveValue`, as gdpolyak does, when f* exceeds
+    the value at an iterate beyond tolerance.
     """
-    if obj.f_star is None:
-        raise MissingFStar("polyak baseline requires obj.f_star")
+    f_star, toward_f_star = _toward_f_star(obj, "polyak baseline")
     _check_args(K=K, I=I)
-    f_star = float(obj.f_star)
-    return _run(x0, K, I, obj, f_star, True, 0, 0.0,
-                lambda f, gnorm2: _polyak_stepsize(f, gnorm2, f_star, 1.0),
+    return _run(x0, K, I, obj, f_star, True, 0, 0.0, toward_f_star,
                 dist_solution, dist_ravine)

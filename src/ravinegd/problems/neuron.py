@@ -69,33 +69,43 @@ def _check_floor(n1, n2, nv):
                          f"{NORM_FLOOR:.0e} * ||v|| = {NORM_FLOOR * nv:.2e}")
 
 
-def _norms(w1, w2, inst):
-    # numpy computes a 1-D float norm as exactly sqrt(w @ w).
-    n1 = math.sqrt(w1 @ w1)
-    n2 = math.sqrt(w2 @ w2)
-    nv = inst.norm_v
-    _check_floor(n1, n2, nv)
-    return n1, n2, nv
+def _unit_clamp(a):
+    # np.clip(a, -1.0, 1.0) at about half its cost, equal to it on NaN,
+    # +-inf and -0.0.
+    return np.minimum(np.maximum(a, -1.0), 1.0)
 
 
 def neuron_eval(w1, w2, inst: NeuronInstance):
-    """Closed-form value and gradient; gradient stacked as (grad_w1, grad_w2)."""
+    """Closed-form value and gradient; gradient stacked as (grad_w1, grad_w2).
+
+    The per-point map: at one point its scalar arithmetic costs less than
+    a one-row stack of :func:`neuron_value_and_grad_rows`, and it equals
+    that row form bit for bit.
+    """
     w1 = np.asarray(w1, dtype=float)
     w2 = np.asarray(w2, dtype=float)
     if w1.shape != (inst.d,) or w2.shape != (inst.d,):
         raise ShapeMismatch(f"weights must have shape ({inst.d},)")
+    return _closed_form(w1, w2, inst)
+
+
+def _closed_form(w1, w2, inst):
+    # ndarray.dot gives the bits of the 1-D ``@`` at half its cost, and
+    # numpy computes a 1-D float norm as exactly sqrt(w @ w).
     v = inst.v
-    n1, n2, nv = _norms(w1, w2, inst)
+    n1 = math.sqrt(w1.dot(w1))
+    n2 = math.sqrt(w2.dot(w2))
+    nv = inst.norm_v
+    _check_floor(n1, n2, nv)
     # The three angles as one array, through the same numpy calls as the
     # row form (math.acos can differ from np.arccos in the last bit).
-    angles = np.arccos(np.clip(np.array([
-        (w1 @ w2) / (n1 * n2), (w1 @ v) / (n1 * nv), (w2 @ v) / (n2 * nv)]),
-        -1.0, 1.0))
+    angles = np.arccos(_unit_clamp(np.array([
+        w1.dot(w2) / (n1 * n2), w1.dot(v) / (n1 * nv), w2.dot(v) / (n2 * nv)])))
     t12, t1, t2 = angles.tolist()
     s12, s1, s2 = np.sin(angles).tolist()
     c12, c1, c2 = np.cos(angles).tolist()
     misfit = w1 + w2 - v
-    value = 0.25 * float(misfit @ misfit)
+    value = 0.25 * float(misfit.dot(misfit))
     value += (1.0 / (2.0 * np.pi)) * (
         (s12 - t12 * c12) * n1 * n2
         - (s1 - t1 * c1) * n1 * nv
@@ -139,9 +149,12 @@ def monte_carlo_value(w1, w2, inst: NeuronInstance, n_samples: int,
 
 
 def _split(x, inst):
+    # The halves of a flat point, checked as neuron_eval checks them.
     x = np.asarray(x, dtype=float)
     if x.size != 2 * inst.d:
         raise ShapeMismatch(f"expected {2 * inst.d} entries, got {x.size}")
+    if x.ndim != 1:
+        raise ShapeMismatch(f"weights must have shape ({inst.d},)")
     return x[:inst.d], x[inst.d:]
 
 
@@ -164,7 +177,7 @@ def _row_terms(W, inst):
     _check_floor(n1.min(), n2.min(), nv)
 
     def angle(dots, na, nb):
-        return np.arccos(np.clip(dots / (na * nb), -1.0, 1.0))
+        return np.arccos(_unit_clamp(dots / (na * nb)))
 
     t12 = angle(_rowdot(W1, W2), n1, n2)
     t1 = angle(_rowdot(W1, V), n1, nv)
@@ -191,9 +204,7 @@ def neuron_value_and_grad_rows(W, inst: NeuronInstance):
     """Closed-form values and gradients at each row of an (n, 2d) stack of
     flattened weights, each gradient stacked as (grad_w1, grad_w2).
 
-    Equal bit for bit to :func:`neuron_eval` on each row, which stays the
-    per-point map: at one point its scalar arithmetic costs less than a
-    one-row stack.
+    Equal bit for bit to :func:`neuron_eval` on each row.
     """
     value, (W1, W2, n1, n2, t12, t1, t2, s12, s1, s2,
             misfit) = _row_terms(W, inst)
@@ -210,8 +221,7 @@ def neuron_value_and_grad_rows(W, inst: NeuronInstance):
 
 def objective(inst: NeuronInstance) -> Objective:
     def _both(x):
-        w1, w2 = _split(x, inst)
-        return neuron_eval(w1, w2, inst)
+        return _closed_form(*_split(x, inst), inst)
 
     return Objective(
         dim=2 * inst.d,

@@ -6,6 +6,7 @@ import json
 import math
 import re
 import shlex
+import struct
 import tempfile
 import tracemalloc
 import warnings
@@ -29,7 +30,7 @@ from ravinegd import (
 )
 from ravinegd.cli import _config_from_args, build_parser, main
 from ravinegd.harness import (
-    ALL_CHECKS, CSV_BLOCK, CSV_HEADER, METHODS, comparison_csv,
+    ALL_CHECKS, CSV_BLOCK, CSV_HEADER, METHODS, _run_texts, comparison_csv,
     comparison_text, trace_to_csv)
 from ravinegd.opt_core import POLYAK_LONG, SHORT_GD, RunTrace
 from ravinegd import problems
@@ -539,11 +540,19 @@ EDGE_FLOATS = st.one_of(
 def _traces(draw):
     n = draw(st.integers(0, 40))
     rows = st.lists(st.integers(0, 2 ** 62), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        floats = draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n))
+    else:
+        # Runs of equal cells, which the writer formats once per run.
+        runs = draw(st.lists(st.tuples(EDGE_FLOATS, st.integers(1, 12)),
+                             max_size=n))
+        floats = [v for v, k in runs for _ in range(k)][:n]
+        n = len(floats)
+        rows = st.lists(st.integers(0, 3), min_size=n, max_size=n)
     return _trace_rows(
         draw(rows), draw(rows),
         draw(st.lists(st.booleans(), min_size=n, max_size=n)),
-        draw(st.lists(EDGE_FLOATS, min_size=n, max_size=n)),
-        draw(st.booleans()))
+        floats, draw(st.booleans()))
 
 
 def _long_trace(n, distances):
@@ -555,6 +564,27 @@ def _long_trace(n, distances):
                        distances)
 
 
+def _gdpolyak_shaped(n):
+    """``_long_trace`` with distances and a gdpolyak stepsize column: the
+    constant step except at one Polyak row per 101."""
+    trace = _long_trace(n, True)
+    polyak = trace.kind == POLYAK_LONG
+    trace.stepsize = np.where(polyak, trace.value_gap ** 2, 0.0125)
+    return trace
+
+
+def _runs(*runs):
+    """A trace of distances whose float columns take the ``(value,
+    length)`` runs, all in epoch 0."""
+    floats = [v for v, k in runs for _ in range(k)]
+    n = len(floats)
+    return _trace_rows(range(n), [0] * n, [False] * n, floats, True)
+
+
+# A NaN with a payload: a bit pattern of its own, printed as nan.
+PAYLOAD_NAN = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(trace=_traces())
 @example(trace=_trace_rows([], [], [], [], False))
@@ -562,8 +592,28 @@ def _long_trace(n, distances):
 # Two full blocks of trace_to_csv and one row more.
 @example(trace=_long_trace(2 * CSV_BLOCK + 1, False))
 @example(trace=_long_trace(2 * CSV_BLOCK + 1, True))
+@example(trace=_gdpolyak_shaped(2 * CSV_BLOCK + 1))
+# Signed zeros, NaNs of every sign and payload, and infinities in runs.
+@example(trace=_runs((0.0, 5), (-0.0, 5), (math.nan, 4), (-math.nan, 4),
+                     (PAYLOAD_NAN, 3), (math.inf, 6), (-math.inf, 3),
+                     (0.0, 4)))
+# Four runs in eight rows, the most that takes the per-cell path, and three.
+@example(trace=_runs((0.1, 2), (0.2, 2), (0.3, 2), (0.4, 2)))
+@example(trace=_runs((0.1, 2), (0.2, 3), (0.3, 3)))
+# Runs of 300 rows across both block edges of 2 * CSV_BLOCK + 1 rows.
+@example(trace=_runs(*((i / 7, 300) for i in range(6)), (1.0, 2049 - 1800)))
 def test_trace_csv_equals_the_per_row_writer(trace):
     assert _csv_text(trace) == _csv_per_row(trace)
+
+
+def test_run_texts_formats_runs_below_half_the_rows():
+    assert _run_texts(np.array([1.0, 1.0, 2.0, 2.0]), "%.17g") is None
+    assert _run_texts(np.array([1.0, 1.0, 1.0, 2.0]), "%.17g") is None
+    assert (_run_texts(np.array([0.1, 0.1, 0.1, -0.0, -0.0]), "%.17g")
+            == ["0.10000000000000001"] * 3 + ["-0"] * 2)
+    assert _run_texts(np.array([7, 7, 7, 9, 9], dtype=np.int64),
+                      "%s") == ["7"] * 3 + ["9"] * 2
+    assert _run_texts(np.array(["a", "a", "a"]), "%s") is None
 
 
 class _Discard(io.TextIOBase):
@@ -793,6 +843,31 @@ def test_cli_config_file_with_flag_override(tmp_path):
     written = json.loads((out / "config.json").read_text())
     assert written["I"] == 7          # flag wins
     assert written["K"] == 1          # file value survives
+
+
+def test_cli_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; a call's flags, its
+    # --param list and an argparse error must not reach the next call.
+    def run(name, *flags):
+        out = tmp_path / name
+        assert main(["run", "--problem", "neuron", "--K", "1", "--I", "1",
+                     *flags, "--out", str(out)]) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    first = run("first", "--param", "d=12", "--seed", "3")
+    assert first["config"]["problem_params"] == {"d": 12}
+    assert len(first["x_out"]) == 24
+    second = run("second")
+    assert second["config"]["problem_params"] == {}
+    assert second["config"]["seed"] == 0
+    assert len(second["x_out"]) == 2 * PROBLEMS["neuron"].SPEC.params["d"][0]
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--problem", "neuron", "--param", "d=7", "--K", "x"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    after = run("after")
+    assert after["config"]["problem_params"] == {}
+    assert after["config"]["K"] == 1
 
 
 def test_cli_diagnose_exit_codes(tmp_path):

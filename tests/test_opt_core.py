@@ -611,9 +611,13 @@ def test_step_plan_engine_matches_the_rule_closure_engine(monkeypatch):
 @pytest.mark.parametrize("engine", [opt_core._Engine, _RuleEngine])
 def test_other_errors_escape_with_their_own_type(engine, monkeypatch):
     monkeypatch.setattr(opt_core, "_Engine", engine)
+    # f* = 1 lies above every value of quartic1d near 0.5: both methods
+    # with a step toward f* refuse it rather than skip the step.
     above = dataclasses.replace(quartic.objective(), f_star=1.0)
     with pytest.raises(TargetAboveValue):
         gdpolyak(np.array([0.5]), 0.01, 3, 2, above)
+    with pytest.raises(TargetAboveValue):
+        polyak_baseline(np.array([0.5]), 3, 2, above)
     # From (0, 2) the gradient is (0, 2), so a step of 1 lands on the
     # origin at the second evaluation.
     with pytest.raises(OriginSingularity):

@@ -512,6 +512,83 @@ def test_neuron_dist_proxy(neuron_inst):
     assert proxy(v, 0.1 * u) == pytest.approx(0.2, rel=1e-12)
 
 
+def _neuron_eval_reference(w1, w2, inst):
+    """The per-point map as it stood before ``ndarray.dot`` and the
+    minimum/maximum clamp, kept as the reference for both forms."""
+    w1 = np.asarray(w1, dtype=float)
+    w2 = np.asarray(w2, dtype=float)
+    v = inst.v
+    n1 = math.sqrt(w1 @ w1)
+    n2 = math.sqrt(w2 @ w2)
+    nv = inst.norm_v
+    neuron._check_floor(n1, n2, nv)
+    angles = np.arccos(np.clip(np.array([
+        (w1 @ w2) / (n1 * n2), (w1 @ v) / (n1 * nv), (w2 @ v) / (n2 * nv)]),
+        -1.0, 1.0))
+    t12, t1, t2 = angles.tolist()
+    s12, s1, s2 = np.sin(angles).tolist()
+    c12, c1, c2 = np.cos(angles).tolist()
+    misfit = w1 + w2 - v
+    value = 0.25 * float(misfit @ misfit)
+    value += (1.0 / (2.0 * np.pi)) * (
+        (s12 - t12 * c12) * n1 * n2
+        - (s1 - t1 * c1) * n1 * nv
+        - (s2 - t2 * c2) * n2 * nv)
+    base = 0.5 * misfit
+    g1 = base + (1.0 / (2.0 * np.pi)) * (
+        (n2 * s12 - nv * s1) * (w1 / n1) - t12 * w2 + t1 * v)
+    g2 = base + (1.0 / (2.0 * np.pi)) * (
+        (n1 * s12 - nv * s2) * (w2 / n2) - t12 * w1 + t2 * v)
+    return value, np.concatenate([g1, g2])
+
+
+def _neuron_test_points(inst, rng):
+    """Random pairs, pairs parallel to v (cosines at +-1, where the clamp
+    acts) and pairs with norms just above NORM_FLOOR * ||v||."""
+    d, v = inst.d, inst.v
+    pairs = [(rng.standard_normal(d), rng.standard_normal(d))
+             for _ in range(40)]
+    pairs += [(a * v, b * v) for a in (0.3, 1.0, -0.7, 1 / 3, 1e-3)
+              for b in (0.5, -1.0, 2 / 3, 7.0)]
+    floor = neuron.NORM_FLOOR * inst.norm_v
+    for _ in range(10):
+        u1, u2 = (w / np.linalg.norm(w) for w in rng.standard_normal((2, d)))
+        pairs += [(u1 * floor * 1.000001, u2), (u1, u2 * floor * 1.0001),
+                  (u1 * floor * 1.001, -v * floor / inst.norm_v * 1.001)]
+    return pairs
+
+
+@pytest.mark.parametrize("d", [10, 100])
+def test_neuron_forms_equal_the_reference_map_bitwise(d):
+    inst = neuron.make_neuron_instance(d=d, seed=d)
+    pairs = _neuron_test_points(inst, np.random.default_rng(d))
+    raw = [[a @ b / (np.linalg.norm(a) * np.linalg.norm(b))
+            for a, b in ((w1, w2), (w1, inst.v), (w2, inst.v))]
+           for w1, w2 in pairs]
+    assert np.max(np.abs(raw)) > 1.0   # the clamp is reached
+    both = neuron.objective(inst).value_and_grad
+    W = np.array([np.concatenate(p) for p in pairs])
+    values, grads = neuron.neuron_value_and_grad_rows(W, inst)
+    for (w1, w2), x, row_value, row_grad in zip(pairs, W, values, grads):
+        ref_value, ref_grad = _neuron_eval_reference(w1, w2, inst)
+        for value, grad in (neuron.neuron_eval(w1, w2, inst), both(x),
+                            (row_value, row_grad)):
+            assert np.float64(value).tobytes() == np.float64(
+                ref_value).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_neuron_point_map_checks_the_shape():
+    inst = neuron.make_neuron_instance(d=3, seed=0)
+    both = neuron.objective(inst).value_and_grad
+    with pytest.raises(ShapeMismatch, match="expected 6 entries"):
+        both(np.ones(5))
+    with pytest.raises(ShapeMismatch, match=r"shape \(3,\)"):
+        both(np.ones((2, 3)))
+    with pytest.raises(ShapeMismatch, match=r"shape \(3,\)"):
+        neuron.neuron_eval(np.ones(3), np.ones((3, 1)), inst)
+
+
 # ------------------------------------------------- shared objective checks
 
 def _max_relative_gradient_error(obj, points) -> float:
