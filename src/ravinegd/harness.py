@@ -25,11 +25,13 @@ from .errors import ConfigInvalid, InsufficientData, UnsupportedCheck
 from .morse import morse_ravine_solve, tangent_grid
 from .objective import row_norms
 from .opt_core import (
+    OVERFLOW_IS_DATA,
     RunTrace,
     gd_baseline,
     gdpolyak,
     gdpolyak_lb,
     polyak_baseline,
+    target_above,
 )
 from .problems.spec import (
     NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL, optional,
@@ -228,6 +230,21 @@ def _dispatch(config: ExperimentConfig, bundle, x0) -> RunTrace:
                   dist_ravine=dist_ravine)
 
 
+def _instance(config: ExperimentConfig):
+    """The bundle and init point of a valid config.  A gdpolyak_lb lower
+    bound above f(x0), by the rule of ``opt_core.target_above``, raises
+    :class:`ConfigInvalid`: the method cannot start from it."""
+    bundle = problems.build(config.problem, config.problem_params)
+    x0 = problems.sample_init(bundle, config.init_radius, config.seed)
+    if config.method == "gdpolyak_lb":
+        f_lb = float(config.f_lb)
+        with np.errstate(**OVERFLOW_IS_DATA):
+            fx0 = float(bundle.objective.eval(x0))
+        if target_above(f_lb, fx0):
+            raise ConfigInvalid([f"f_lb: {f_lb} exceeds f(x0) = {fx0}"])
+    return bundle, x0
+
+
 def run_experiment(config: ExperimentConfig) -> RunTrace:
     """Build the instance, sample the init, run the method, persist files.
 
@@ -235,8 +252,7 @@ def run_experiment(config: ExperimentConfig) -> RunTrace:
     without touching the filesystem.
     """
     config.validate()
-    bundle = problems.build(config.problem, config.problem_params)
-    x0 = problems.sample_init(bundle, config.init_radius, config.seed)
+    bundle, x0 = _instance(config)
     trace = _dispatch(config, bundle, x0)
     if config.out_dir is not None:
         _write_run(config, trace)
@@ -314,9 +330,12 @@ def compare_methods(config: ExperimentConfig) -> list:
     if config.J is not None or config.f_lb is not None:
         configs.append(replace(config, method="gdpolyak_lb"))
     # Every config before the first run; the last holds every field the
-    # others hold, so its errors come first and in full.
+    # others hold, so its errors come first and in full.  A lower bound is
+    # checked against f(x0) before the first run too.
     for cfg in reversed(configs):
         cfg.validate()
+    if configs[-1].method == "gdpolyak_lb":
+        _instance(configs[-1])
     rows = []
     for cfg in configs:
         if config.out_dir is not None:

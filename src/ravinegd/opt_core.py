@@ -51,8 +51,10 @@ GRAD_NORM_FLOOR = 1e-30
 OVERFLOW_IS_DATA = {"over": "ignore", "invalid": "ignore"}
 
 
-def _target_tolerance(f_target: float) -> float:
-    return 1e-10 * (1.0 + abs(f_target))
+def target_above(f_target: float, f: float) -> bool:
+    """Whether a Polyak target exceeds the value ``f`` beyond the
+    tolerance 1e-10 * (1 + |f_target|), which rounding cannot reach."""
+    return f_target > f + 1e-10 * (1.0 + abs(f_target))
 
 
 @dataclass
@@ -279,7 +281,7 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient()
-    if f_target > f + _target_tolerance(f_target):
+    if target_above(f_target, f):
         raise TargetAboveValue(
             f"target {f_target} exceeds value {f} beyond tolerance")
     step = _polyak_stepsize(f, float(g @ g), f_target, scale)
@@ -303,7 +305,7 @@ def _toward_f_star(obj: Objective, method: str):
     f_star = float(obj.f_star)
 
     def toward_f_star(f, gnorm2):
-        if f_star > f + _target_tolerance(f_star):
+        if target_above(f_star, f):
             raise TargetAboveValue(
                 f"f_star {f_star} exceeds value {f} beyond tolerance")
         return _polyak_stepsize(f, gnorm2, f_star, 1.0)
@@ -348,7 +350,7 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     f_est = f0
 
     def toward_estimate(f, gnorm2):
-        if f_est > f + _target_tolerance(f_est):
+        if target_above(f_est, f):
             return 0.0
         return _polyak_stepsize(f, gnorm2, f_est, 2.0)
 
@@ -360,7 +362,7 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     aborted = []
     with np.errstate(**OVERFLOW_IS_DATA):
         fx0 = engine.value(x0)
-        if f0 > fx0 + _target_tolerance(f0):
+        if target_above(f0, fx0):
             raise ValueError(f"f0 = {f0} exceeds f(x0) = {fx0}")
         for j in range(1, J + 1):
             engine.best = None

@@ -166,10 +166,13 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
     matrix of an (n, d, k) stack.
 
     In the eigenbasis of X: P maps to its nearest point of {P : P P^T = D}
-    (a scaled Procrustes, P~ = D^(1/2) U V^T from the SVD of D^(1/2) P)
-    and each row of Q is projected onto ker(P~).  Raises
-    :class:`DegenerateProjection` when any matrix is degenerate or the SVD
-    does not converge.
+    (a scaled Procrustes, P~ = D^(1/2) W with W = U V^T from the SVD of
+    D^(1/2) P) and each row of Q is projected onto ker(P~).  The rows of
+    W are orthonormal, so P~ P~^T = D and the projector onto the row space
+    of P~, P~^T (P~ P~^T)^(-1) P~, is W^T W: the projection is the closed
+    form Q - (Q W^T) W, two (k x r)-sized products per matrix and no
+    solve.  Raises :class:`DegenerateProjection` when any matrix is
+    degenerate or the SVD does not converge.
     """
     r = inst.r
     Bp = inst.basis.T @ Bs
@@ -181,10 +184,9 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
         raise DegenerateProjection(
             f"smallest singular value {smallest:.2e} of D^(1/2) P below "
             f"{DEGENERATE_TOL:.0e}")
-    P_t = sq[:, None] * (u @ vt)
-    P_tT = np.swapaxes(P_t, 1, 2)
-    Q_t = Q - (Q @ P_tT) @ np.linalg.solve(P_t @ P_tT, P_t)
-    return inst.basis @ np.concatenate([P_t, Q_t], axis=1)
+    W = u @ vt
+    Q_t = Q - (Q @ np.swapaxes(W, 1, 2)) @ W
+    return inst.basis @ np.concatenate([sq[:, None] * W, Q_t], axis=1)
 
 
 def dist_to_solution_rows(X, inst: FactorizationInstance) -> np.ndarray:

@@ -30,8 +30,18 @@ def _both(z):
     return rosenbrock_eval(*z.tolist())
 
 
+# The row forms take the operations of rosenbrock_eval, elementwise and in
+# the same order, so each row is bit for bit its value and gradient.
+
+def _both_rows(Z):
+    x, y = Z[:, 0], Z[:, 1]
+    t = y - x * x
+    x3 = x * x * x
+    return (x3 * x + 10.0 * t * t,
+            np.stack([4.0 * x3 - 40.0 * x * t, 20.0 * t], axis=1))
+
+
 def _eval_rows(Z):
-    # The operations of rosenbrock_eval, elementwise, in the same order.
     x, y = Z[:, 0], Z[:, 1]
     t = y - x * x
     return x * x * x * x + 10.0 * t * t
@@ -39,7 +49,8 @@ def _eval_rows(Z):
 
 def objective() -> Objective:
     return Objective(dim=2, value_and_grad=_both, f_star=0.0, p_growth=4.0,
-                     eval_rows=_eval_rows, dist_rows=row_norms)
+                     eval_rows=_eval_rows, dist_rows=row_norms,
+                     value_and_grad_rows=_both_rows)
 
 
 def _retract_rows(Z):

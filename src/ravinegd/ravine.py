@@ -492,12 +492,14 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     """Empirical restricted-isometry constant of the sensing operator.
 
     Samples random symmetric matrices Z of rank <= rank_l (Gaussian factors
-    U C U^T, normalized to unit Frobenius norm) and returns the maximum of
-    |sum_i <A_i, Z>^2 / (m * op_scale^2) - 1| over the trials, with the
-    measurements <A_i, Z> from ``inst.measure``.  Sampling only
-    lower-bounds the true constant.  ``op_scale`` is the instance's
-    analytic normalization of the measurement ensemble (see the sensing
-    module); an orthonormal-basis operator uses op_scale = 1.
+    U C U^T with S = (C + C^T) / 2, normalized to unit Frobenius norm) and
+    returns the maximum of |sum_i <A_i, Z>^2 / (m * op_scale^2) - 1| over
+    the trials.  The measurements come from ``inst.measure_factored(U, S)``
+    divided by ||U S U^T||_F, so a trial costs O(m d rank_l), not the
+    O(m d^2) of measuring the dense Z.  Sampling only lower-bounds the true
+    constant.  ``op_scale`` is the instance's analytic normalization of the
+    measurement ensemble (see the sensing module); an orthonormal-basis
+    operator uses op_scale = 1.
     """
     check_counts(trials=trials)
     rng = np.random.default_rng(seed)
@@ -509,12 +511,11 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     for _ in range(trials):
         u = rng.standard_normal((d, rank_l))
         c = rng.standard_normal((rank_l, rank_l))
-        z = u @ ((c + c.T) / 2.0) @ u.T
-        nz = np.linalg.norm(z)
+        s = (c + c.T) / 2.0
+        nz = np.linalg.norm(u @ s @ u.T)
         if nz < 1e-300:
             continue
-        z /= nz
-        coeffs = inst.measure(z)
+        coeffs = inst.measure_factored(u, s) / nz
         val = float(coeffs @ coeffs) / (inst.m * scale2)
         worst = max(worst, abs(val - 1.0))
     return worst

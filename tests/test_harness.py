@@ -341,6 +341,32 @@ def test_cli_compare_checks_every_method_before_the_first_run(tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run", "--method", "gdpolyak_lb"],
+                                     ["compare"]])
+def test_cli_lower_bound_above_the_init_value_is_refused(command, tmp_path,
+                                                         capsys):
+    # gdpolyak_lb cannot start from a lower bound above f(x0): the CLI
+    # refuses it as bad input before any directory is made, by the rule
+    # under which the library method raises, so the two agree at the
+    # tolerance 1e-10 (1 + |f_lb|) above f(x0).
+    bundle = problems.build("rosenbrock")
+    x0 = problems.sample_init(bundle, 0.5, 1)
+    fx0 = float(bundle.objective.eval(x0))
+    common = [*command, "--problem", "rosenbrock", "--K", "3", "--I", "1",
+              "--seed", "1", "--J", "3"]
+    out = tmp_path / "out"
+    for f_lb in (7.0, fx0 + 1e-9):
+        assert main([*common, "--f-lb", repr(f_lb), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid config: f_lb: {f_lb!r} exceeds f(x0) = {fx0!r}\n")
+        assert not out.exists()
+        with pytest.raises(ValueError, match=r"exceeds f\(x0\)"):
+            ravinegd.gdpolyak_lb(x0, 0.01, 3, 1, 3, f_lb, bundle.objective)
+    for f_lb in (fx0, fx0 + 1e-10):
+        assert main([*common, "--f-lb", repr(f_lb), "--out", str(out)]) == 0
+        assert out.exists()
+
+
 @pytest.mark.parametrize("params", ["dk", 5, ["d", 5]])
 def test_cli_param_merges_only_into_a_dict(params, tmp_path, capsys):
     config_file = tmp_path / "cfg.json"

@@ -322,6 +322,38 @@ def test_rip_parseval_identity():
     assert delta <= 1e-10
 
 
+@pytest.mark.parametrize("d, m, trials", [(20, 800, 200), (100, 4000, 20)])
+def test_rip_factored_measurements_match_the_dense_ones(d, m, trials):
+    # The reference measures each trial's dense Z = u S u^T / ||u S u^T||_F
+    # with inst.measure, from the same draws.  Both forms sum a_i^T Z a_i
+    # over about d + l terms, the factored one through U, whose condition
+    # number kappa enters squared; so each measurement may differ by
+    # (d + l) kappa^2 eps (||a_i||^2 + ||a~_i||^2), and the constant by
+    # the change that allows in sum_i c_i^2 / (m op_scale^2), near 1, plus
+    # m eps for the rounding of each side's sum of squares.
+    inst = sensing.make_sensing_instance(d=d, r=2, k=4, m=m, seed=d)
+    rank_l, eps = 6, np.finfo(float).eps
+    row_sizes = (inst.a * inst.a).sum(axis=1) + (inst.at * inst.at).sum(axis=1)
+    rng = np.random.default_rng(3)
+    reference, slack = 0.0, 0.0
+    for _ in range(trials):
+        u = rng.standard_normal((d, rank_l))
+        c = rng.standard_normal((rank_l, rank_l))
+        s = (c + c.T) / 2.0
+        z = u @ s @ u.T
+        nz = np.linalg.norm(z)
+        dense = inst.measure(z / nz)
+        factored = inst.measure_factored(u, s) / nz
+        sv = np.linalg.svd(u, compute_uv=False)
+        tol = (d + rank_l) * (sv[0] / sv[-1]) ** 2 * eps * row_sizes
+        assert np.all(np.abs(factored - dense) <= tol)
+        scale = inst.m * inst.op_scale ** 2
+        reference = max(reference, abs(float(dense @ dense) / scale - 1.0))
+        slack = max(slack, float((2.0 * np.abs(dense) + tol) @ tol) / scale)
+    delta = measure_rip(inst, rank_l=rank_l, trials=trials, seed=3)
+    assert abs(delta - reference) <= slack + 4.0 * m * eps
+
+
 def _dense_sensing_eval(B, inst):
     # Reference value and gradient from the dense (m, d, d) operator.
     a_flat = _dense_measurements(inst).reshape(inst.m, -1)

@@ -172,6 +172,39 @@ def test_retraction_comparable_to_manifold_distance(fact_inst):
         assert moved <= 2.0 * best + 1e-12
 
 
+def _solve_retraction_rows(Bs, inst):
+    """The composite retraction with Q projected onto ker(P~) through a
+    solve with P~ P~^T: the reference for the closed form Q - (Q W^T) W."""
+    r = inst.r
+    Bp = inst.basis.T @ Bs
+    P, Q = Bp[:, :r], Bp[:, r:]
+    sq = np.sqrt(inst.evals[:r])
+    u, _, vt = np.linalg.svd(sq[:, None] * P, full_matrices=False)
+    P_t = sq[:, None] * (u @ vt)
+    P_tT = np.swapaxes(P_t, 1, 2)
+    Q_t = Q - (Q @ P_tT) @ np.linalg.solve(P_t @ P_tT, P_t)
+    return inst.basis @ np.concatenate([P_t, Q_t], axis=1)
+
+
+@pytest.mark.parametrize("d, r, k", [(5, 2, 3), (20, 2, 4), (20, 4, 6),
+                                     (6, 3, 3), (20, 4, 4)])
+def test_retraction_closed_form_matches_the_solve(d, r, k):
+    # Both forms share the SVD and P~ and differ in Q~ by rounding only.
+    # The solve inverts P~ P~^T = D to a relative error of about cond(D)
+    # eps, which the projector P~^T (.) P~ scales by up to cond(D) again,
+    # so per entry they may differ by 32 cond(D)^2 eps (1 + ||B||_F).
+    inst = factorization.random_instance(d=d, r=r, k=k, seed=d + r + k)
+    Bs = np.random.default_rng(k).standard_normal((50, d, k))
+    closed = factorization.factorization_retraction_rows(Bs, inst)
+    cond = inst.sigma1 / inst.sigmar
+    tol = (32.0 * cond ** 2 * np.finfo(float).eps
+           * (1.0 + np.linalg.norm(Bs, axis=(1, 2))))
+    assert np.all(np.abs(closed - _solve_retraction_rows(Bs, inst))
+                  <= tol[:, None, None])
+    one = factorization.factorization_retraction_rows(Bs[:1], inst)
+    assert one.tobytes() == closed[:1].tobytes()
+
+
 # ----------------------------------------------------------------- checks
 
 def test_ravine_check_rosenbrock_exact_ten(bundles):
@@ -513,6 +546,23 @@ def direction_draws(monkeypatch):
     return draws
 
 
+def test_geometry_benchmark_verdicts_pass():
+    # The factorization suite and the RIP measurement at the settings of
+    # the perfbench geometry workload: a rounding change in a retraction
+    # or a measurement that tips a verdict shows here before it lowers
+    # the workload's share of passing operations.
+    suite = ["ravine", "aiming", "growth", "lojasiewicz", "gradcontrol"]
+    for seed in range(10):
+        passed, reports = diagnose(
+            "factorization", suite, n_samples=200, radius=0.01, seed=seed,
+            problem_params={"instance_seed": seed})
+        assert passed, (seed, [c for c, r in reports.items() if not r.passed])
+        passed, _ = diagnose(
+            "sensing", ["rip"], n_samples=200, radius=0.01, seed=seed,
+            problem_params={"d": 20, "m": 800, "instance_seed": seed})
+        assert passed, seed
+
+
 @pytest.mark.parametrize("name", ["rosenbrock", "factorization"])
 def test_diagnose_suite_draws_each_sample_once(direction_draws, name):
     n = 40
@@ -547,8 +597,8 @@ def test_factorization_sampler_is_l_times_q_transpose(d, r, k):
     ("factorization", {"d": 20, "r": 3, "k": 5}),
     ("neuron", SMALL_PARAMS["neuron"]), ("neuron", {"d": 100})])
 def test_value_and_grad_rows_match_value_and_grad_bitwise(name, params):
-    # Native row forms (factorization, neuron) and looped ones alike, and
-    # eval_rows, native or derived.
+    # Native row forms (rosenbrock, factorization, neuron) and looped ones
+    # alike, and eval_rows, native or derived.
     bundle = build(name, params)
     obj = bundle.objective
     rng = np.random.default_rng(8)
@@ -561,6 +611,26 @@ def test_value_and_grad_rows_match_value_and_grad_bitwise(name, params):
             v, g = obj.value_and_grad(z)
             assert np.float64(v).tobytes() == value.tobytes()
             assert np.asarray(g, dtype=float).tobytes() == grad.tobytes()
+
+
+def test_rosenbrock_row_forms_equal_the_point_map_past_overflow():
+    # The row forms repeat rosenbrock_eval's float64 operations, so a row
+    # that overflows to inf or turns NaN does so bit for bit as the point
+    # map does.
+    obj = build("rosenbrock").objective
+    rng = np.random.default_rng(4)
+    Z = np.concatenate([
+        rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-200, 200, (200, 1)),
+        [[1e100, 0.0], [1e80, -1e200], [0.0, 1e160], [1e155, 1e310],
+         [math.inf, 1.0], [math.nan, 0.0], [-0.0, 0.0]]])
+    with np.errstate(**OVERFLOW_IS_DATA):
+        values, grads = obj.value_and_grad_rows(Z)
+        assert obj.eval_rows(Z).tobytes() == values.tobytes()
+    assert np.isinf(values).any() and np.isnan(grads).any()
+    for z, value, grad in zip(Z, values, grads):
+        v, g = obj.value_and_grad(z)
+        assert np.float64(v).tobytes() == value.tobytes()
+        assert g.tobytes() == grad.tobytes()
 
 
 def test_factorization_eval_is_the_two_dimensional_formula():
