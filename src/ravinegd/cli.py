@@ -29,7 +29,7 @@ from .harness import (
     run_experiment,
     run_summary,
 )
-from .morse import morse_ravine_solve, tangent_grid
+from .morse import MAX_GRID_POINTS, morse_ravine_solve, tangent_grid
 
 
 def _parse_param(text: str):
@@ -123,7 +123,8 @@ def _parse_grid(text: str) -> np.ndarray:
         return tangent_grid(*(float(t) for t in text.split(":")))
     except (TypeError, ValueError) as exc:
         raise argparse.ArgumentTypeError(
-            f"expected a:b:step with a <= b and step > 0, got {text!r}") from exc
+            f"expected a:b:step with a <= b, step > 0 and at most "
+            f"{MAX_GRID_POINTS} points, got {text!r}") from exc
 
 
 def _cmd_morse(args) -> int:

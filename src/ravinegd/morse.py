@@ -18,6 +18,7 @@ from .objective import Objective
 RANK_EPS = 1e-6          # eigenvalues below RANK_EPS * |lambda|_max count as null
 SPECTRAL_GAP = 1e3       # required multiplicative gap around the cutoff
 MAX_HALVINGS = 50
+MAX_GRID_POINTS = 10 ** 6  # tangent grid points; each costs one Newton solve
 
 
 def finite_difference_hessian(obj: Objective, x, h=None) -> np.ndarray:
@@ -177,9 +178,16 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
 
 def tangent_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Tangent coordinates ``start, start + step, ...`` up to ``stop``
-    within half a step; ValueError unless the grid is finite and nonempty."""
+    within half a step; ValueError unless the grid is finite, nonempty and
+    of at most ``MAX_GRID_POINTS`` points."""
     if not (np.isfinite([start, stop, step]).all() and step > 0
             and start <= stop):
         raise ValueError(f"need finite start <= stop and step > 0, got "
                          f"{start}:{stop}:{step}")
-    return np.arange(start, stop + step / 2.0, step)
+    # The point count as np.arange computes it, checked before anything is
+    # allocated; where it overflows to inf, it is refused too.
+    end = stop + step / 2.0
+    if (end - start) / step > MAX_GRID_POINTS:
+        raise ValueError(f"grid {start}:{stop}:{step} has more than "
+                         f"{MAX_GRID_POINTS} points")
+    return np.arange(start, end, step)

@@ -109,7 +109,6 @@ SPEC = ProblemSpec(
 def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
         retract_rows=_retract_rows,
-        on_manifold=lambda z: abs(float(np.hypot(*z)) - 1.0) <= 1e-8,
         sample_solution=_SOLUTIONS,
     )
     # The sampled ravine ratio is exactly 1.

@@ -197,17 +197,6 @@ def dist_to_solution_rows(X, inst: FactorizationInstance) -> np.ndarray:
     return row_norms(D.reshape(len(Bs), -1))
 
 
-def manifold_residuals(B, inst: FactorizationInstance):
-    """(||P P^T - D||_F, ||P Q^T||_F) in the eigenbasis of X."""
-    B = as_matrix(B, inst)
-    r = inst.r
-    Bp = inst.basis.T @ B
-    P, Q = Bp[:r], Bp[r:]
-    D = np.diag(inst.evals[:r])
-    return (float(np.linalg.norm(P @ P.T - D)),
-            float(np.linalg.norm(P @ Q.T)))
-
-
 def solution_sampler(inst: FactorizationInstance) -> SolutionSampler:
     """Random points of S, flattened: L times the transpose of the
     orthonormal factor of a (k, r) Gaussian draw per sample, stacked into
@@ -303,11 +292,6 @@ def base_solution(inst: FactorizationInstance) -> np.ndarray:
 def bundle(params: dict) -> ProblemBundle:
     inst = random_instance(int(params["d"]), int(params["r"]),
                            int(params["k"]), int(params["instance_seed"]))
-    tol = 1e-8 * (1.0 + float(np.linalg.norm(inst.evals[:inst.r])))
-
-    def _on_manifold(x):
-        res_p, res_pq = manifold_residuals(x.reshape(inst.d, inst.k), inst)
-        return res_p <= tol and res_pq <= tol
 
     def _retract_rows(X):
         return factorization_retraction_rows(
@@ -315,7 +299,6 @@ def bundle(params: dict) -> ProblemBundle:
 
     rav = RavineDescriptor(
         retract_rows=_retract_rows,
-        on_manifold=_on_manifold,
         sample_solution=solution_sampler(inst),
     )
     # On the ravine (1/k) dist^4 <= f <= dist^4 exactly (see the module

@@ -245,7 +245,6 @@ def _retract_rows(X, inst):
 def bundle(params: dict) -> ProblemBundle:
     inst = make_neuron_instance(int(params["d"]), int(params["instance_seed"]),
                                 v_norm=float(params["v_norm"]))
-    tol = 1e-8 * (1.0 + inst.norm_v)
 
     def _solutions(c):
         # Aligned splits (c v, (1 - c) v), one per entry of c.
@@ -256,8 +255,6 @@ def bundle(params: dict) -> ProblemBundle:
                               rows=_solutions)
     rav = RavineDescriptor(
         retract_rows=lambda X: _retract_rows(X, inst),
-        on_manifold=lambda x: float(np.linalg.norm(
-            x[:inst.d] + x[inst.d:] - inst.v)) <= tol,
         sample_solution=sampler,
     )
     # The balanced split (v/2, v/2) is the base solution.

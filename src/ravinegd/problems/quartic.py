@@ -46,7 +46,6 @@ def bundle(params: dict) -> ProblemBundle:
     # retraction is the identity.
     rav = RavineDescriptor(
         retract_rows=lambda X: np.array(X, dtype=float),
-        on_manifold=lambda x: True,
         sample_solution=_SOLUTIONS,
     )
     return ProblemBundle(SPEC, objective(), rav, None, np.zeros(1),

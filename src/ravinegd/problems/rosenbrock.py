@@ -71,8 +71,6 @@ SPEC = ProblemSpec(
 def bundle(params: dict) -> ProblemBundle:
     rav = RavineDescriptor(
         retract_rows=_retract_rows,
-        on_manifold=lambda z: abs(float(z[1]) - float(z[0]) ** 2)
-        <= 1e-8 * (1.0 + float(z[0]) ** 2),
         sample_solution=_SOLUTIONS,
     )
     # The sampled ravine ratio is exactly 10.

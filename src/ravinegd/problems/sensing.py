@@ -17,7 +17,11 @@ rows of ``a`` and ``at`` are still in cache, so the factor arrays are read
 from memory once per evaluation instead of twice.  With m <= ROW_BLOCK
 there is one block and the result is bit for bit that of the unblocked
 formula; above it the value and gradient sums are regrouped by block and
-differ from it by rounding only.
+differ from it by rounding only.  Within a block nothing is regrouped:
+the row sums of squares add whole columns in the order of numpy's own
+pairwise row sum (``_row_sums``), and transposed copies of the forward
+products are scaled by the residuals in place, so a block's terms are
+those of ``(aB * aB).sum(axis=1)`` and ``r * aB`` bit for bit.
 
 The targets ``y`` and the dense measurements ``SensingInstance.measure``
 walk the rows in ``ROW_BLOCK`` pieces too, through one reused block-sized
@@ -151,15 +155,68 @@ def make_sensing_instance(d: int, r: int, k: int, m: int,
     return from_factors(fac_inst, a, at, op_scale=2.0)
 
 
+def _row_sums(w: np.ndarray) -> np.ndarray:
+    """The row sums of a 2-d array, as adds of whole columns, bit for bit
+    those of ``np.ascontiguousarray(w).sum(axis=1)``.
+
+    numpy adds each row of a C-contiguous array pairwise into an output
+    that starts at 0.0: rows shorter than 8 in order; up to 128 entries as
+    eight running sums of every eighth entry, combined as ((r0 + r1) +
+    (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail in order; longer
+    rows as the sums of two halves, the first rounded down to a multiple
+    of 8.  The same adds over whole columns pay numpy's per-call cost once
+    per column instead of once per row, and run fastest where each column
+    is contiguous, as in the transpose of a C-contiguous array, whose own
+    numpy sum takes another order from 8 columns up.
+    """
+    return _column_sum(w, 0, w.shape[1])
+
+
+def _column_sum(w, lo, n):
+    # numpy's pairwise sum of the columns lo .. lo + n - 1.  Each partial
+    # sum starts as its first column plus 0.0.  That turns a -0.0 first
+    # term into +0.0; a sum whose first term is not -0.0 is never -0.0 and
+    # otherwise keeps its bits, which is what numpy's adding the pairwise
+    # sum to an output of 0.0 does to it.
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _column_sum(w, lo, half) + _column_sum(w, lo + half, n - half)
+    if n < 8:
+        s = w[:, lo] + 0.0
+        rest = range(lo + 1, lo + n)
+    else:
+        r = [w[:, j] + 0.0 for j in range(lo, lo + 8)]
+        stop = lo + n - n % 8
+        for j in range(lo + 8, stop):
+            r[(j - lo) % 8] += w[:, j]
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = range(stop, lo + n)
+    for j in rest:
+        s += w[:, j]
+    return s
+
+
 def _block_terms(B, a, at, y):
     # Sum of squared residuals and a^T(r * aB) - a~^T(r * a~B) over one
-    # block of measurement rows.  The row sums stay (v * v).sum(axis=1):
-    # einsum is faster but rounds differently.
-    aB = a @ B
-    atB = at @ B
-    resid = y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1))
-    r = resid[:, None]
-    return float(resid @ resid), a.T @ (r * aB) - at.T @ (r * atB)
+    # block of measurement rows, with every sum grouped as in
+    # y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1)) and
+    # a.T @ (r * aB) - at.T @ (r * atB).  The elementwise work runs on
+    # transposed copies of aB and atB, so that each of their k columns is
+    # one contiguous row: the row sums are ``_row_sums`` of the squares,
+    # and the scaling by the residuals is in place, one IEEE product per
+    # entry as in r * aB.  The gradient products take the scaled copies
+    # as transposed operands, which OpenBLAS 0.3.31 multiplies bit for bit
+    # as it does the row-major arrays; the bitwise sensing tests pin this.
+    aBt = (a @ B).T.copy()
+    atBt = (at @ B).T.copy()
+    sq = aBt * aBt
+    resid = _row_sums(sq.T)
+    np.multiply(atBt, atBt, out=sq)
+    resid -= _row_sums(sq.T)
+    np.subtract(y, resid, out=resid)
+    aBt *= resid
+    atBt *= resid
+    return float(resid @ resid), a.T @ aBt.T - at.T @ atBt.T
 
 
 def sensing_eval(B, inst: SensingInstance):

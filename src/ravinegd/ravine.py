@@ -109,7 +109,6 @@ class RavineDescriptor:
         checks retract whole clouds and stencil blocks with it, and a run
         that records distances retracts each epoch's block of iterates
         with it.
-    on_manifold : membership predicate with tolerance.
     sample_solution : rng -> a random point of S, used to anchor clouds;
         a :class:`SolutionSampler` lets a cloud map its samples' draws to
         solutions in one call.
@@ -121,7 +120,6 @@ class RavineDescriptor:
     """
 
     retract_rows: Callable[[np.ndarray], np.ndarray]
-    on_manifold: Callable[[np.ndarray], bool]
     sample_solution: Callable[[np.random.Generator], np.ndarray]
     retract: Optional[Callable[[np.ndarray], np.ndarray]] = None
 

@@ -331,6 +331,20 @@ def test_cli_morse_rejects_malformed_input(flag, tmp_path):
     assert not out.exists()
 
 
+def test_cli_morse_refuses_a_grid_too_large_to_solve(tmp_path, capsys):
+    # 1e16 points would take 80 PB; the count is refused before np.arange
+    # is asked for the array.
+    out = tmp_path / "morse"
+    with pytest.raises(SystemExit) as exc:
+        main(["morse", "--problem", "circle", "--u-grid=0:1e16:1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1].startswith("ravinegd morse: error: argument --u-grid:")
+    assert "Traceback" not in "\n".join(err)
+    assert not out.exists()
+
+
 def test_cli_compare_checks_every_method_before_the_first_run(tmp_path,
                                                              capsys):
     out = tmp_path / "cmp"

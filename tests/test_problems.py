@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ravinegd import (
@@ -398,17 +398,103 @@ def _unblocked_sensing_eval(B, inst):
     return value, grad
 
 
+# Row widths k on both sides of numpy's 8-wide pairwise unroll.
+@pytest.mark.parametrize("r, k", [(1, 1), (2, 4), (2, 8), (2, 13)])
 @pytest.mark.parametrize("m", [1, 800, sensing.ROW_BLOCK])
-def test_sensing_single_block_is_the_unblocked_formula_bitwise(m):
-    inst = sensing.make_sensing_instance(d=20, r=2, k=4, m=m, seed=5)
+def test_sensing_single_block_is_the_unblocked_formula_bitwise(m, r, k):
+    inst = sensing.make_sensing_instance(d=20, r=r, k=k, m=m, seed=5)
     rng = np.random.default_rng(m)
-    points = [rng.standard_normal((20, 4)),
-              sensing.base_solution(inst).reshape(20, 4)]
+    points = [rng.standard_normal((20, k)),
+              sensing.base_solution(inst).reshape(20, k)]
     for B in points:
         v, g = sensing.sensing_eval(B, inst)
         v_ref, g_ref = _unblocked_sensing_eval(B, inst)
         assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
         assert g.tobytes() == g_ref.tobytes()
+
+
+def _numpy_block_terms(B, a, at, y):
+    # One block's terms with numpy's row sums and broadcast products.
+    aB = a @ B
+    atB = at @ B
+    resid = y - ((aB * aB).sum(axis=1) - (atB * atB).sum(axis=1))
+    r = resid[:, None]
+    return float(resid @ resid), a.T @ (r * aB) - at.T @ (r * atB)
+
+
+def test_sensing_paper_size_blocks_are_the_numpy_formula_bitwise():
+    # d = 100, m = 4000: three full blocks and a short one.
+    inst = sensing.make_sensing_instance(d=100, r=2, k=4, m=4000, seed=0)
+    rng = np.random.default_rng(3)
+    base = sensing.base_solution(inst).reshape(100, 4)
+    for B in [rng.standard_normal((100, 4)),
+              base + 1e-3 * rng.standard_normal((100, 4)), base]:
+        n = sensing.ROW_BLOCK
+        value, grad = _numpy_block_terms(B, inst.a[:n], inst.at[:n],
+                                         inst.y[:n])
+        for lo in range(n, inst.m, n):
+            v, g = _numpy_block_terms(B, inst.a[lo:lo + n],
+                                      inst.at[lo:lo + n], inst.y[lo:lo + n])
+            value += v
+            grad += g
+        v, g = sensing.sensing_eval(B, inst)
+        assert np.float64(v).tobytes() == np.float64(value / inst.m).tobytes()
+        assert g.tobytes() == ((-4.0 / inst.m) * grad).tobytes()
+
+
+_SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324,
+                      2.2e-308, -1e-310])
+
+
+def _same_row_sums(w):
+    # numpy's own adds do not fix which of two NaN operands comes out (its
+    # vector loop and its scalar tail differ), so a NaN sum is compared as
+    # NaN and every other sum by its bytes.
+    # The sensing blocks pass the transpose of a C-contiguous array, so
+    # the sums of both layouts are checked.
+    with np.errstate(invalid="ignore"):
+        want = w.sum(axis=1)
+        sums = [sensing._row_sums(w),
+                sensing._row_sums(np.ascontiguousarray(w.T).T)]
+    nan = np.isnan(want)
+    return all(np.array_equal(np.isnan(got), nan)
+               and got[~nan].tobytes() == want[~nan].tobytes()
+               for got in sums)
+
+
+@settings(max_examples=150, deadline=None)
+@given(width=st.integers(1, 300), rows=st.integers(1, 6),
+       lo=st.integers(-300, 300), span=st.integers(0, 600),
+       special=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(width=8, rows=3, lo=-5, span=10, special=0.0, seed=0)
+@example(width=129, rows=3, lo=-300, span=600, special=0.0, seed=1)
+@example(width=300, rows=2, lo=0, span=0, special=0.5, seed=2)
+@example(width=17, rows=6, lo=-300, span=600, special=1.0, seed=3)
+def test_row_sums_are_numpy_row_sums_bitwise(width, rows, lo, span, special,
+                                             seed):
+    # Magnitudes 10**lo .. 10**min(lo + span, 300), random signs, and a
+    # share ``special`` of NaN, infinities, signed zeros and subnormals.
+    rng = np.random.default_rng(seed)
+    exps = rng.uniform(lo, min(lo + span, 300), (rows, width))
+    w = rng.choice([-1.0, 1.0], (rows, width)) * 10.0 ** exps
+    mask = rng.random((rows, width)) < special
+    w[mask] = rng.choice(_SPECIALS, mask.sum())
+    assert _same_row_sums(w)
+
+
+def test_row_sums_at_every_width_to_300():
+    # Every width across the 8-wide unroll, the 128-entry block and the
+    # halving split above it: ordinary rows, special rows, and signed
+    # zeros, whose numpy sum is +0.0 even when every entry is -0.0.
+    rng = np.random.default_rng(0)
+    for width in range(1, 301):
+        w = rng.standard_normal((5, width)) * 10.0 ** rng.integers(
+            -300, 301, (5, width))
+        assert _same_row_sums(w), width
+        assert _same_row_sums(rng.choice(_SPECIALS, (5, width))), width
+        zeros = rng.choice([-0.0, 0.0], (3, width))
+        zeros[0] = -0.0
+        assert _same_row_sums(zeros), width
 
 
 def _one_pass_forms(a, at, Z):

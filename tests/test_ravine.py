@@ -26,6 +26,7 @@ from ravinegd.objective import (
     on_row,
     row_norms,
 )
+from ravinegd.morse import MAX_GRID_POINTS, tangent_grid
 from ravinegd.opt_core import OVERFLOW_IS_DATA
 from ravinegd.problems import (
     PROBLEM_NAMES, PROBLEMS, build, circle, factorization, quartic,
@@ -58,6 +59,31 @@ def bundles():
 
 # ----------------------------------------------------------- descriptors
 
+def manifold_residuals(B, inst):
+    """(||P P^T - D||_F, ||P Q^T||_F) of a factorization point B in the
+    eigenbasis of X, with P its first r rows there and D the top r
+    eigenvalues."""
+    Bp = inst.basis.T @ np.reshape(B, (inst.d, inst.k))
+    P, Q = Bp[:inst.r], Bp[inst.r:]
+    return (float(np.linalg.norm(P @ P.T - np.diag(inst.evals[:inst.r]))),
+            float(np.linalg.norm(P @ Q.T)))
+
+
+def _on_manifold(bundle, name, x):
+    """Whether x lies on the problem's solution manifold, within the
+    tolerance of each problem's defining equation."""
+    inst = bundle.instance
+    if name == "rosenbrock":
+        return abs(x[1] - x[0] ** 2) <= 1e-8 * (1.0 + x[0] ** 2)
+    if name == "circle":
+        return abs(math.hypot(*x) - 1.0) <= 1e-8
+    if name == "neuron":
+        return (np.linalg.norm(x[:inst.d] + x[inst.d:] - inst.v)
+                <= 1e-8 * (1.0 + inst.norm_v))
+    tol = 1e-8 * (1.0 + np.linalg.norm(inst.evals[:inst.r]))
+    return max(manifold_residuals(x, inst)) <= tol
+
+
 @pytest.mark.parametrize("name", RAVINE_PROBLEMS)
 def test_retraction_identity_on_manifold(bundles, name):
     bundle = bundles[name]
@@ -66,7 +92,7 @@ def test_retraction_identity_on_manifold(bundles, name):
     for _ in range(100):
         s = bundle.sample_solution(rng)
         assert np.linalg.norm(rav.retract(s) - s) <= 1e-8
-        assert rav.on_manifold(s)
+        assert _on_manifold(bundle, name, s)
 
 
 @pytest.mark.parametrize("name", RAVINE_PROBLEMS)
@@ -78,7 +104,7 @@ def test_retraction_idempotent(bundles, name):
         r1 = rav.retract(x)
         r2 = rav.retract(r1)
         assert np.linalg.norm(r2 - r1) <= 1e-8
-        assert rav.on_manifold(r1)
+        assert _on_manifold(bundle, name, r1)
 
 
 # ------------------------------------------------- Procrustes projection
@@ -148,7 +174,7 @@ def test_retraction_lands_on_manifold(fact_inst):
         B = factorization.sample_solution(fact_inst, rng)
         B = B + 0.01 * rng.standard_normal(B.shape)
         R = _retract(B, fact_inst)
-        res_p, res_pq = factorization.manifold_residuals(R, fact_inst)
+        res_p, res_pq = manifold_residuals(R, fact_inst)
         assert res_p <= 1e-8 and res_pq <= 1e-8
 
 
@@ -967,7 +993,6 @@ def _retraction_counts(rav):
         return rav.retract_rows(X)
 
     return RavineDescriptor(retract_rows=retract_rows,
-                            on_manifold=rav.on_manifold,
                             sample_solution=rav.sample_solution), calls
 
 
@@ -1113,6 +1138,15 @@ def test_morse_zero_offset(bundles):
     obj = bundles["rosenbrock"].objective
     solver = morse_ravine_solve(obj, np.zeros(2), tol=1e-12, max_iter=50)
     assert np.linalg.norm(solver(np.zeros(1))) <= 1e-12
+
+
+def test_tangent_grid_point_limit():
+    assert len(tangent_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) \
+        == MAX_GRID_POINTS
+    for grid in [(0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 1e7, 1e-9),
+                 (-1e308, 1e308, 1e-300)]:
+        with pytest.raises(ValueError, match="more than"):
+            tangent_grid(*grid)
 
 
 def test_morse_circle_implicit_equation(bundles):
