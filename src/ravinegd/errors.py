@@ -1,4 +1,52 @@
-"""Exception types shared across the package."""
+"""Exception types, and the rules that judge every user-set value.
+
+A rule is a predicate and the phrase it enforces; a broken rule reads
+``name: must be <phrase>, got <value>`` in the CLI and the library alike.
+"""
+
+import sys
+
+import numpy as np
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    return ((is_integer(value) or isinstance(value, (float, np.floating)))
+            and abs(value) <= sys.float_info.max)
+
+
+# Rules for user-set values.  A "real number" is one that float64 holds
+# finitely; an int may not be.
+POSITIVE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+NONNEGATIVE = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
+REAL = (is_finite, "a real number")
+NONNEGATIVE_REAL = (lambda v: is_finite(v) and v >= 0, "a real number >= 0")
+POSITIVE_REAL = (lambda v: is_finite(v) and v > 0, "a real number > 0")
+
+
+def optional(rule):
+    """``rule`` that also admits None."""
+    return (lambda v: v is None or rule[0](v), rule[1])
+
+
+def rule_errors(values: dict, rules: dict, label: str = "{}:") -> list:
+    """One message per value that breaks its rule in ``rules``; ``label``
+    formats the value's name."""
+    return [f"{label.format(key)} must be {rules[key][1]}, got {value!r}"
+            for key, value in values.items() if not rules[key][0](value)]
+
+
+def check_args(**args):
+    """Raise ValueError naming every argument that breaks its rule; each
+    keyword maps an argument's name to its ``(value, rule)``."""
+    errors = rule_errors({name: value for name, (value, _) in args.items()},
+                         {name: rule for name, (_, rule) in args.items()})
+    if errors:
+        raise ValueError("; ".join(errors))
 
 
 class RavineGDError(Exception):

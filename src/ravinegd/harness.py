@@ -21,7 +21,9 @@ from typing import Optional
 import numpy as np
 
 from . import problems
-from .errors import ConfigInvalid, InsufficientData, UnsupportedCheck
+from .errors import (
+    NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL,
+    ConfigInvalid, InsufficientData, UnsupportedCheck, optional, rule_errors)
 from .morse import morse_ravine_solve, tangent_grid
 from .objective import row_norms
 from .opt_core import (
@@ -33,9 +35,6 @@ from .opt_core import (
     polyak_baseline,
     target_above,
 )
-from .problems.spec import (
-    NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL, optional,
-    rule_errors)
 from .ravine import (
     DiagnosticsReport,
     SampleStream,
@@ -329,11 +328,8 @@ def compare_methods(config: ExperimentConfig) -> list:
                for method in ("gd", "polyak", "gdpolyak")]
     if config.J is not None or config.f_lb is not None:
         configs.append(replace(config, method="gdpolyak_lb"))
-    # Every config before the first run; the last holds every field the
-    # others hold, so its errors come first and in full.  A lower bound is
-    # checked against f(x0) before the first run too.
-    for cfg in reversed(configs):
-        cfg.validate()
+    # A lower bound is checked against f(x0) before the first run too.
+    configs[-1].validate()
     if configs[-1].method == "gdpolyak_lb":
         _instance(configs[-1])
     rows = []

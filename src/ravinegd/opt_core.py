@@ -32,11 +32,8 @@ from typing import List, Optional
 import numpy as np
 
 from .errors import (
-    EmptyTrace,
-    MissingFStar,
-    NonFiniteGradient,
-    TargetAboveValue,
-)
+    NONNEGATIVE_REAL, POSITIVE, REAL, EmptyTrace, MissingFStar,
+    NonFiniteGradient, TargetAboveValue, check_args, is_finite)
 from .objective import Objective
 
 SHORT_GD = "ShortGD"
@@ -229,27 +226,6 @@ class _Engine:
             epoch_end_gaps=end_gaps, **extra)
 
 
-def is_integer(value) -> bool:
-    """An int or numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_counts(**counts):
-    """Raise ValueError, naming the count, for the first that is not an
-    integer >= 1 (a float, NaN, inf or bool included)."""
-    for name, n in counts.items():
-        if not is_integer(n):
-            raise ValueError(f"{name} must be an integer, got {n!r}")
-        if n < 1:
-            raise ValueError(f"{name} must be >= 1, got {n}")
-
-
-def _check_args(eta: float = 0.0, **counts):
-    check_counts(**counts)
-    if not (math.isfinite(eta) and eta >= 0):
-        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
-
-
 def _run(x0, K: int, I: int, obj: Objective, f_ref: float,
          every_iterate: bool, n_constant: int, eta: float, long_step,
          dist_solution, dist_ravine) -> RunTrace:
@@ -272,10 +248,8 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     :class:`TargetAboveValue` when f_target exceeds f(x) beyond tolerance,
     signalling a bad lower-bound estimate.
     """
-    if scale not in (1.0, 2.0, 1, 2):
-        raise ValueError(f"scale must be 1 or 2, got {scale}")
-    if not math.isfinite(f_target):
-        raise ValueError(f"f_target must be finite, got {f_target}")
+    check_args(f_target=(f_target, REAL), scale=(scale, (
+        lambda v: is_finite(v) and v in (1, 2), "1 or 2")))
     x = np.asarray(x, dtype=float)
     f, g = obj.both(x)
     g = np.asarray(g, dtype=float)
@@ -322,7 +296,7 @@ def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
     (both the short-phase endpoints and the Polyak outputs).
     """
     f_star, toward_f_star = _toward_f_star(obj, "gdpolyak")
-    _check_args(eta, K=K, I=I)
+    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE))
     return _run(x0, K, I, obj, f_star, False, K, eta, toward_f_star,
                 dist_solution, dist_ravine)
 
@@ -341,10 +315,9 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     candidates so far are kept); the next round restarts from x0 regardless.
     Epochs whose target exceeds the current value skip the Polyak step.
     """
-    _check_args(eta, K=K, I=I, J=J)
+    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE),
+               J=(J, POSITIVE), f0=(f0, REAL))
     f0 = float(f0)
-    if not math.isfinite(f0):
-        raise ValueError(f"f0 must be finite, got {f0}")
     x0 = np.asarray(x0, dtype=float)
     f_ref = float(obj.f_star) if obj.f_star is not None else f0
     f_est = f0
@@ -399,7 +372,7 @@ def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,
     Iterations are grouped into I blocks of K+1 steps so that per-block
     value gaps are comparable to gdpolyak epochs at equal gradient budget.
     """
-    _check_args(eta, K=K, I=I)
+    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE))
     f_ref = float(obj.f_star) if obj.f_star is not None else 0.0
     return _run(x0, K, I, obj, f_ref, True, K + 1, eta, None, dist_solution,
                 dist_ravine)
@@ -414,6 +387,6 @@ def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
     the value at an iterate beyond tolerance.
     """
     f_star, toward_f_star = _toward_f_star(obj, "polyak baseline")
-    _check_args(K=K, I=I)
+    check_args(K=(K, POSITIVE), I=(I, POSITIVE))
     return _run(x0, K, I, obj, f_star, True, 0, 0.0, toward_f_star,
                 dist_solution, dist_ravine)

@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
+from ..errors import rule_errors
 from ..objective import unit_direction
 from . import circle, factorization, neuron, quartic, rosenbrock, sensing
-from .spec import ProblemBundle, rule_errors
+from .spec import ProblemBundle
 
 PROBLEMS = {module.SPEC.name: module for module in (
     quartic, rosenbrock, circle, factorization, sensing, neuron)}

@@ -15,11 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import DegenerateProjection, ShapeMismatch
+from ..errors import NONNEGATIVE, POSITIVE, DegenerateProjection, ShapeMismatch
 from ..objective import Objective, fused_on_row, row_norms
 from ..ravine import RavineDescriptor, SolutionSampler
-from .spec import (
-    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec)
+from .spec import CLOUD_CHECKS, ProblemBundle, ProblemSpec
 
 RANK_TOL = 1e-10
 DEGENERATE_TOL = 1e-10

@@ -22,11 +22,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import ShapeMismatch, ZeroNeuron
+from ..errors import (
+    NONNEGATIVE, POSITIVE, ShapeMismatch, ZeroNeuron, is_finite)
 from ..objective import Objective, _rowdot, row_norms
 from ..ravine import RavineDescriptor, SolutionSampler
-from .spec import (
-    CLOUD_CHECKS, NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec, is_finite)
+from .spec import CLOUD_CHECKS, ProblemBundle, ProblemSpec
 
 NORM_FLOOR = 1e-8
 

@@ -39,10 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ShapeMismatch
+from ..errors import NONNEGATIVE, POSITIVE, ShapeMismatch
 from ..objective import Objective
 from . import factorization as fact
-from .spec import NONNEGATIVE, POSITIVE, ProblemBundle, ProblemSpec
+from .spec import ProblemBundle, ProblemSpec
 
 # Rows of measurements per block of ``sensing_eval`` and of the quadratic
 # forms behind the targets and ``measure``.  A block's rows of a and a~ are

@@ -2,48 +2,19 @@
 
 Every problem module declares ``SPEC``, the facts shared by all its
 instances, and ``bundle(params)``, which builds a :class:`ProblemBundle`
-from the spec's defaults overlaid with the given parameters.  The value
-rules here, and ``rule_errors`` that applies them, judge problem
-parameters and the harness's own fields alike.
+from the spec's defaults overlaid with the given parameters.  Each
+parameter's rule comes from :mod:`ravinegd.errors`.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from ..objective import Objective
-from ..opt_core import is_integer
 from ..ravine import RavineDescriptor
-
-
-def is_finite(value) -> bool:
-    return ((is_integer(value) or isinstance(value, (float, np.floating)))
-            and abs(value) <= sys.float_info.max)
-
-
-# Rules for user-set values: a predicate and the phrase it enforces.  A
-# "real number" is one that float64 holds finitely; an int may not be.
-POSITIVE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
-NONNEGATIVE = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
-REAL = (is_finite, "a real number")
-NONNEGATIVE_REAL = (lambda v: is_finite(v) and v >= 0, "a real number >= 0")
-POSITIVE_REAL = (lambda v: is_finite(v) and v > 0, "a real number > 0")
-
-
-def optional(rule):
-    """``rule`` that also admits None."""
-    return (lambda v: v is None or rule[0](v), rule[1])
-
-
-def rule_errors(values: dict, rules: dict, label: str = "{}:") -> list:
-    """One message per value that breaks its rule in ``rules``; ``label``
-    formats the value's name."""
-    return [f"{label.format(key)} must be {rules[key][1]}, got {value!r}"
-            for key, value in values.items() if not rules[key][0](value)]
 
 
 # The checks that sample clouds around a closed-form ravine.

@@ -45,7 +45,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import InsufficientValidSamples
+from .errors import (
+    NONNEGATIVE, POSITIVE, POSITIVE_REAL, InsufficientValidSamples, check_args,
+    is_integer)
 from .objective import (
     Objective,
     _central_differences,
@@ -53,7 +55,7 @@ from .objective import (
     gaussian_direction,
     row_norms,
 )
-from .opt_core import OVERFLOW_IS_DATA, check_counts, is_integer
+from .opt_core import OVERFLOW_IS_DATA
 
 # Samples closer to the manifold than this are 0/0 ratios and are skipped.
 SKIP_DISTANCE = 1e-12
@@ -214,9 +216,15 @@ class SampleStream:
                 + radius * self._directions[start:stop])
 
 
-def _stream(seed, sample_solution, dim) -> SampleStream:
+def _stream(seed, sample_solution, dim, n_samples, **radii) -> SampleStream:
     """``seed`` itself when it is a :class:`SampleStream` of this sampler
-    and dimension, else a stream of its own from the int ``seed``."""
+    and dimension, else a stream of its own from the int ``seed``; first,
+    a cloud check's ``n_samples``, ``radii`` and int ``seed`` are judged."""
+    args = {"n_samples": (n_samples, POSITIVE)}
+    args.update((name, (r, POSITIVE_REAL)) for name, r in radii.items())
+    if not isinstance(seed, SampleStream):
+        args["seed"] = (seed, NONNEGATIVE)
+    check_args(**args)
     if not isinstance(seed, SampleStream):
         return SampleStream(sample_solution, dim, seed)
     if seed.sample_solution is not sample_solution or seed.dim != dim:
@@ -312,8 +320,8 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
     samples and their retractions are evaluated in one ``eval_rows`` call.
     Passes when every ratio lies inside [lower_bracket, upper_bracket].
     """
-    X = _stream(seed, rav.sample_solution, obj.dim).cloud(
-        0, n_samples, radius)
+    X = _stream(seed, rav.sample_solution, obj.dim, n_samples,
+                radius=radius).cloud(0, n_samples, radius)
     R = rav.retract(X)
     den = np.sum((X - R) ** 2, axis=1)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
@@ -332,8 +340,8 @@ def check_ravine_quadratic(obj: Objective, rav: RavineDescriptor,
 def check_aiming(obj: Objective, rav: RavineDescriptor, n_samples: int,
                  radius: float, seed: int | SampleStream) -> DiagnosticsReport:
     """Extremes of <grad f(x), x - R(x)> / ||x - R(x)||^2; passes when min > 0."""
-    X = _stream(seed, rav.sample_solution, obj.dim).cloud(
-        0, n_samples, radius)
+    X = _stream(seed, rav.sample_solution, obj.dim, n_samples,
+                radius=radius).cloud(0, n_samples, radius)
     D = X - rav.retract_rows(X)
     den = _rowdot(D, D)
     kept = np.flatnonzero(~(den < SKIP_DISTANCE ** 2))
@@ -360,14 +368,16 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     problem whose value cancels terms of order one on the manifold.  The
     report lists the two coefficients.
     """
-    radius_grid = np.asarray(list(radius_grid), dtype=float)
-    if radius_grid.max() < 10.0 * radius_grid.min():
-        raise ValueError("radius_grid must span at least one decade")
+    grid = list(radius_grid) if np.iterable(radius_grid) else [radius_grid]
+    stream = _stream(seed, rav.sample_solution, obj.dim, n_samples, **{
+        f"radius_grid[{i}]": radius for i, radius in enumerate(grid)})
+    radius_grid = np.asarray(grid, dtype=float)
+    if not grid or radius_grid.max() < 10.0 * radius_grid.min():
+        raise ValueError(f"radius_grid: must span a decade, got {grid!r}")
     if obj.dist_rows is None:
         raise ValueError("no distance oracle available for growth check")
     f_star = float(obj.f_star) if obj.f_star is not None else 0.0
     p = obj.p_growth
-    stream = _stream(seed, rav.sample_solution, obj.dim)
     per_radius = max(1, n_samples // len(radius_grid))
     Y = rav.retract_rows(np.concatenate([
         stream.cloud(i * per_radius, per_radius, radius)
@@ -426,7 +436,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
         raise ValueError("lojasiewicz check requires obj.f_star")
     f_star = float(obj.f_star)
     exponent = (p - 1.0) / p
-    stream = _stream(seed, sample_solution, obj.dim)
+    stream = _stream(seed, sample_solution, obj.dim, n_samples, radius=radius)
 
     def ratios_at(rad, index):
         X = stream.cloud(index * n_samples, n_samples, rad)
@@ -466,7 +476,8 @@ def check_gradient_control(obj: Objective, rav: RavineDescriptor,
         return obj.eval_rows(rav.retract_rows(rows))
 
     per_block = max(1, STENCIL_ROWS // (2 * obj.dim))
-    stream = _stream(seed, rav.sample_solution, obj.dim)
+    stream = _stream(seed, rav.sample_solution, obj.dim, n_samples,
+                     radius=radius)
 
     def ratios_at(rad, index):
         X = stream.cloud(index * n_samples, n_samples, rad)
@@ -499,11 +510,11 @@ def measure_rip(inst, rank_l: int, trials: int, seed: int) -> float:
     measurement ensemble (see the sensing module); an orthonormal-basis
     operator uses op_scale = 1.
     """
-    check_counts(trials=trials)
-    rng = np.random.default_rng(seed)
     d = inst.fac.d
-    if not (is_integer(rank_l) and 1 <= rank_l <= d):
-        raise ValueError(f"rank_l = {rank_l} is not in 1..{d}")
+    check_args(rank_l=(rank_l, (lambda v: is_integer(v) and 1 <= v <= d,
+                                f"an integer in 1..{d}")),
+               trials=(trials, POSITIVE), seed=(seed, NONNEGATIVE))
+    rng = np.random.default_rng(seed)
     scale2 = float(inst.op_scale) ** 2
     worst = 0.0
     for _ in range(trials):

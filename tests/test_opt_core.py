@@ -136,7 +136,8 @@ def test_polyak_step_rejects_other_scales(qobj):
 
 @pytest.mark.parametrize("f_target", [math.nan, math.inf, -math.inf])
 def test_polyak_step_rejects_a_non_finite_target(qobj, f_target):
-    with pytest.raises(ValueError, match="f_target must be finite"):
+    with pytest.raises(ValueError,
+                       match="^f_target: must be a real number, got "):
         polyak_step(np.array([1.0]), qobj, f_target)
 
 
@@ -308,7 +309,7 @@ def test_gdpolyak_lb_rejects_f0_above_value(qobj):
 
 @pytest.mark.parametrize("f0", [math.nan, -math.inf, math.inf])
 def test_gdpolyak_lb_rejects_a_non_finite_f0(qobj, f0):
-    with pytest.raises(ValueError, match="f0 must be finite"):
+    with pytest.raises(ValueError, match="^f0: must be a real number, got "):
         gdpolyak_lb(np.array([1.0]), 0.1, 2, 2, 2, f0, qobj)
 
 
@@ -316,7 +317,8 @@ def test_gdpolyak_lb_rejects_a_non_finite_f0(qobj, f0):
 @pytest.mark.parametrize("method", ["gd", "gdpolyak", "gdpolyak_lb"])
 def test_methods_reject_a_non_finite_eta(qobj, method, eta):
     x0 = np.array([1.0])
-    with pytest.raises(ValueError, match="eta must be finite"):
+    with pytest.raises(ValueError,
+                       match="^eta: must be a real number >= 0, got "):
         if method == "gd":
             gd_baseline(x0, eta, 2, 2, qobj)
         elif method == "gdpolyak":
@@ -343,7 +345,8 @@ _COUNT_CALLS = {
 def test_methods_reject_a_count_that_is_not_an_integer(qobj, method, count,
                                                        bad):
     counts = {"K": 2, "I": 2, "J": 2, count: bad}
-    with pytest.raises(ValueError, match=f"^{count} must be an integer, "):
+    with pytest.raises(ValueError,
+                       match=f"^{count}: must be an integer >= 1, got "):
         _COUNT_CALLS[method](qobj, **counts)
 
 

@@ -17,6 +17,7 @@ from ravinegd import (
     ZeroNeuron,
 )
 from ravinegd.cli import main
+from ravinegd.errors import NONNEGATIVE, POSITIVE
 from ravinegd.objective import central_difference_gradient, unit_direction
 from ravinegd.problems import (
     PROBLEMS,
@@ -30,7 +31,6 @@ from ravinegd.problems import (
     sample_init,
     sensing,
 )
-from ravinegd.problems.spec import NONNEGATIVE, POSITIVE
 from ravinegd.ravine import measure_rip
 
 
@@ -286,8 +286,12 @@ def test_rip_full_rank_instance():
 
 
 @pytest.mark.parametrize("trials, rank_l, message", [
-    (0, 2, "trials must be >= 1"), (-1, 2, "trials must be >= 1"),
-    (5, 0, "rank_l = 0 is not in 1..4"), (5, 5, "rank_l = 5 is not in 1..4")])
+    (0, 2, "trials: must be an integer >= 1, got 0"),
+    (-1, 2, "trials: must be an integer >= 1, got -1"),
+    (5, 0, r"rank_l: must be an integer in 1\.\.4, got 0"),
+    (5, 5, r"rank_l: must be an integer in 1\.\.4, got 5")],
+    ids=["0-2-trials must be >= 1", "-1-2-trials must be >= 1",
+         "5-0-rank_l = 0 is not in 1..4", "5-5-rank_l = 5 is not in 1..4"])
 def test_rip_rejects_an_empty_measurement(trials, rank_l, message):
     # Zero trials or rank-0 samples measure nothing; the constant 0.0 they
     # would report passes the delta < 0.5 verdict.
@@ -297,12 +301,15 @@ def test_rip_rejects_an_empty_measurement(trials, rank_l, message):
 
 
 @pytest.mark.parametrize("trials, rank_l, message", [
-    (2.5, 2, "trials must be an integer, got 2.5"),
-    (math.nan, 2, "trials must be an integer, got nan"),
-    (math.inf, 2, "trials must be an integer, got inf"),
-    (True, 2, "trials must be an integer, got True"),
-    (5, 1.5, "rank_l = 1.5 is not in 1..4"),
-    (5, True, "rank_l = True is not in 1..4")])
+    (2.5, 2, "trials: must be an integer >= 1, got 2.5"),
+    (math.nan, 2, "trials: must be an integer >= 1, got nan"),
+    (math.inf, 2, "trials: must be an integer >= 1, got inf"),
+    (True, 2, "trials: must be an integer >= 1, got True"),
+    (5, 1.5, r"rank_l: must be an integer in 1\.\.4, got 1\.5"),
+    (5, True, r"rank_l: must be an integer in 1\.\.4, got True")],
+    ids=[f"{bad}-2-trials must be an integer, got {bad}"
+         for bad in ("2.5", "nan", "inf", "True")]
+    + [f"5-{bad}-rank_l = {bad} is not in 1..4" for bad in ("1.5", "True")])
 def test_rip_rejects_a_count_that_is_not_an_integer(trials, rank_l, message):
     inst = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
     with pytest.raises(ValueError, match=message):

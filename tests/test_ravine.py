@@ -557,6 +557,57 @@ def test_stream_of_another_sampler_or_dimension_is_refused(bundles):
             check_aiming(obj, rav, 10, 0.05, stream)
 
 
+def _cloud_check(bundle, check, n_samples, radius, seed):
+    """Run a cloud check on the rosenbrock bundle; growth samples the
+    grid ``[0.01, radius]``."""
+    obj, rav = bundle.objective, bundle.descriptor
+    if check == "growth":
+        return check_growth_exponent(obj, rav, n_samples, [0.01, radius],
+                                     seed)
+    if check == "lojasiewicz":
+        return check_lojasiewicz(obj, obj.p_growth, n_samples, radius, seed,
+                                 sample_solution=bundle.sample_solution,
+                                 retract=rav.retract)
+    if check == "ravine":
+        return check_ravine_quadratic(obj, rav, n_samples, radius, seed,
+                                      lower_bracket=5.0, upper_bracket=20.0)
+    run = {"aiming": check_aiming, "gradcontrol": check_gradient_control}
+    return run[check](obj, rav, n_samples, radius, seed)
+
+
+@pytest.mark.parametrize("bad", [2.5, -3, 0])
+@pytest.mark.parametrize("check", sorted(CLOUD_CHECKS))
+def test_cloud_checks_judge_their_sample_count(bundles, check, bad):
+    message = f"^n_samples: must be an integer >= 1, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        _cloud_check(bundles["rosenbrock"], check, bad, 0.1, 0)
+
+
+@pytest.mark.parametrize("bad", [1.5, -1])
+@pytest.mark.parametrize("check", sorted(CLOUD_CHECKS))
+def test_cloud_checks_judge_their_seed(bundles, check, bad):
+    message = f"^seed: must be an integer >= 0, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        _cloud_check(bundles["rosenbrock"], check, 3, 0.1, bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, -0.1])
+@pytest.mark.parametrize("check", sorted(CLOUD_CHECKS))
+def test_cloud_checks_judge_each_radius(bundles, check, bad):
+    name = r"radius_grid\[1\]" if check == "growth" else "radius"
+    message = f"^{name}: must be a real number > 0, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        _cloud_check(bundles["rosenbrock"], check, 3, bad, 0)
+
+
+def test_cloud_check_errors_name_every_broken_argument(bundles):
+    with pytest.raises(ValueError, match=(
+            "^n_samples: must be an integer >= 1, got 0; "
+            "radius: must be a real number > 0, got -1; "
+            "seed: must be an integer >= 0, got None$")):
+        _cloud_check(bundles["rosenbrock"], "aiming", 0, -1, None)
+
+
 @pytest.fixture
 def direction_draws(monkeypatch):
     """The count of sample directions the cloud checks draw."""
