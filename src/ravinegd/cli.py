@@ -2,8 +2,9 @@
 
 Subcommands: run (single method), compare (all methods at equal budget),
 diagnose (ravine-geometry checks, exit status reflects aggregate pass),
-morse (trace a Morse ravine over a tangent grid).  A JSON config file may
-supply any run/compare field; explicitly passed flags override it.
+morse (trace a Morse ravine over the tangent grid the morse check
+judges).  A JSON config file may supply any run/compare field; explicitly
+passed flags override it.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import problems
 from .errors import ConfigInvalid, RavineGDError
 from .harness import (
     ALL_CHECKS,
     METHODS,
+    MORSE_TOL,
     ExperimentConfig,
     check_input,
     compare_methods,
@@ -28,8 +28,11 @@ from .harness import (
     diagnose,
     run_experiment,
     run_summary,
+    trace_morse,
 )
-from .morse import MAX_GRID_POINTS, morse_ravine_solve, tangent_grid
+# Unused here: the perfbench tracer replaces this name in cli as well as in
+# harness, so it must resolve (tests/test_tracer_contract.py pins it).
+from .morse import morse_ravine_solve  # noqa: F401
 
 
 def _parse_param(text: str):
@@ -118,36 +121,21 @@ def _cmd_diagnose(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_grid(text: str) -> np.ndarray:
-    try:
-        return tangent_grid(*(float(t) for t in text.split(":")))
-    except (TypeError, ValueError) as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected a:b:step with a <= b, step > 0 and at most "
-            f"{MAX_GRID_POINTS} points, got {text!r}") from exc
-
-
 def _cmd_morse(args) -> int:
     params = dict(args.param)
-    check_input(args.problem, params, tol=args.tol)
+    check_input(args.problem, params)
     bundle = problems.build(args.problem, params)
-    spec = bundle.spec.morse
-    solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
-                                tol=args.tol, max_iter=100)
-    rows = []
-    for u in args.u_grid:
-        point = solver.point(np.full(solver.tangent_dim, float(u)))
-        rows.append({"u": float(u), "point": point.tolist(),
-                     spec.output: spec.residual(point)})
-    payload = {"problem": args.problem, "tol": args.tol, "points": rows}
+    rows = trace_morse(bundle)
+    payload = {"problem": args.problem, "tol": MORSE_TOL, "points": rows}
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "morse.json").write_text(json.dumps(payload, indent=2) + "\n",
                                         encoding="utf-8")
         print(f"wrote {out / 'morse.json'}")
+    output = bundle.spec.morse.output
     print("max deviation over grid: "
-          f"{max(row[spec.output] for row in rows):.3e}")
+          f"{max(row[output] for row in rows):.3e}")
     return 0
 
 
@@ -182,9 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_morse.add_argument("--problem", required=True, choices=[
         name for name, module in problems.PROBLEMS.items()
         if module.SPEC.morse is not None])
-    p_morse.add_argument("--u-grid", type=_parse_grid, dest="u_grid",
-                         default=_parse_grid("-0.5:0.5:0.05"))
-    p_morse.add_argument("--tol", type=float, default=1e-12)
     p_morse.add_argument("--out", dest="out_dir")
     p_morse.add_argument("--param", action="append", type=_parse_param,
                          default=[])

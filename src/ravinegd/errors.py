@@ -28,6 +28,18 @@ NONNEGATIVE_REAL = (lambda v: is_finite(v) and v >= 0, "a real number >= 0")
 POSITIVE_REAL = (lambda v: is_finite(v) and v > 0, "a real number > 0")
 
 
+def vector(dim):
+    """The rule of a point of R^dim: ``dim`` finite ints or floats."""
+    def holds(value):
+        try:
+            a = np.asarray(value)
+        except ValueError:                      # a ragged sequence
+            return False
+        return (a.shape == (dim,) and a.dtype.kind in "iuf"
+                and bool(np.isfinite(a).all()))
+    return (holds, f"a finite real vector of length {dim}")
+
+
 def optional(rule):
     """``rule`` that also admits None."""
     return (lambda v: v is None or rule[0](v), rule[1])

@@ -24,7 +24,7 @@ from . import problems
 from .errors import (
     NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL,
     ConfigInvalid, InsufficientData, UnsupportedCheck, optional, rule_errors)
-from .morse import morse_ravine_solve, tangent_grid
+from .morse import morse_ravine_solve
 from .objective import row_norms
 from .opt_core import (
     OVERFLOW_IS_DATA,
@@ -69,8 +69,8 @@ GAP_FLOOR = 1e-30
 ALL_CHECKS = ("ravine", "aiming", "growth", "lojasiewicz", "gradcontrol",
               "morse", "rip")
 
-# The rule of every user-set field of run, compare, diagnose and morse;
-# problem parameters follow their problem's SPEC.
+# The rule of every user-set field of run, compare and diagnose; problem
+# parameters, which morse takes too, follow their problem's SPEC.
 FIELD_RULES = {
     "method": (lambda v: v in METHODS, f"one of {', '.join(METHODS)}"),
     "eta": NONNEGATIVE_REAL, "K": POSITIVE, "I": POSITIVE,
@@ -79,8 +79,11 @@ FIELD_RULES = {
     "out_dir": optional((lambda v: isinstance(v, (str, os.PathLike)),
                          "a path string")),
     "record_distances": (lambda v: isinstance(v, bool), "a boolean"),
-    "samples": POSITIVE, "radius": POSITIVE_REAL, "tol": POSITIVE_REAL,
+    "samples": POSITIVE, "radius": POSITIVE_REAL,
 }
+
+# The Newton tolerance of every Morse trace, written into ``morse.json``.
+MORSE_TOL = 1e-12
 
 
 def check_input(problem, problem_params, cross=(), **fields):
@@ -353,6 +356,23 @@ def compare_methods(config: ExperimentConfig) -> list:
     return rows
 
 
+def trace_morse(bundle) -> list:
+    """One row ``{"u", "point", <spec.output>: residual}`` per point of
+    the bundle's ``MorseSpec`` grid, its end kept within half a step, each
+    traced from the base solution; ``morse_ravine_solve`` is looked up
+    here at each call, since the perfbench tracer replaces it."""
+    spec = bundle.spec.morse
+    solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
+                                tol=MORSE_TOL, max_iter=50)
+    start, stop, step = spec.grid
+    rows = []
+    for u in np.arange(start, stop + step / 2.0, step).tolist():
+        point = solver.point(np.array([u]))
+        rows.append({"u": u, "point": point.tolist(),
+                     spec.output: spec.residual(point)})
+    return rows
+
+
 def run_check(bundle, check: str, n_samples: int, radius: float,
               seed: int, stream: Optional[SampleStream] = None
               ) -> DiagnosticsReport:
@@ -384,16 +404,14 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
         return check_gradient_control(obj, rav, n_samples, radius, samples)
     if check == "morse":
         spec = bundle.spec.morse
-        solver = morse_ravine_solve(obj, bundle.base_solution, tol=1e-12,
-                                    max_iter=50)
-        grid = tangent_grid(*spec.grid)
-        errs = [spec.residual(solver.point(np.array([u]))) for u in grid]
+        rows = trace_morse(bundle)
+        errs = [row[spec.output] for row in rows]
         worst = max(errs)
         return DiagnosticsReport(
             check="morse", samples_tested=len(errs), skipped=0,
             measured_lower=min(errs), measured_upper=worst,
             passed=bool(worst <= spec.tolerance),
-            extras={"grid": [float(u) for u in grid],
+            extras={"grid": [row["u"] for row in rows],
                     "tolerance": spec.tolerance})
     if check == "rip":
         inst = bundle.instance

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NewtonDivergence, RankAmbiguity
+from .errors import (
+    POSITIVE, POSITIVE_REAL, NewtonDivergence, RankAmbiguity, check_args)
 from .objective import Objective
 
 RANK_EPS = 1e-6          # eigenvalues below RANK_EPS * |lambda|_max count as null
 SPECTRAL_GAP = 1e3       # required multiplicative gap around the cutoff
 MAX_HALVINGS = 50
-MAX_GRID_POINTS = 10 ** 6  # tangent grid points; each costs one Newton solve
 
 
 def finite_difference_hessian(obj: Objective, x, h=None) -> np.ndarray:
@@ -137,9 +137,11 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
     Hessian (eigenvalues below RANK_EPS * |lambda|_max) and its complement.
     Raises :class:`RankAmbiguity` when the Hessian is zero or its spectrum
     not finite, when no direction is null, and when the spectrum has no
-    factor-1e3 gap around the cutoff; ValueError when the basepoint is not
+    factor-1e3 gap around the cutoff; ValueError when ``tol`` is not a real
+    number > 0, ``max_iter`` not an integer >= 1 or the basepoint is not
     critical.
     """
+    check_args(tol=(tol, POSITIVE_REAL), max_iter=(max_iter, POSITIVE))
     basepoint = np.asarray(basepoint, dtype=float)
     if obj.dim > 10:
         raise ValueError("Morse solver is restricted to dimension <= 10")
@@ -174,20 +176,3 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
     tangent = _canonical_signs(eigvecs[:, null_mask])
     normal = _canonical_signs(eigvecs[:, ~null_mask])
     return MorseRavineSolver(obj, basepoint, tangent, normal, tol, max_iter)
-
-
-def tangent_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Tangent coordinates ``start, start + step, ...`` up to ``stop``
-    within half a step; ValueError unless the grid is finite, nonempty and
-    of at most ``MAX_GRID_POINTS`` points."""
-    if not (np.isfinite([start, stop, step]).all() and step > 0
-            and start <= stop):
-        raise ValueError(f"need finite start <= stop and step > 0, got "
-                         f"{start}:{stop}:{step}")
-    # The point count as np.arange computes it, checked before anything is
-    # allocated; where it overflows to inf, it is refused too.
-    end = stop + step / 2.0
-    if (end - start) / step > MAX_GRID_POINTS:
-        raise ValueError(f"grid {start}:{stop}:{step} has more than "
-                         f"{MAX_GRID_POINTS} points")
-    return np.arange(start, end, step)

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (
     NONNEGATIVE_REAL, POSITIVE, REAL, EmptyTrace, MissingFStar,
-    NonFiniteGradient, TargetAboveValue, check_args, is_finite)
+    NonFiniteGradient, TargetAboveValue, check_args, is_finite, vector)
 from .objective import Objective
 
 SHORT_GD = "ShortGD"
@@ -248,8 +248,9 @@ def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
     :class:`TargetAboveValue` when f_target exceeds f(x) beyond tolerance,
     signalling a bad lower-bound estimate.
     """
-    check_args(f_target=(f_target, REAL), scale=(scale, (
-        lambda v: is_finite(v) and v in (1, 2), "1 or 2")))
+    check_args(x=(x, vector(obj.dim)), f_target=(f_target, REAL),
+               scale=(scale, (lambda v: is_finite(v) and v in (1, 2),
+                              "1 or 2")))
     x = np.asarray(x, dtype=float)
     f, g = obj.both(x)
     g = np.asarray(g, dtype=float)
@@ -296,7 +297,8 @@ def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,
     (both the short-phase endpoints and the Polyak outputs).
     """
     f_star, toward_f_star = _toward_f_star(obj, "gdpolyak")
-    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE))
+    check_args(x0=(x0, vector(obj.dim)), eta=(eta, NONNEGATIVE_REAL),
+               K=(K, POSITIVE), I=(I, POSITIVE))
     return _run(x0, K, I, obj, f_star, False, K, eta, toward_f_star,
                 dist_solution, dist_ravine)
 
@@ -315,8 +317,9 @@ def gdpolyak_lb(x0, eta: float, K: int, I: int, J: int, f0: float,
     candidates so far are kept); the next round restarts from x0 regardless.
     Epochs whose target exceeds the current value skip the Polyak step.
     """
-    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE),
-               J=(J, POSITIVE), f0=(f0, REAL))
+    check_args(x0=(x0, vector(obj.dim)), eta=(eta, NONNEGATIVE_REAL),
+               K=(K, POSITIVE), I=(I, POSITIVE), J=(J, POSITIVE),
+               f0=(f0, REAL))
     f0 = float(f0)
     x0 = np.asarray(x0, dtype=float)
     f_ref = float(obj.f_star) if obj.f_star is not None else f0
@@ -372,7 +375,8 @@ def gd_baseline(x0, eta: float, K: int, I: int, obj: Objective, *,
     Iterations are grouped into I blocks of K+1 steps so that per-block
     value gaps are comparable to gdpolyak epochs at equal gradient budget.
     """
-    check_args(eta=(eta, NONNEGATIVE_REAL), K=(K, POSITIVE), I=(I, POSITIVE))
+    check_args(x0=(x0, vector(obj.dim)), eta=(eta, NONNEGATIVE_REAL),
+               K=(K, POSITIVE), I=(I, POSITIVE))
     f_ref = float(obj.f_star) if obj.f_star is not None else 0.0
     return _run(x0, K, I, obj, f_ref, True, K + 1, eta, None, dist_solution,
                 dist_ravine)
@@ -387,6 +391,6 @@ def polyak_baseline(x0, K: int, I: int, obj: Objective, *,
     the value at an iterate beyond tolerance.
     """
     f_star, toward_f_star = _toward_f_star(obj, "polyak baseline")
-    check_args(K=(K, POSITIVE), I=(I, POSITIVE))
+    check_args(x0=(x0, vector(obj.dim)), K=(K, POSITIVE), I=(I, POSITIVE))
     return _run(x0, K, I, obj, f_star, True, 0, 0.0, toward_f_star,
                 dist_solution, dist_ravine)

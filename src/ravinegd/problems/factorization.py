@@ -135,11 +135,18 @@ def factorization_eval(B, inst: FactorizationInstance):
 
 def _svd(A, name):
     # A non-finite entry, as in a matrix that overflowed far from S, keeps
-    # LAPACK from converging; no nearest point is defined there.
+    # LAPACK from converging, and a nearly singular matrix has no unique
+    # polar factor: no nearest point is defined at either.
     try:
-        return np.linalg.svd(A, full_matrices=False)
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DegenerateProjection(f"SVD of {name} did not converge") from exc
+    smallest = float(s[:, -1].min())
+    if smallest < DEGENERATE_TOL:
+        raise DegenerateProjection(
+            f"smallest singular value {smallest:.2e} of {name} below "
+            f"{DEGENERATE_TOL:.0e}")
+    return u, vt
 
 
 def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
@@ -151,12 +158,7 @@ def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
     :class:`DegenerateProjection` when L^T B is nearly singular for any
     matrix (the nearest point is not unique) or its SVD does not converge.
     """
-    u, s, vt = _svd(inst.L.T @ Bs, "L^T B")
-    smallest = float(s[:, -1].min())
-    if smallest < DEGENERATE_TOL:
-        raise DegenerateProjection(
-            f"smallest singular value {smallest:.2e} of L^T B below "
-            f"{DEGENERATE_TOL:.0e}")
+    u, vt = _svd(inst.L.T @ Bs, "L^T B")
     return inst.L @ (u @ vt)
 
 
@@ -177,12 +179,7 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
     Bp = inst.basis.T @ Bs
     P, Q = Bp[:, :r], Bp[:, r:]
     sq = np.sqrt(inst.evals[:r])
-    u, s, vt = _svd(sq[:, None] * P, "D^(1/2) P")
-    smallest = float(s[:, -1].min())
-    if smallest < DEGENERATE_TOL:
-        raise DegenerateProjection(
-            f"smallest singular value {smallest:.2e} of D^(1/2) P below "
-            f"{DEGENERATE_TOL:.0e}")
+    u, vt = _svd(sq[:, None] * P, "D^(1/2) P")
     W = u @ vt
     Q_t = Q - (Q @ np.swapaxes(W, 1, 2)) @ W
     return inst.basis @ np.concatenate([sq[:, None] * W, Q_t], axis=1)

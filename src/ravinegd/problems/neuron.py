@@ -22,23 +22,18 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import (
-    NONNEGATIVE, POSITIVE, ShapeMismatch, ZeroNeuron, is_finite)
+from ..errors import NONNEGATIVE, POSITIVE, ShapeMismatch, ZeroNeuron
 from ..objective import Objective, _rowdot, row_norms
 from ..ravine import RavineDescriptor, SolutionSampler
 from .spec import CLOUD_CHECKS, ProblemBundle, ProblemSpec
 
+# The objective is homogeneous of degree 2 in (w, v), so students are
+# compared with NORM_FLOOR * ||v||, and a unit teacher loses no generality.
 NORM_FLOOR = 1e-8
-
-# The objective is homogeneous in (w, v), so students are compared with
-# NORM_FLOOR * ||v||; this rule keeps ||v|| itself away from zero.
-_V_NORM = (lambda v: is_finite(v) and abs(v) >= NORM_FLOOR,
-           f"a finite number with magnitude >= {NORM_FLOOR:.0e}")
 
 SPEC = ProblemSpec(
     "neuron", CLOUD_CHECKS,
-    params={"d": (10, POSITIVE), "v_norm": (1.0, _V_NORM),
-            "instance_seed": (0, NONNEGATIVE)})
+    params={"d": (10, POSITIVE), "instance_seed": (0, NONNEGATIVE)})
 
 
 @dataclass(frozen=True)
@@ -54,12 +49,11 @@ class NeuronInstance:
         return math.sqrt(self.v @ self.v)
 
 
-def make_neuron_instance(d: int, seed: int,
-                         v_norm: float = 1.0) -> NeuronInstance:
-    """Random unit teacher direction scaled to ``v_norm``."""
+def make_neuron_instance(d: int, seed: int) -> NeuronInstance:
+    """Random unit teacher direction."""
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(d)
-    v = v / np.linalg.norm(v) * v_norm
+    v = v / np.linalg.norm(v)
     return NeuronInstance(d=d, v=v)
 
 
@@ -243,8 +237,7 @@ def _retract_rows(X, inst):
 
 
 def bundle(params: dict) -> ProblemBundle:
-    inst = make_neuron_instance(int(params["d"]), int(params["instance_seed"]),
-                                v_norm=float(params["v_norm"]))
+    inst = make_neuron_instance(int(params["d"]), int(params["instance_seed"]))
 
     def _solutions(c):
         # Aligned splits (c v, (1 - c) v), one per entry of c.

@@ -24,12 +24,13 @@ CLOUD_CHECKS = frozenset({"ravine", "aiming", "growth", "lojasiewicz",
 
 @dataclass(frozen=True)
 class MorseSpec:
-    """How the diagnose check traces a Morse ravine and judges it.
+    """How a Morse ravine is traced and judged.
 
-    The ravine is traced from the base solution over the tangent grid
-    ``(start, stop, step)``; ``residual`` is a traced point's deviation
-    from the known ravine, named ``output`` in ``morse.json`` rows, and
-    the check passes when no residual exceeds ``tolerance``.
+    The morse command and the diagnose check alike trace the ravine from
+    the base solution over the tangent grid ``(start, stop, step)``;
+    ``residual`` is a traced point's deviation from the known ravine,
+    named ``output`` in ``morse.json`` rows, and the check passes when no
+    residual exceeds ``tolerance``.
     """
 
     grid: tuple

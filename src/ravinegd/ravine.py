@@ -432,6 +432,7 @@ def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
     ``value_and_grad_rows`` call, each of its points one attempt.
     Passes when the two maxima are within a factor 2 of each other.
     """
+    check_args(p=(p, POSITIVE_REAL))
     if obj.f_star is None:
         raise ValueError("lojasiewicz check requires obj.f_star")
     f_star = float(obj.f_star)

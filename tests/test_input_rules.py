@@ -22,6 +22,7 @@ from ravinegd import (
     gdpolyak,
     gdpolyak_lb,
     measure_rip,
+    morse_ravine_solve,
     polyak_baseline,
     polyak_step,
 )
@@ -35,18 +36,18 @@ RIP_INSTANCE = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
 # Each entry point, as a call on keyword arguments, and valid values of
 # the arguments it judges; the rest are fixed.
 ENTRY_POINTS = {
-    "gd_baseline": (lambda eta, K, I: gd_baseline(X0, eta, K, I, OBJ),
-                    {"eta": 0.01, "K": 2, "I": 2}),
-    "polyak_baseline": (lambda K, I: polyak_baseline(X0, K, I, OBJ),
-                        {"K": 2, "I": 2}),
-    "gdpolyak": (lambda eta, K, I: gdpolyak(X0, eta, K, I, OBJ),
-                 {"eta": 0.01, "K": 2, "I": 2}),
+    "gd_baseline": (lambda x0, eta, K, I: gd_baseline(x0, eta, K, I, OBJ),
+                    {"x0": X0, "eta": 0.01, "K": 2, "I": 2}),
+    "polyak_baseline": (lambda x0, K, I: polyak_baseline(x0, K, I, OBJ),
+                        {"x0": X0, "K": 2, "I": 2}),
+    "gdpolyak": (lambda x0, eta, K, I: gdpolyak(x0, eta, K, I, OBJ),
+                 {"x0": X0, "eta": 0.01, "K": 2, "I": 2}),
     "gdpolyak_lb": (
-        lambda eta, K, I, J, f0: gdpolyak_lb(X0, eta, K, I, J, f0, OBJ),
-        {"eta": 0.01, "K": 2, "I": 2, "J": 2, "f0": -1.0}),
+        lambda x0, eta, K, I, J, f0: gdpolyak_lb(x0, eta, K, I, J, f0, OBJ),
+        {"x0": X0, "eta": 0.01, "K": 2, "I": 2, "J": 2, "f0": -1.0}),
     "polyak_step": (
-        lambda f_target, scale: polyak_step(X0, OBJ, f_target, scale),
-        {"f_target": 0.0, "scale": 1.0}),
+        lambda x, f_target, scale: polyak_step(x, OBJ, f_target, scale),
+        {"x": X0, "f_target": 0.0, "scale": 1.0}),
     "check_ravine_quadratic": (
         lambda n_samples, radius, seed: check_ravine_quadratic(
             OBJ, RAV, n_samples, radius, seed, lower_bracket=5.0,
@@ -61,10 +62,10 @@ ENTRY_POINTS = {
             OBJ, RAV, n_samples, radius_grid, seed),
         {"n_samples": 3, "radius_grid": [0.01, 0.1], "seed": 0}),
     "check_lojasiewicz": (
-        lambda n_samples, radius, seed: check_lojasiewicz(
-            OBJ, OBJ.p_growth, n_samples, radius, seed,
+        lambda p, n_samples, radius, seed: check_lojasiewicz(
+            OBJ, p, n_samples, radius, seed,
             sample_solution=BUNDLE.sample_solution, retract=RAV.retract),
-        {"n_samples": 3, "radius": 0.1, "seed": 0}),
+        {"p": OBJ.p_growth, "n_samples": 3, "radius": 0.1, "seed": 0}),
     "check_gradient_control": (
         lambda n_samples, radius, seed: check_gradient_control(
             OBJ, RAV, n_samples, radius, seed),
@@ -73,15 +74,22 @@ ENTRY_POINTS = {
         lambda rank_l, trials, seed: measure_rip(
             RIP_INSTANCE, rank_l, trials, seed),
         {"rank_l": 2, "trials": 3, "seed": 0}),
+    "morse_ravine_solve": (
+        lambda tol, max_iter: morse_ravine_solve(
+            OBJ, BUNDLE.base_solution, tol, max_iter),
+        {"tol": 1e-12, "max_iter": 50}),
 }
 
 BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,
-              "inf": math.inf, "-inf": -math.inf, "'1'": "1", "None": None}
+              "inf": math.inf, "-inf": -math.inf, "'1'": "1", "None": None,
+              "[1.0]": [1.0], "[nan, 1.0]": [math.nan, 1.0]}
 
 # The values of BAD_VALUES that an argument's rule admits: eta is a real
-# number >= 0, a radius one > 0, a seed an integer >= 0 and a target any
-# real number.  Every other argument refuses them all.
-ADMITTED = {"eta": {"0", "2.5"}, "radius": {"2.5"}, "seed": {"0"},
+# number >= 0, a radius, p and tol ones > 0, a seed an integer >= 0, a
+# target any real number and a growth grid a list of radii.  Every other
+# argument, a point of R^2 among them, refuses them all.
+ADMITTED = {"eta": {"0", "2.5"}, "radius": {"2.5"}, "p": {"2.5"},
+            "tol": {"2.5"}, "seed": {"0"}, "radius_grid": {"[1.0]"},
             "f0": {"0", "-1", "2.5"}, "f_target": {"0", "-1", "2.5"}}
 
 CASES = [(entry, name, label)
@@ -95,7 +103,7 @@ def test_entry_points_run_on_their_valid_arguments(entry):
     call(**valid)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(case=st.sampled_from(CASES))
 def test_an_argument_that_breaks_its_rule_is_named(case):
     entry, name, label = case

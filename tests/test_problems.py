@@ -15,6 +15,7 @@ from ravinegd import (
     OriginSingularity,
     ShapeMismatch,
     ZeroNeuron,
+    gdpolyak,
 )
 from ravinegd.cli import main
 from ravinegd.errors import NONNEGATIVE, POSITIVE
@@ -610,6 +611,36 @@ def test_neuron_zero_weight_raises(neuron_inst):
         neuron.neuron_eval(np.zeros(5), neuron_inst.v, neuron_inst)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_neuron_teacher_norm_only_sets_a_unit(neuron_inst, sign):
+    # f(c w; c v) = c^2 f(w; v) and grad(c w; c v) = c grad(w; v); a power
+    # of two scales every float exactly, and -v has the law of v, so a
+    # unit teacher loses no generality.
+    c = sign * 2.0 ** -27
+    rng = np.random.default_rng(2)
+    w1 = neuron_inst.v / 2 + 0.1 * rng.standard_normal(5)
+    w2 = neuron_inst.v / 2 + 0.1 * rng.standard_normal(5)
+    scaled = neuron.NeuronInstance(d=5, v=c * neuron_inst.v)
+    value, grad = neuron.neuron_eval(w1, w2, neuron_inst)
+    value_c, grad_c = neuron.neuron_eval(c * w1, c * w2, scaled)
+    assert value_c == c * c * value
+    assert np.array_equal(grad_c, c * grad)
+
+
+@pytest.mark.parametrize("norm_v", ["1e-8", "-1e-8"])
+def test_neuron_runs_at_the_smallest_teacher_norm(norm_v):
+    # Students are floored relative to ||v||, not at an absolute norm: a
+    # run near the ravine of a teacher of norm 1e-8, where each student
+    # has norm about 5e-9, never trips the floor.
+    v = float(norm_v) * neuron.make_neuron_instance(d=10, seed=0).v
+    obj = neuron.objective(neuron.NeuronInstance(d=10, v=v))
+    rng = np.random.default_rng(0)
+    x0 = np.concatenate([v, v]) / 2.0 + 1e-9 * unit_direction(rng, 20)
+    trace = gdpolyak(x0, 0.5, 10, 5, obj)
+    assert np.isfinite(trace.value_gap).all()
+    assert trace.best_value < obj.eval(x0)
+
+
 def test_neuron_monte_carlo_consistency(neuron_inst):
     rng = np.random.default_rng(9)
     v = neuron_inst.v
@@ -804,8 +835,6 @@ def test_solution_certification(bundles, name):
 RULE_DRAWS = {
     POSITIVE: st.integers(1, 6),
     NONNEGATIVE: st.integers(0, 2 ** 32 - 1),
-    neuron.SPEC.params["v_norm"][1]:
-        st.floats(0.5, 2.0) | st.floats(-2.0, -0.5),
 }
 
 

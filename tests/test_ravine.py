@@ -26,7 +26,6 @@ from ravinegd.objective import (
     on_row,
     row_norms,
 )
-from ravinegd.morse import MAX_GRID_POINTS, tangent_grid
 from ravinegd.opt_core import OVERFLOW_IS_DATA
 from ravinegd.problems import (
     PROBLEM_NAMES, PROBLEMS, build, circle, factorization, quartic,
@@ -1189,15 +1188,6 @@ def test_morse_zero_offset(bundles):
     obj = bundles["rosenbrock"].objective
     solver = morse_ravine_solve(obj, np.zeros(2), tol=1e-12, max_iter=50)
     assert np.linalg.norm(solver(np.zeros(1))) <= 1e-12
-
-
-def test_tangent_grid_point_limit():
-    assert len(tangent_grid(0.0, MAX_GRID_POINTS - 1.0, 1.0)) \
-        == MAX_GRID_POINTS
-    for grid in [(0.0, float(MAX_GRID_POINTS), 1.0), (0.0, 1e7, 1e-9),
-                 (-1e308, 1e308, 1e-300)]:
-        with pytest.raises(ValueError, match="more than"):
-            tangent_grid(*grid)
 
 
 def test_morse_circle_implicit_equation(bundles):
