@@ -1,11 +1,12 @@
-"""Newton solver for Morse ravines of low-dimensional objectives.
+"""The Hessian's null/normal split at a minimizer, and a Newton solver
+for the Morse ravine it defines.
 
-The Morse ravine at a minimizer is traced by the critical points of the
-objective restricted to the directions of nonzero Hessian curvature: with
-T the Hessian nullspace at the basepoint and N its complement, the ravine
-is the set of points x = base + T u + N v with the N-block of the gradient
-equal to zero.  For each tangent coordinate vector u the solver runs damped
-Newton iterations on g(v) = N^T grad f(base + T u + N v) starting at v = 0.
+With T the Hessian nullspace at the basepoint and N its complement, the
+ravine is the set of points x = base + T u + N v where the N-block of the
+gradient vanishes.  For each tangent coordinate vector u the solver runs
+damped Newton iterations on g(v) = N^T grad f(base + T u + N v) from v = 0.
+A split costs 2 * dim gradient calls; a solve costs one, plus normal_dim + 1
+per Newton iteration and one per step halving.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
-    POSITIVE, POSITIVE_REAL, NewtonDivergence, RankAmbiguity, check_args)
+    POSITIVE, POSITIVE_REAL, NewtonDivergence, RankAmbiguity, check_args, vector)
 from .objective import Objective
 
 RANK_EPS = 1e-6          # eigenvalues below RANK_EPS * |lambda|_max count as null
@@ -21,28 +22,54 @@ SPECTRAL_GAP = 1e3       # required multiplicative gap around the cutoff
 MAX_HALVINGS = 50
 
 
-def finite_difference_hessian(obj: Objective, x, h=None) -> np.ndarray:
+def finite_difference_hessian(obj: Objective, x) -> np.ndarray:
     """Symmetrized central-difference Hessian from the analytic gradient."""
     x = np.asarray(x, dtype=float)
-    if h is None:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
-    n = x.size
-    hess = np.empty((n, n))
-    for i in range(n):
-        e = np.zeros(n)
-        e[i] = h
-        hess[i] = (np.asarray(obj.grad(x + e)) - np.asarray(obj.grad(x - e))) / (2.0 * h)
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    hess = np.array([np.asarray(obj.grad(x + e)) - np.asarray(obj.grad(x - e))
+                     for e in h * np.eye(x.size)]) / (2.0 * h)
     return (hess + hess.T) / 2.0
 
 
 def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip each column so its largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
+    """Flip each column so its (first) largest-magnitude entry is positive."""
+    top = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    return np.where(top < 0, -vectors, vectors)
+
+
+def spectral_split(obj: Objective, base):
+    """``(normal_eigenvalues, tangent_basis, normal_basis)`` of the
+    finite-difference Hessian at ``base``, whose eigenvalues with |lambda|
+    <= RANK_EPS * |lambda|_max are null; the bases hold its eigenvectors,
+    each with its largest entry positive, and the eigenvalues follow the
+    normal columns.  Raises :class:`RankAmbiguity` when the Hessian is zero
+    or its spectrum not finite, when no direction is null, and when the
+    spectrum has no factor-SPECTRAL_GAP gap around the cutoff; ValueError
+    when ``base`` is not a finite real vector of length ``obj.dim``."""
+    check_args(base=(base, vector(obj.dim)))
+    eigvals, eigvecs = np.linalg.eigh(finite_difference_hessian(obj, base))
+    abs_vals = np.abs(eigvals)
+    lam_max = abs_vals.max()
+    if lam_max <= 0.0:
+        raise RankAmbiguity("Hessian is numerically zero; no curvature split")
+    # A NaN or inf Hessian entry gives NaN eigenvalues, and an eigenvalue
+    # past the float range is inf: neither leaves a cutoff.
+    if not np.isfinite(lam_max):
+        raise RankAmbiguity(f"Hessian spectrum is not finite (max |lambda| "
+                            f"= {lam_max}); no curvature split")
+    # The cutoff lies below lam_max, so its direction is never null.
+    cutoff = RANK_EPS * lam_max
+    null_mask = abs_vals <= cutoff
+    if not null_mask.any():
+        raise RankAmbiguity("no null directions below the cutoff")
+    max_null = abs_vals[null_mask].max()
+    min_rest = abs_vals[~null_mask].min()
+    if min_rest < SPECTRAL_GAP * max_null:
+        raise RankAmbiguity(
+            f"spectral gap {min_rest / max(max_null, 1e-300):.1e} below "
+            f"{SPECTRAL_GAP:.0e} around cutoff {cutoff:.3e}")
+    return (eigvals[~null_mask], _canonical_signs(eigvecs[:, null_mask]),
+            _canonical_signs(eigvecs[:, ~null_mask]))
 
 
 class MorseRavineSolver:
@@ -50,8 +77,8 @@ class MorseRavineSolver:
 
     ``solver(u)`` returns the normal coordinates v(u); ``solver.point(u)``
     returns the ambient point base + T u + N v(u).  The tangent and normal
-    bases (columns of ``tangent_basis`` / ``normal_basis``) are Hessian
-    eigenvectors with signs canonicalized so the largest entry is positive.
+    bases (columns of ``tangent_basis`` / ``normal_basis``) are those of
+    :func:`spectral_split`.
     """
 
     def __init__(self, obj, basepoint, tangent_basis, normal_basis,
@@ -131,48 +158,20 @@ class MorseRavineSolver:
 
 def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
                        max_iter: int = 100) -> MorseRavineSolver:
-    """Build the Morse-ravine solver at an approximate minimizer.
+    """Build the Morse-ravine solver on :func:`spectral_split` at an
+    approximate minimizer.
 
-    Splits the space into the numerical nullspace of the finite-difference
-    Hessian (eigenvalues below RANK_EPS * |lambda|_max) and its complement.
-    Raises :class:`RankAmbiguity` when the Hessian is zero or its spectrum
-    not finite, when no direction is null, and when the spectrum has no
-    factor-1e3 gap around the cutoff; ValueError when ``tol`` is not a real
-    number > 0, ``max_iter`` not an integer >= 1 or the basepoint is not
-    critical.
+    Raises :class:`RankAmbiguity` as :func:`spectral_split` does;
+    ValueError when ``basepoint`` is not a finite real vector of length
+    ``obj.dim``, ``tol`` not a real number > 0, ``max_iter`` not an
+    integer >= 1, or the basepoint not critical.
     """
-    check_args(tol=(tol, POSITIVE_REAL), max_iter=(max_iter, POSITIVE))
+    check_args(basepoint=(basepoint, vector(obj.dim)),
+               tol=(tol, POSITIVE_REAL), max_iter=(max_iter, POSITIVE))
     basepoint = np.asarray(basepoint, dtype=float)
-    if obj.dim > 10:
-        raise ValueError("Morse solver is restricted to dimension <= 10")
     gnorm = float(np.linalg.norm(obj.grad(basepoint)))
     if gnorm > tol:
         raise ValueError(
             f"basepoint is not critical: ||grad|| = {gnorm:.3e} > tol {tol:.3e}")
-
-    hess = finite_difference_hessian(obj, basepoint)
-    eigvals, eigvecs = np.linalg.eigh(hess)
-    abs_vals = np.abs(eigvals)
-    lam_max = abs_vals.max()
-    if lam_max <= 0.0:
-        raise RankAmbiguity("Hessian is numerically zero; no curvature split")
-    # A NaN or inf Hessian entry gives NaN eigenvalues, and an eigenvalue
-    # past the float range is inf: neither leaves a cutoff.
-    if not np.isfinite(lam_max):
-        raise RankAmbiguity(f"Hessian spectrum is not finite (max |lambda| "
-                            f"= {lam_max}); no curvature split")
-    # The cutoff lies below lam_max, so its direction is never null.
-    cutoff = RANK_EPS * lam_max
-    null_mask = abs_vals <= cutoff
-    if not null_mask.any():
-        raise RankAmbiguity("no null directions below the cutoff")
-    max_null = abs_vals[null_mask].max()
-    min_rest = abs_vals[~null_mask].min()
-    if min_rest < SPECTRAL_GAP * max_null:
-        raise RankAmbiguity(
-            f"spectral gap {min_rest / max(max_null, 1e-300):.1e} below "
-            f"{SPECTRAL_GAP:.0e} around cutoff {cutoff:.3e}")
-
-    tangent = _canonical_signs(eigvecs[:, null_mask])
-    normal = _canonical_signs(eigvecs[:, ~null_mask])
+    _, tangent, normal = spectral_split(obj, basepoint)
     return MorseRavineSolver(obj, basepoint, tangent, normal, tol, max_iter)

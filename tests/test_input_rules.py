@@ -26,6 +26,7 @@ from ravinegd import (
     polyak_baseline,
     polyak_step,
 )
+from ravinegd.morse import spectral_split
 from ravinegd.problems import build, sample_init, sensing
 
 BUNDLE = build("rosenbrock")
@@ -75,9 +76,11 @@ ENTRY_POINTS = {
             RIP_INSTANCE, rank_l, trials, seed),
         {"rank_l": 2, "trials": 3, "seed": 0}),
     "morse_ravine_solve": (
-        lambda tol, max_iter: morse_ravine_solve(
-            OBJ, BUNDLE.base_solution, tol, max_iter),
-        {"tol": 1e-12, "max_iter": 50}),
+        lambda basepoint, tol, max_iter: morse_ravine_solve(
+            OBJ, basepoint, tol, max_iter),
+        {"basepoint": BUNDLE.base_solution, "tol": 1e-12, "max_iter": 50}),
+    "spectral_split": (lambda base: spectral_split(OBJ, base),
+                       {"base": BUNDLE.base_solution}),
 }
 
 BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,

@@ -20,6 +20,8 @@ from ravinegd import (
     morse_ravine_solve,
 )
 from ravinegd.harness import diagnose, run_check
+from ravinegd.morse import (
+    _canonical_signs, finite_difference_hessian, spectral_split)
 from ravinegd.objective import (
     _central_differences,
     central_difference_gradient,
@@ -1273,8 +1275,90 @@ def test_morse_non_finite_spectrum_has_no_curvature_split(hessian):
                                np.zeros(len(hessian)), tol=1e-12)
 
 
-def test_morse_rejects_large_dimension():
-    obj = Objective(dim=11,
-                    value_and_grad=lambda x: (float(x @ x), 2 * np.asarray(x)))
-    with pytest.raises(ValueError):
-        morse_ravine_solve(obj, np.zeros(11))
+def _canonical_signs_loop(vectors):
+    """The column-by-column flip that ``_canonical_signs`` replaced."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        if out[i, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+def test_canonical_signs_equal_the_loop_bitwise():
+    rng = np.random.default_rng(0)
+    # Ties of equal magnitude and opposite sign flip by the first one.
+    tied = np.array([[0.5, -0.5, 0.0], [-0.5, 0.5, -0.0], [0.0, 0.0, 1.0]])
+    for vectors in [tied, *(rng.standard_normal((n, m)) for n, m in
+                            ((1, 1), (2, 1), (5, 3), (40, 40)))]:
+        assert (_canonical_signs(vectors).tobytes()
+                == _canonical_signs_loop(vectors).tobytes())
+
+
+def test_finite_difference_hessian_equals_the_loop_bitwise(bundles):
+    obj = bundles["factorization"].objective
+    x = bundles["factorization"].base_solution + 0.01
+    h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+    rows = []
+    for i in range(x.size):
+        e = np.zeros(x.size)
+        e[i] = h
+        rows.append((obj.grad(x + e) - obj.grad(x - e)) / (2.0 * h))
+    hess = np.array(rows)
+    assert (finite_difference_hessian(obj, x).tobytes()
+            == ((hess + hess.T) / 2.0).tobytes())
+
+
+# Measured at each bundle's base solution: (null, normal) direction counts
+# and the range of the normal |lambda|.
+PAPER_SPLITS = {
+    "factorization": ({"d": 20, "r": 2, "k": 4}, 41, 39, 1.345016, 8.0),
+    "neuron": ({"d": 100}, 100, 100, 0.9999989, 1.0),
+    "sensing": ({"d": 20, "m": 800}, 41, 39, 3.543683, 34.13430),
+}
+
+
+@pytest.fixture(scope="module")
+def paper_bundles():
+    return {name: build(name, params)
+            for name, (params, *_) in PAPER_SPLITS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_SPLITS))
+def test_spectral_split_past_ten_dimensions(name, paper_bundles):
+    _, n_null, n_normal, lam_lo, lam_hi = PAPER_SPLITS[name]
+    bundle = paper_bundles[name]
+    obj, base = bundle.objective, bundle.base_solution
+    lam, tangent, normal = spectral_split(obj, base)
+    assert (tangent.shape, normal.shape, lam.shape) == (
+        (obj.dim, n_null), (obj.dim, n_normal), (n_normal,))
+    assert np.abs(lam).min() == pytest.approx(lam_lo, rel=1e-6)
+    assert np.abs(lam).max() == pytest.approx(lam_hi, rel=1e-6)
+    # The bases are orthonormal and together span R^dim.
+    basis = np.hstack([tangent, normal])
+    assert np.abs(basis.T @ basis - np.eye(obj.dim)).max() <= 1e-13
+    # The eigenvalues follow the normal columns.
+    hess = finite_difference_hessian(obj, base)
+    assert np.abs(hess @ normal - normal * lam).max() <= 1e-9 * lam_hi
+
+
+def test_morse_traces_past_ten_dimensions(paper_bundles):
+    # neuron d=10 (dim 20): its ravine is the plane {w1 + w2 = v}.
+    bundle = build("neuron", {"d": 10})
+    solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
+                                tol=1e-12, max_iter=50)
+    assert (solver.tangent_dim, solver.normal_dim) == (10, 10)
+    for seed in range(3):
+        u = np.random.default_rng(seed).standard_normal(10)
+        p = solver.point(0.1 * u / np.linalg.norm(u))
+        assert np.linalg.norm(p - bundle.base_solution) == pytest.approx(0.1)
+        assert np.abs(p[:10] + p[10:] - bundle.instance.v).max() <= 1e-15
+    # factorization d=20, k=4 (dim 80): 2.4e-9 to 6.4e-9 from the
+    # descriptor's ravine at tangent radius 0.01.
+    bundle = paper_bundles["factorization"]
+    solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
+                                tol=1e-12, max_iter=50)
+    for seed in range(3):
+        u = np.random.default_rng(seed).standard_normal(solver.tangent_dim)
+        p = solver.point(0.01 * u / np.linalg.norm(u))
+        assert np.linalg.norm(p - bundle.descriptor.retract(p)) <= 1e-8
