@@ -106,7 +106,8 @@ class DegenerateProjection(RavineGDError):
 
 
 class NewtonDivergence(RavineGDError):
-    """The Morse-ravine Newton solver did not converge within max_iter."""
+    """The Morse-ravine solver's chord Newton iteration did not converge
+    within max_iter, its damping failed, or its residual was not finite."""
 
 
 class RankAmbiguity(RavineGDError):

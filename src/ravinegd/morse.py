@@ -1,12 +1,14 @@
-"""The Hessian's null/normal split at a minimizer, and a Newton solver
-for the Morse ravine it defines.
+"""The Hessian's null/normal split at a minimizer, and a chord Newton
+solver for the Morse ravine it defines.
 
 With T the Hessian nullspace at the basepoint and N its complement, the
 ravine is the set of points x = base + T u + N v where the N-block of the
 gradient vanishes.  For each tangent coordinate vector u the solver runs
-damped Newton iterations on g(v) = N^T grad f(base + T u + N v) from v = 0.
-A split costs 2 * dim gradient calls; a solve costs one, plus normal_dim + 1
-per Newton iteration and one per step halving.
+damped chord iterations v <- v - g(v) / lambda on g(v) = N^T grad f(base +
+T u + N v) from v = 0: N holds eigenvectors of the base Hessian, so its
+Jacobian at the base is diag(lambda), the normal eigenvalues of the split.
+A split costs 2 * dim gradient calls; a solve costs one, plus one per
+iteration and one per step halving.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from .errors import (
     POSITIVE, POSITIVE_REAL, NewtonDivergence, RankAmbiguity, check_args, vector)
 from .objective import Objective
+from .opt_core import OVERFLOW_IS_DATA
 
 RANK_EPS = 1e-6          # eigenvalues below RANK_EPS * |lambda|_max count as null
 SPECTRAL_GAP = 1e3       # required multiplicative gap around the cutoff
@@ -76,15 +79,16 @@ class MorseRavineSolver:
     """Callable map u -> v(u) tracing the Morse ravine in split coordinates.
 
     ``solver(u)`` returns the normal coordinates v(u); ``solver.point(u)``
-    returns the ambient point base + T u + N v(u).  The tangent and normal
-    bases (columns of ``tangent_basis`` / ``normal_basis``) are those of
-    :func:`spectral_split`.
+    returns the ambient point base + T u + N v(u).  The normal eigenvalues
+    and the tangent and normal bases (columns of ``tangent_basis`` /
+    ``normal_basis``) are those of :func:`spectral_split`.
     """
 
-    def __init__(self, obj, basepoint, tangent_basis, normal_basis,
-                 tol, max_iter):
+    def __init__(self, obj, basepoint, normal_eigenvalues, tangent_basis,
+                 normal_basis, tol, max_iter):
         self.obj = obj
         self.basepoint = np.asarray(basepoint, dtype=float)
+        self.normal_eigenvalues = normal_eigenvalues
         self.tangent_basis = tangent_basis
         self.normal_basis = normal_basis
         self.tol = tol
@@ -105,23 +109,24 @@ class MorseRavineSolver:
     def __call__(self, u) -> np.ndarray:
         return self.solve(u)
 
+    @np.errstate(**OVERFLOW_IS_DATA)
     def solve(self, u) -> np.ndarray:
-        """Newton iterations on the normal gradient block for tangent offset u."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if u.size != self.tangent_dim:
-            raise ValueError(
-                f"expected {self.tangent_dim} tangent coordinates, got {u.size}")
+        """Chord iterations on the normal gradient block for tangent
+        offset u.  Raises ValueError when ``u`` is not a finite real vector
+        of length ``tangent_dim``; :class:`NewtonDivergence` when the
+        residual at v = 0 is not finite, the damping fails, or the residual
+        stays above ``tol`` after ``max_iter`` iterations."""
+        check_args(u=(u, vector(self.tangent_dim)))
+        u = np.asarray(u, dtype=float)
         v = np.zeros(self.normal_dim)
         g = self._residual(u, v)
         gnorm = np.linalg.norm(g)
+        if not np.isfinite(gnorm):
+            raise NewtonDivergence(f"residual {gnorm} at v = 0 is not finite")
         for _ in range(self.max_iter):
             if gnorm <= self.tol:
                 return v
-            jac = self._jacobian(u, v, g)
-            try:
-                step = np.linalg.solve(jac, g)
-            except np.linalg.LinAlgError as exc:
-                raise NewtonDivergence(f"singular Newton system: {exc}") from exc
+            step = g / self.normal_eigenvalues
             # Damping: halve the step while the residual does not decrease.
             for _ in range(MAX_HALVINGS):
                 v_new = v - step
@@ -139,19 +144,8 @@ class MorseRavineSolver:
             f"residual {gnorm:.3e} above tol {self.tol:.3e} after "
             f"{self.max_iter} iterations")
 
-    def _jacobian(self, u, v, g0):
-        """Forward-difference Jacobian in v of the normal residual ``g0``."""
-        h = 1e-6 * (1.0 + float(np.linalg.norm(v)))
-        jac = np.empty((self.normal_dim, self.normal_dim))
-        for i in range(self.normal_dim):
-            e = np.zeros(self.normal_dim)
-            e[i] = h
-            jac[:, i] = (self._residual(u, v + e) - g0) / h
-        return jac
-
     def point(self, u) -> np.ndarray:
         """Ambient Morse-ravine point for tangent coordinates u."""
-        u = np.atleast_1d(np.asarray(u, dtype=float))
         v = self.solve(u)
         return self.basepoint + self.tangent_basis @ u + self.normal_basis @ v
 
@@ -173,5 +167,5 @@ def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
     if gnorm > tol:
         raise ValueError(
             f"basepoint is not critical: ||grad|| = {gnorm:.3e} > tol {tol:.3e}")
-    _, tangent, normal = spectral_split(obj, basepoint)
-    return MorseRavineSolver(obj, basepoint, tangent, normal, tol, max_iter)
+    return MorseRavineSolver(obj, basepoint, *spectral_split(obj, basepoint),
+                             tol, max_iter)

@@ -33,6 +33,7 @@ BUNDLE = build("rosenbrock")
 OBJ, RAV = BUNDLE.objective, BUNDLE.descriptor
 X0 = sample_init(BUNDLE, 0.1, 0)
 RIP_INSTANCE = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
+SOLVER = morse_ravine_solve(OBJ, BUNDLE.base_solution, 1e-12, 50)
 
 # Each entry point, as a call on keyword arguments, and valid values of
 # the arguments it judges; the rest are fixed.
@@ -81,6 +82,7 @@ ENTRY_POINTS = {
         {"basepoint": BUNDLE.base_solution, "tol": 1e-12, "max_iter": 50}),
     "spectral_split": (lambda base: spectral_split(OBJ, base),
                        {"base": BUNDLE.base_solution}),
+    "MorseRavineSolver.solve": (lambda u: SOLVER.solve(u), {"u": [0.1]}),
 }
 
 BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,
@@ -89,11 +91,13 @@ BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,
 
 # The values of BAD_VALUES that an argument's rule admits: eta is a real
 # number >= 0, a radius, p and tol ones > 0, a seed an integer >= 0, a
-# target any real number and a growth grid a list of radii.  Every other
-# argument, a point of R^2 among them, refuses them all.
+# target any real number, a growth grid a list of radii and a Morse
+# tangent offset a point of R^1.  Every other argument, a point of R^2
+# among them, refuses them all.
 ADMITTED = {"eta": {"0", "2.5"}, "radius": {"2.5"}, "p": {"2.5"},
             "tol": {"2.5"}, "seed": {"0"}, "radius_grid": {"[1.0]"},
-            "f0": {"0", "-1", "2.5"}, "f_target": {"0", "-1", "2.5"}}
+            "u": {"[1.0]"}, "f0": {"0", "-1", "2.5"},
+            "f_target": {"0", "-1", "2.5"}}
 
 CASES = [(entry, name, label)
          for entry, (_, valid) in ENTRY_POINTS.items() for name in valid
