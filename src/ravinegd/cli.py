@@ -20,7 +20,6 @@ from .errors import ConfigInvalid, RavineGDError
 from .harness import (
     ALL_CHECKS,
     METHODS,
-    MORSE_TOL,
     ExperimentConfig,
     check_input,
     compare_methods,
@@ -30,9 +29,9 @@ from .harness import (
     run_summary,
     trace_morse,
 )
-# Unused here: the perfbench tracer replaces this name in cli as well as in
-# harness, so it must resolve (tests/test_tracer_contract.py pins it).
-from .morse import morse_ravine_solve  # noqa: F401
+# morse_ravine_solve is unused here, but the perfbench tracer replaces it
+# in cli as well as in harness (tests/test_tracer_contract.py pins it).
+from .morse import TOL, morse_ravine_solve  # noqa: F401
 
 
 def _parse_param(text: str):
@@ -126,7 +125,7 @@ def _cmd_morse(args) -> int:
     check_input(args.problem, params)
     bundle = problems.build(args.problem, params)
     rows = trace_morse(bundle)
-    payload = {"problem": args.problem, "tol": MORSE_TOL, "points": rows}
+    payload = {"problem": args.problem, "tol": TOL, "points": rows}
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -68,12 +68,11 @@ class RavineGDError(Exception):
 class NonFiniteGradient(RavineGDError):
     """A gradient evaluation produced NaN or Inf entries."""
 
-    def __init__(self, iter_index=None, message=None):
+    def __init__(self, iter_index=None):
         self.iter_index = iter_index
-        if message is None:
-            message = "non-finite gradient"
-            if iter_index is not None:
-                message += f" at iteration {iter_index}"
+        message = "non-finite gradient"
+        if iter_index is not None:
+            message += f" at iteration {iter_index}"
         super().__init__(message)
 
 

@@ -23,7 +23,8 @@ import numpy as np
 from . import problems
 from .errors import (
     NONNEGATIVE, NONNEGATIVE_REAL, POSITIVE, POSITIVE_REAL, REAL,
-    ConfigInvalid, InsufficientData, UnsupportedCheck, optional, rule_errors)
+    ConfigInvalid, InsufficientData, UnsupportedCheck, check_args, optional,
+    rule_errors)
 from .morse import morse_ravine_solve
 from .objective import row_norms
 from .opt_core import (
@@ -80,10 +81,10 @@ FIELD_RULES = {
                          "a path string")),
     "record_distances": (lambda v: isinstance(v, bool), "a boolean"),
     "samples": POSITIVE, "radius": POSITIVE_REAL,
+    "suite": (lambda v: isinstance(v, list) and len(v) > 0
+              and all(isinstance(check, str) for check in v),
+              "a non-empty list of check names"),
 }
-
-# The Newton tolerance of every Morse trace, written into ``morse.json``.
-MORSE_TOL = 1e-12
 
 
 def check_input(problem, problem_params, cross=(), **fields):
@@ -298,10 +299,12 @@ def fit_linear_rate(trace: RunTrace, burn_in: int = 5):
     """Least-squares slope and R^2 of log epoch gaps versus epoch index.
 
     Fits the value gaps at the end of each epoch's short-step phase (for
-    the baselines, at block ends), from epoch ``burn_in`` on.  Gaps at or
-    below 1e-30 count as converged and are dropped.  Raises
+    the baselines, at block ends), from epoch ``burn_in`` on (0 means from
+    epoch 1).  Gaps at or below 1e-30 count as converged and are dropped.
+    Raises ValueError when ``burn_in`` is not an integer >= 0, and
     :class:`InsufficientData` with fewer than 5 usable records.
     """
+    check_args(burn_in=(burn_in, NONNEGATIVE))
     gaps = np.asarray(trace.epoch_phase_gaps, dtype=float)
     idx = np.arange(1, gaps.size + 1)
     keep = (idx >= max(burn_in, 1)) & (gaps > GAP_FLOOR)
@@ -362,8 +365,7 @@ def trace_morse(bundle) -> list:
     traced from the base solution; ``morse_ravine_solve`` is looked up
     here at each call, since the perfbench tracer replaces it."""
     spec = bundle.spec.morse
-    solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
-                                tol=MORSE_TOL, max_iter=50)
+    solver = morse_ravine_solve(bundle.objective, bundle.base_solution)
     start, stop, step = spec.grid
     rows = []
     for u in np.arange(start, stop + step / 2.0, step).tolist():
@@ -429,7 +431,7 @@ def run_check(bundle, check: str, n_samples: int, radius: float,
 def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
              seed: int = 0, out_dir: Optional[str] = None,
              problem_params: Optional[dict] = None):
-    """Run a suite of checks; returns (all_passed, {check: report}).
+    """Run a list of named checks; returns (all_passed, {check: report}).
 
     Writes one JSON report per check under ``out_dir/reports`` when an
     output directory is given.  Bad input raises :class:`ConfigInvalid`
@@ -437,10 +439,8 @@ def diagnose(problem: str, suite, n_samples: int = 200, radius: float = 0.05,
     cloud checks share one :class:`SampleStream`, so each sample is drawn
     once per suite and every report equals the one its check writes alone.
     """
-    suite = list(suite)
-    check_input(problem, problem_params,
-                cross=[] if suite else ["suite: must name a check"],
-                samples=n_samples, radius=radius, seed=seed, out_dir=out_dir)
+    check_input(problem, problem_params, suite=suite, samples=n_samples,
+                radius=radius, seed=seed, out_dir=out_dir)
     supported = problems.PROBLEMS[problem].SPEC.checks
     unsupported = [check for check in suite if check not in supported]
     if unsupported:

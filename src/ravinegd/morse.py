@@ -23,6 +23,10 @@ from .opt_core import OVERFLOW_IS_DATA
 RANK_EPS = 1e-6          # eigenvalues below RANK_EPS * |lambda|_max count as null
 SPECTRAL_GAP = 1e3       # required multiplicative gap around the cutoff
 MAX_HALVINGS = 50
+# The chord iteration's residual tolerance, in units of the gradient, and
+# iteration cap: the defaults of every Morse trace.
+TOL = 1e-12
+MAX_ITER = 50
 
 
 def finite_difference_hessian(obj: Objective, x) -> np.ndarray:
@@ -150,8 +154,8 @@ class MorseRavineSolver:
         return self.basepoint + self.tangent_basis @ u + self.normal_basis @ v
 
 
-def morse_ravine_solve(obj: Objective, basepoint, tol: float = 1e-12,
-                       max_iter: int = 100) -> MorseRavineSolver:
+def morse_ravine_solve(obj: Objective, basepoint, tol: float = TOL,
+                       max_iter: int = MAX_ITER) -> MorseRavineSolver:
     """Build the Morse-ravine solver on :func:`spectral_split` at an
     approximate minimizer.
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (
     NONNEGATIVE_REAL, POSITIVE, REAL, EmptyTrace, MissingFStar,
-    NonFiniteGradient, TargetAboveValue, check_args, is_finite, vector)
+    NonFiniteGradient, TargetAboveValue, check_args, vector)
 from .objective import Objective
 
 SHORT_GD = "ShortGD"
@@ -240,26 +240,21 @@ def _run(x0, K: int, I: int, obj: Objective, f_ref: float,
     return engine.trace(*engine.best)
 
 
-def polyak_step(x, obj: Objective, f_target: float, scale: float = 1.0):
-    """One Polyak step x - (f(x) - f_target) / (scale * ||grad f(x)||^2) * grad f(x).
+def polyak_step(x, obj: Objective, f_target: float):
+    """One Polyak step x - (f(x) - f_target) / ||grad f(x)||^2 * grad f(x).
 
     Returns x unchanged when the gap is closed (within floating-point
     tolerance) or the gradient norm is below 1e-30.  Raises
     :class:`TargetAboveValue` when f_target exceeds f(x) beyond tolerance,
     signalling a bad lower-bound estimate.
     """
-    check_args(x=(x, vector(obj.dim)), f_target=(f_target, REAL),
-               scale=(scale, (lambda v: is_finite(v) and v in (1, 2),
-                              "1 or 2")))
+    check_args(x=(x, vector(obj.dim)), f_target=(f_target, REAL))
     x = np.asarray(x, dtype=float)
     f, g = obj.both(x)
     g = np.asarray(g, dtype=float)
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradient()
-    if target_above(f_target, f):
-        raise TargetAboveValue(
-            f"target {f_target} exceeds value {f} beyond tolerance")
-    step = _polyak_stepsize(f, float(g @ g), f_target, scale)
+    step = _toward(f_target, "target")(f, float(g @ g))
     return x - step * g if step > 0.0 else x.copy()
 
 
@@ -271,21 +266,26 @@ def _polyak_stepsize(f, gnorm2, f_target, scale):
     return gap / (scale * gnorm2)
 
 
+def _toward(target: float, label: str):
+    """The guarded Polyak stepsize ``(f, gnorm2) -> s`` toward ``target``;
+    it raises :class:`TargetAboveValue`, naming the target ``label``, when
+    the target exceeds the value ``f`` beyond tolerance."""
+    def toward(f, gnorm2):
+        if target_above(target, f):
+            raise TargetAboveValue(
+                f"{label} {target} exceeds value {f} beyond tolerance")
+        return _polyak_stepsize(f, gnorm2, target, 1.0)
+
+    return toward
+
+
 def _toward_f_star(obj: Objective, method: str):
     """f* and the guarded long step toward it of gdpolyak and the Polyak
-    baseline.  Raises :class:`MissingFStar` without f*; the step raises
-    :class:`TargetAboveValue` when f* exceeds the value beyond tolerance."""
+    baseline.  Raises :class:`MissingFStar` without f*."""
     if obj.f_star is None:
         raise MissingFStar(f"{method} requires obj.f_star")
     f_star = float(obj.f_star)
-
-    def toward_f_star(f, gnorm2):
-        if target_above(f_star, f):
-            raise TargetAboveValue(
-                f"f_star {f_star} exceeds value {f} beyond tolerance")
-        return _polyak_stepsize(f, gnorm2, f_star, 1.0)
-
-    return f_star, toward_f_star
+    return f_star, _toward(f_star, "f_star")
 
 
 def gdpolyak(x0, eta: float, K: int, I: int, obj: Objective, *,

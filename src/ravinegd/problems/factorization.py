@@ -205,12 +205,6 @@ def solution_sampler(inst: FactorizationInstance) -> SolutionSampler:
         draw=lambda rng: rng.standard_normal((inst.k, inst.r)), rows=rows)
 
 
-def sample_solution(inst: FactorizationInstance,
-                    rng: np.random.Generator) -> np.ndarray:
-    """A random point of S: L times random orthonormal rows."""
-    return solution_sampler(inst)(rng).reshape(inst.d, inst.k)
-
-
 def make_manifold_point(inst: FactorizationInstance, rng: np.random.Generator,
                         q_norm: float) -> np.ndarray:
     """A random ravine point with ||Q||_F = q_norm (in the eigenbasis)."""

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..objective import Objective
-from ..ravine import RavineDescriptor
+from ..ravine import RavineDescriptor, SolutionSampler
 
 
 # The checks that sample clouds around a closed-form ravine.
@@ -59,8 +59,8 @@ class ProblemBundle:
     """Everything the harness needs to run and diagnose one instance.
 
     ``ravine_bracket`` is the ``(lower, upper)`` range of the ravine ratio
-    and ``growth_bracket`` the exact coefficients of the growth check,
-    optionally followed by the absolute rounding floor of its gap, where
+    and ``growth_bracket`` the ``(lower, upper, floor)`` exact coefficients
+    of the growth check and the absolute rounding floor of its gap, where
     the problem states them.
     """
 
@@ -69,6 +69,6 @@ class ProblemBundle:
     descriptor: Optional[RavineDescriptor]
     instance: object
     base_solution: np.ndarray
-    sample_solution: Callable[[np.random.Generator], np.ndarray]
+    sample_solution: SolutionSampler
     ravine_bracket: Optional[tuple] = None
     growth_bracket: Optional[tuple] = None

@@ -111,9 +111,8 @@ class RavineDescriptor:
         checks retract whole clouds and stencil blocks with it, and a run
         that records distances retracts each epoch's block of iterates
         with it.
-    sample_solution : rng -> a random point of S, used to anchor clouds;
-        a :class:`SolutionSampler` lets a cloud map its samples' draws to
-        solutions in one call.
+    sample_solution : the :class:`SolutionSampler` of S that anchors
+        clouds, mapping a cloud's samples' draws to solutions in one call.
     retract : map from points near the manifold onto the manifold, on an
         array of shape ``(..., dim)``: a point ``(dim,)`` or a stack
         ``(n, dim)``, whose shape it keeps; defaults to ``retract_rows``
@@ -122,7 +121,7 @@ class RavineDescriptor:
     """
 
     retract_rows: Callable[[np.ndarray], np.ndarray]
-    sample_solution: Callable[[np.random.Generator], np.ndarray]
+    sample_solution: SolutionSampler
     retract: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -176,32 +175,27 @@ class SampleStream:
     ``s_i + radius * u_i`` for i in ``[start, start + n)``; samples are
     drawn when a cloud first reaches them and kept, so the cloud checks of
     one suite read one stream and a sample costs its draws once.
-    ``sample_solution`` is a :class:`SolutionSampler`, whose ``rows`` maps
-    the draws of the samples drawn together in one call (row by row, so a
-    cloud does not depend on how the stream was extended), or a plain
-    rng -> point callable, whose points are stacked as they are.
+    The :class:`SolutionSampler` ``sample_solution`` maps the draws of the
+    samples drawn together in one ``rows`` call (row by row, so a cloud
+    does not depend on how the stream was extended).
     """
 
     def __init__(self, sample_solution, dim: int, seed: int):
         self.sample_solution = sample_solution
         self.dim = dim
-        if isinstance(sample_solution, SolutionSampler):
-            self._draw, self._rows = sample_solution.draw, sample_solution.rows
-        else:
-            self._draw, self._rows = sample_solution, lambda points: points
         self._rng = np.random.default_rng(seed)
         self._solutions = np.empty((0, dim))
         self._directions = np.empty((0, dim))
 
     def _extend(self, count: int):
-        rng, dim = self._rng, self.dim
+        rng, dim, sampler = self._rng, self.dim, self.sample_solution
         draws = []
         U = np.empty((count, dim))
         norms = np.empty(count)
         for i in range(count):
-            draws.append(self._draw(rng))
+            draws.append(sampler.draw(rng))
             U[i], norms[i] = gaussian_direction(rng, dim)
-        S = np.reshape(self._rows(np.array(draws, dtype=float)), (count, dim))
+        S = sampler.rows(np.array(draws, dtype=float)).reshape(count, dim)
         self._solutions = np.concatenate([self._solutions, S])
         self._directions = np.concatenate(
             [self._directions, U / norms[:, None]])
@@ -219,8 +213,12 @@ class SampleStream:
 def _stream(seed, sample_solution, dim, n_samples, **radii) -> SampleStream:
     """``seed`` itself when it is a :class:`SampleStream` of this sampler
     and dimension, else a stream of its own from the int ``seed``; first,
-    a cloud check's ``n_samples``, ``radii`` and int ``seed`` are judged."""
-    args = {"n_samples": (n_samples, POSITIVE)}
+    a cloud check's ``sample_solution``, ``n_samples``, ``radii`` and int
+    ``seed`` are judged."""
+    args = {"sample_solution": (sample_solution, (
+                lambda v: isinstance(v, SolutionSampler),
+                "a SolutionSampler")),
+            "n_samples": (n_samples, POSITIVE)}
     args.update((name, (r, POSITIVE_REAL)) for name, r in radii.items())
     if not isinstance(seed, SampleStream):
         args["seed"] = (seed, NONNEGATIVE)
@@ -360,13 +358,12 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     Manifold points are produced by retracting perturbed solution points at
     each radius in ``radius_grid`` (which must span at least one decade).
     Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
-    ``exact_bracket`` = (lo_coef, hi_coef) is given, when every sample
-    satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10 relative.
-    The retracted clouds of all radii are evaluated in one ``eval_rows``
-    call.  A third entry, (lo_coef, hi_coef, floor), adds ``floor`` to that
-    tolerance: the absolute rounding floor of the computed gap, for a
-    problem whose value cancels terms of order one on the manifold.  The
-    report lists the two coefficients.
+    ``exact_bracket`` = (lo_coef, hi_coef, floor) is given, when every
+    sample satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10
+    relative plus ``floor``: the absolute rounding floor of the computed
+    gap, for a problem whose value cancels terms of order one on the
+    manifold.  The retracted clouds of all radii are evaluated in one
+    ``eval_rows`` call.  The report lists the two coefficients.
     """
     grid = list(radius_grid) if np.iterable(radius_grid) else [radius_grid]
     stream = _stream(seed, rav.sample_solution, obj.dim, n_samples, **{
@@ -394,8 +391,7 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     gaps, dists, powers = gaps[ok], dists[ok], powers[ok]
     bracket_ok = True
     if exact_bracket is not None:
-        lo_c, hi_c = exact_bracket[:2]
-        floor = exact_bracket[2] if len(exact_bracket) > 2 else 0.0
+        lo_c, hi_c, floor = exact_bracket
         tol = 1e-10 * np.maximum(np.abs(gaps), lo_c * powers) + floor
         bracket_ok = not np.any((gaps < lo_c * powers - tol)
                                 | (gaps > hi_c * powers + tol))
@@ -419,7 +415,8 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
 
 @np.errstate(**OVERFLOW_IS_DATA)
 def check_lojasiewicz(obj: Objective, p: float, n_samples: int, radius: float,
-                      seed: int | SampleStream, *, sample_solution,
+                      seed: int | SampleStream, *,
+                      sample_solution: SolutionSampler,
                       retract) -> DiagnosticsReport:
     """Stability of (f - f*)^((p-1)/p) / ||grad f|| over shrinking clouds.
 

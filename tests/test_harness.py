@@ -847,6 +847,13 @@ def test_diagnose_rejects_empty_suite():
         diagnose("rosenbrock", [])
 
 
+def test_diagnose_refuses_a_string_suite():
+    # A string is not split into one-letter check names.
+    with pytest.raises(ConfigInvalid, match="^invalid config: suite: must be "
+                       "a non-empty list of check names, got 'ravine'$"):
+        diagnose("rosenbrock", "ravine")
+
+
 # --------------------------------------------------------------------- CLI
 
 def test_cli_run_and_files(tmp_path):

@@ -5,6 +5,7 @@ refuses; the call must raise ValueError whose message starts with that
 argument's name, the CLI's ``name: must be <phrase>, got <value>``.
 """
 
+import inspect
 import math
 import re
 
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ravinegd
 from ravinegd import (
     check_aiming,
     check_gradient_control,
     check_growth_exponent,
     check_lojasiewicz,
     check_ravine_quadratic,
+    fit_linear_rate,
     gd_baseline,
     gdpolyak,
     gdpolyak_lb,
@@ -34,6 +37,7 @@ OBJ, RAV = BUNDLE.objective, BUNDLE.descriptor
 X0 = sample_init(BUNDLE, 0.1, 0)
 RIP_INSTANCE = sensing.make_sensing_instance(d=4, r=1, k=2, m=40, seed=0)
 SOLVER = morse_ravine_solve(OBJ, BUNDLE.base_solution, 1e-12, 50)
+TRACE = gd_baseline(X0, 0.01, 2, 10, OBJ)
 
 # Each entry point, as a call on keyword arguments, and valid values of
 # the arguments it judges; the rest are fixed.
@@ -47,9 +51,8 @@ ENTRY_POINTS = {
     "gdpolyak_lb": (
         lambda x0, eta, K, I, J, f0: gdpolyak_lb(x0, eta, K, I, J, f0, OBJ),
         {"x0": X0, "eta": 0.01, "K": 2, "I": 2, "J": 2, "f0": -1.0}),
-    "polyak_step": (
-        lambda x, f_target, scale: polyak_step(x, OBJ, f_target, scale),
-        {"x": X0, "f_target": 0.0, "scale": 1.0}),
+    "polyak_step": (lambda x, f_target: polyak_step(x, OBJ, f_target),
+                    {"x": X0, "f_target": 0.0}),
     "check_ravine_quadratic": (
         lambda n_samples, radius, seed: check_ravine_quadratic(
             OBJ, RAV, n_samples, radius, seed, lower_bracket=5.0,
@@ -64,10 +67,11 @@ ENTRY_POINTS = {
             OBJ, RAV, n_samples, radius_grid, seed),
         {"n_samples": 3, "radius_grid": [0.01, 0.1], "seed": 0}),
     "check_lojasiewicz": (
-        lambda p, n_samples, radius, seed: check_lojasiewicz(
+        lambda p, n_samples, radius, seed, sample_solution: check_lojasiewicz(
             OBJ, p, n_samples, radius, seed,
-            sample_solution=BUNDLE.sample_solution, retract=RAV.retract),
-        {"p": OBJ.p_growth, "n_samples": 3, "radius": 0.1, "seed": 0}),
+            sample_solution=sample_solution, retract=RAV.retract),
+        {"p": OBJ.p_growth, "n_samples": 3, "radius": 0.1, "seed": 0,
+         "sample_solution": BUNDLE.sample_solution}),
     "check_gradient_control": (
         lambda n_samples, radius, seed: check_gradient_control(
             OBJ, RAV, n_samples, radius, seed),
@@ -83,20 +87,27 @@ ENTRY_POINTS = {
     "spectral_split": (lambda base: spectral_split(OBJ, base),
                        {"base": BUNDLE.base_solution}),
     "MorseRavineSolver.solve": (lambda u: SOLVER.solve(u), {"u": [0.1]}),
+    "fit_linear_rate": (lambda burn_in: fit_linear_rate(TRACE, burn_in),
+                        {"burn_in": 5}),
 }
+
+# Exported functions that judge their arguments by the CLI's field names
+# (``samples:`` for ``n_samples``) and raise ConfigInvalid, which
+# tests/test_harness.py covers.
+EXEMPT = {"run_experiment", "compare_methods", "diagnose"}
 
 BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,
               "inf": math.inf, "-inf": -math.inf, "'1'": "1", "None": None,
               "[1.0]": [1.0], "[nan, 1.0]": [math.nan, 1.0]}
 
 # The values of BAD_VALUES that an argument's rule admits: eta is a real
-# number >= 0, a radius, p and tol ones > 0, a seed an integer >= 0, a
-# target any real number, a growth grid a list of radii and a Morse
-# tangent offset a point of R^1.  Every other argument, a point of R^2
-# among them, refuses them all.
+# number >= 0, a radius, p and tol ones > 0, a seed and a burn-in an
+# integer >= 0, a target any real number, a growth grid a list of radii
+# and a Morse tangent offset a point of R^1.  Every other argument, a
+# point of R^2 and a solution sampler among them, refuses them all.
 ADMITTED = {"eta": {"0", "2.5"}, "radius": {"2.5"}, "p": {"2.5"},
             "tol": {"2.5"}, "seed": {"0"}, "radius_grid": {"[1.0]"},
-            "u": {"[1.0]"}, "f0": {"0", "-1", "2.5"},
+            "u": {"[1.0]"}, "burn_in": {"0"}, "f0": {"0", "-1", "2.5"},
             "f_target": {"0", "-1", "2.5"}}
 
 CASES = [(entry, name, label)
@@ -120,3 +131,10 @@ def test_an_argument_that_breaks_its_rule_is_named(case):
     # A growth grid names the radius it refuses by its index.
     assert re.match(rf"{name}(\[\d+\])?: must ", str(raised.value)), (
         entry, name, label, str(raised.value))
+
+
+def test_every_exported_function_is_judged_here_or_exempt():
+    exported = {name for name in ravinegd.__all__
+                if inspect.isfunction(getattr(ravinegd, name))}
+    assert EXEMPT <= exported
+    assert exported - EXEMPT - set(ENTRY_POINTS) == set()

@@ -108,7 +108,7 @@ def test_gd_baseline_error_carries_iteration_index():
 # ------------------------------------------------------------- polyak_step
 
 def test_polyak_step_three_quarter_contraction(qobj):
-    x = polyak_step(np.array([1.0]), qobj, 0.0, scale=1.0)
+    x = polyak_step(np.array([1.0]), qobj, 0.0)
     assert x[0] == pytest.approx(0.75, rel=1e-12)
 
 
@@ -118,20 +118,9 @@ def test_polyak_step_zero_gap_returns_input(qobj):
     assert x[0] == x0[0]
 
 
-def test_polyak_step_scale_two(qobj):
-    # 1 - (0.25 / (2 * 1)) * 1 = 0.875
-    x = polyak_step(np.array([1.0]), qobj, 0.0, scale=2.0)
-    assert x[0] == pytest.approx(0.875, rel=1e-12)
-
-
 def test_polyak_step_target_above_value(qobj):
     with pytest.raises(TargetAboveValue):
         polyak_step(np.array([1.0]), qobj, 1.0)
-
-
-def test_polyak_step_rejects_other_scales(qobj):
-    with pytest.raises(ValueError):
-        polyak_step(np.array([1.0]), qobj, 0.0, scale=3.0)
 
 
 @pytest.mark.parametrize("f_target", [math.nan, math.inf, -math.inf])
@@ -151,10 +140,9 @@ def test_polyak_step_stationary_guard(qobj):
        u=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
        exponent=st.integers(-40, 1),
        ratio=st.floats(-2.0, 2.0),
-       shift=st.sampled_from([0.0, -1.0, 1.0]),
-       scale=st.sampled_from([1.0, 2.0]))
+       shift=st.sampled_from([0.0, -1.0, 1.0]))
 def test_polyak_step_formula_and_guards_on_quadratic(h, u, exponent, ratio,
-                                                     shift, scale):
+                                                     shift):
     # f(x) = x^T H x / 2; tiny exponents reach the vanishing-gradient guard
     # and targets near f reach the closed-gap guard.
     h = np.array(h)
@@ -165,14 +153,14 @@ def test_polyak_step_formula_and_guards_on_quadratic(h, u, exponent, ratio,
     f_target = f * (1.0 - ratio) + shift
     if f_target > f + 1e-10 * (1.0 + abs(f_target)):
         with pytest.raises(TargetAboveValue):
-            polyak_step(x, obj, f_target, scale=scale)
+            polyak_step(x, obj, f_target)
         return
-    out = polyak_step(x, obj, f_target, scale=scale)
+    out = polyak_step(x, obj, f_target)
     if f_target >= f or float(g @ g) <= 1e-30 * 1e-30:
         assert np.array_equal(out, x)
     else:
         assert np.array_equal(
-            out, x - (f - f_target) / (scale * float(g @ g)) * g)
+            out, x - (f - f_target) / float(g @ g) * g)
 
 
 # ---------------------------------------------------------------- gdpolyak

@@ -19,9 +19,10 @@ from ravinegd import (
     check_ravine_quadratic,
     morse_ravine_solve,
 )
-from ravinegd.harness import MORSE_TOL, diagnose, run_check
+from ravinegd.harness import diagnose, run_check
 from ravinegd.morse import (
-    MAX_HALVINGS, _canonical_signs, finite_difference_hessian, spectral_split)
+    MAX_HALVINGS, TOL, _canonical_signs, finite_difference_hessian,
+    spectral_split)
 from ravinegd.objective import (
     _central_differences,
     central_difference_gradient,
@@ -127,7 +128,7 @@ def _retract(B, inst):
 
 def test_projection_idempotent_on_solutions(fact_inst):
     rng = np.random.default_rng(3)
-    B = factorization.sample_solution(fact_inst, rng)
+    B = factorization.solution_sampler(fact_inst)(rng).reshape(5, 3)
     P = _project(B, fact_inst)
     assert np.linalg.norm(P - B) <= 1e-10
 
@@ -143,14 +144,15 @@ def test_projection_diagonal_example():
 
 def test_projection_beats_sampled_solutions(fact_inst):
     rng = np.random.default_rng(7)
+    sampler = factorization.solution_sampler(fact_inst)
     for _ in range(5):
-        B = factorization.sample_solution(fact_inst, rng)
+        B = sampler(rng).reshape(5, 3)
         B = B + 0.05 * rng.standard_normal(B.shape)
         P = _project(B, fact_inst)
         assert np.allclose(P @ P.T, fact_inst.X, atol=1e-8)
         d_opt = np.linalg.norm(B - P)
         for _ in range(1000):
-            other = factorization.sample_solution(fact_inst, rng)
+            other = sampler(rng).reshape(5, 3)
             assert d_opt <= np.linalg.norm(B - other) + 1e-12
 
 
@@ -172,7 +174,7 @@ def test_retraction_block_example():
 def test_retraction_lands_on_manifold(fact_inst):
     rng = np.random.default_rng(11)
     for _ in range(20):
-        B = factorization.sample_solution(fact_inst, rng)
+        B = factorization.solution_sampler(fact_inst)(rng).reshape(5, 3)
         B = B + 0.01 * rng.standard_normal(B.shape)
         R = _retract(B, fact_inst)
         res_p, res_pq = manifold_residuals(R, fact_inst)
@@ -184,7 +186,7 @@ def test_retraction_comparable_to_manifold_distance(fact_inst):
     # sampling manifold points near the retraction.
     rng = np.random.default_rng(13)
     for _ in range(10):
-        B = factorization.sample_solution(fact_inst, rng)
+        B = factorization.solution_sampler(fact_inst)(rng).reshape(5, 3)
         B = B + 0.02 * rng.standard_normal(B.shape)
         R = _retract(B, fact_inst)
         moved = np.linalg.norm(B - R)
@@ -301,7 +303,7 @@ def test_growth_factorization_exact_bracket(bundles):
     bundle = bundles["factorization"]
     rep = check_growth_exponent(bundle.objective, bundle.descriptor,
                                 300, np.geomspace(1e-3, 1e-1, 4), seed=0,
-                                exact_bracket=(1.0 / 3.0, 1.0))
+                                exact_bracket=(1.0 / 3.0, 1.0, 0.0))
     assert rep.passed
     assert rep.extras["bracket_ok"]
     assert abs(rep.extras["slope"] - 4.0) <= 0.1
@@ -324,7 +326,7 @@ def test_growth_bracket_floor_covers_rounding_only(seed):
             exact_bracket=bracket).extras["bracket_ok"]
 
     assert bracket_ok((lo, hi, floor))
-    assert not bracket_ok((lo, hi))
+    assert not bracket_ok((lo, hi, 0.0))
     assert not bracket_ok((lo, (1.0 - 1e-8) * hi, floor))
 
 
@@ -516,37 +518,32 @@ def test_sampler_row_map_equals_per_sample_draws(name):
 @pytest.mark.parametrize("name", RAVINE_PROBLEMS + ["quartic1d"])
 def test_cloud_equals_points_drawn_one_at_a_time(bundles, name):
     bundle = bundles[name]
-    dim = bundle.objective.dim
-    # A plain callable is stacked as it is.
-    plain = lambda rng: bundle.sample_solution(rng)  # noqa: E731
-    for sampler in (bundle.sample_solution, plain):
-        X = SampleStream(sampler, dim, 6).cloud(0, 11, 0.05)
-        assert np.array_equal(X, np.array(list(_points(
-            sampler, 11, 0.05, np.random.default_rng(6), dim))))
+    dim, sampler = bundle.objective.dim, bundle.sample_solution
+    X = SampleStream(sampler, dim, 6).cloud(0, 11, 0.05)
+    assert np.array_equal(X, np.array(list(_points(
+        sampler, 11, 0.05, np.random.default_rng(6), dim))))
 
 
 @pytest.mark.parametrize("name", PROBLEM_NAMES)
 def test_stream_clouds_equal_clouds_drawn_one_after_another(name):
     params = {**SMALL_PARAMS, "sensing": {"d": 4, "r": 1, "k": 2, "m": 40}}
     bundle = build(name, params.get(name))
-    dim, n = bundle.objective.dim, 9
-    plain = lambda rng: bundle.sample_solution(rng)  # noqa: E731
-    for sampler in (bundle.sample_solution, plain):
-        rng = np.random.default_rng(5)
-        first, second = (np.array(list(_points(sampler, n, rad, rng, dim)))
-                         for rad in (0.05, 0.005))
-        in_turn = SampleStream(sampler, dim, 5)
-        at_once = SampleStream(sampler, dim, 5)
-        # All 2n samples drawn by one cloud, then read back as two.
-        assert np.array_equal(at_once.cloud(0, 2 * n, 0.05)[:n], first)
-        for stream in (in_turn, at_once):
-            assert np.array_equal(stream.cloud(0, n, 0.05), first)
-            assert np.array_equal(stream.cloud(n, n, 0.005), second)
-        # Uneven segments, as the growth check reads them.
-        segments = SampleStream(sampler, dim, 5)
-        assert np.array_equal(np.concatenate(
-            [segments.cloud(0, 4, 0.05), segments.cloud(4, 5, 0.05),
-             segments.cloud(9, n, 0.005)]), np.concatenate([first, second]))
+    dim, n, sampler = bundle.objective.dim, 9, bundle.sample_solution
+    rng = np.random.default_rng(5)
+    first, second = (np.array(list(_points(sampler, n, rad, rng, dim)))
+                     for rad in (0.05, 0.005))
+    in_turn = SampleStream(sampler, dim, 5)
+    at_once = SampleStream(sampler, dim, 5)
+    # All 2n samples drawn by one cloud, then read back as two.
+    assert np.array_equal(at_once.cloud(0, 2 * n, 0.05)[:n], first)
+    for stream in (in_turn, at_once):
+        assert np.array_equal(stream.cloud(0, n, 0.05), first)
+        assert np.array_equal(stream.cloud(n, n, 0.005), second)
+    # Uneven segments, as the growth check reads them.
+    segments = SampleStream(sampler, dim, 5)
+    assert np.array_equal(np.concatenate(
+        [segments.cloud(0, 4, 0.05), segments.cloud(4, 5, 0.05),
+         segments.cloud(9, n, 0.005)]), np.concatenate([first, second]))
 
 
 def test_stream_of_another_sampler_or_dimension_is_refused(bundles):
@@ -718,7 +715,7 @@ def test_factorization_eval_is_the_two_dimensional_formula():
         inst = factorization.random_instance(d=d, r=r, k=k, seed=3)
         rng = np.random.default_rng(4)
         for _ in range(5):
-            B = (factorization.sample_solution(inst, rng)
+            B = (factorization.solution_sampler(inst)(rng).reshape(d, k)
                  + 0.1 * rng.standard_normal((d, k)))
             Bp = inst.basis.T @ B
             resid = Bp @ Bp.T
@@ -731,8 +728,8 @@ def test_factorization_eval_is_the_two_dimensional_formula():
 # ------------------------------------- batched checks against point loops
 
 def _points(sampler, n_samples, radius, rng, dim):
-    """The cloud drawn and yielded one point at a time; ``sampler`` is an
-    rng -> solution callable or a descriptor holding one."""
+    """The cloud drawn and yielded one point at a time; ``sampler`` is a
+    :class:`SolutionSampler` or a descriptor holding one."""
     sampler = getattr(sampler, "sample_solution", sampler)
     for _ in range(n_samples):
         s = np.asarray(sampler(rng), dtype=float)
@@ -849,8 +846,7 @@ def _growth_per_point(obj, rav, n_samples, radius_grid, seed, *,
             logs.append((np.log(dist), np.log(gap)))
             ratios.append((gap / dist ** p, y))
             if exact_bracket is not None:
-                lo_c, hi_c = exact_bracket[:2]
-                floor = exact_bracket[2] if len(exact_bracket) > 2 else 0.0
+                lo_c, hi_c, floor = exact_bracket
                 tol = 1e-10 * max(abs(gap), lo_c * dist ** p) + floor
                 if gap < lo_c * dist ** p - tol or gap > hi_c * dist ** p + tol:
                     bracket_ok = False
@@ -1422,7 +1418,7 @@ def _morse_offsets(name, bundles, paper_bundles):
     at tangent radius 0.1 and 0.01 past ten."""
     bundle = (paper_bundles if name in PAPER_SPLITS else bundles)[name]
     solver = morse_ravine_solve(bundle.objective, bundle.base_solution,
-                                tol=MORSE_TOL, max_iter=50)
+                                tol=TOL, max_iter=50)
     if name not in PAPER_SPLITS:
         start, stop, step = bundle.spec.morse.grid
         return solver, [[u] for u in np.arange(start, stop + step / 2.0, step)]
