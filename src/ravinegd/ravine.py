@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (
     NONNEGATIVE, POSITIVE, POSITIVE_REAL, InsufficientValidSamples, check_args,
-    is_integer)
+    is_finite, is_integer, optional)
 from .objective import (
     Objective,
     _central_differences,
@@ -67,6 +67,19 @@ GROWTH_SLOPE_TOL = 0.1
 # the stencils of consecutive samples are stacked up to this many rows, and
 # a sample whose stencil alone is larger goes in a block of its own.
 STENCIL_ROWS = 256
+
+
+def _is_sequence(value) -> bool:
+    return (isinstance(value, (list, tuple))
+            or (isinstance(value, np.ndarray) and value.ndim == 1))
+
+
+# Rules of the growth check's grid and bracket; its radii are judged one
+# by one, by name.
+_GRID = (_is_sequence, "a sequence of radii")
+_BRACKET = (lambda v: _is_sequence(v) and len(v) == 3
+           and all(map(is_finite, v)),
+           "a (lo, hi, floor) triple of real numbers")
 
 
 @dataclass(frozen=True)
@@ -356,16 +369,19 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
     """Log-log regression of the value gap against distance to S on the manifold.
 
     Manifold points are produced by retracting perturbed solution points at
-    each radius in ``radius_grid`` (which must span at least one decade).
-    Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL and, if
-    ``exact_bracket`` = (lo_coef, hi_coef, floor) is given, when every
+    each radius of the sequence ``radius_grid`` (which must span at least
+    one decade).  Passes when |slope - obj.p_growth| <= GROWTH_SLOPE_TOL
+    and, if the triple of real numbers ``exact_bracket`` =
+    (lo_coef, hi_coef, floor) is given, when every
     sample satisfies lo_coef * dist^p <= gap <= hi_coef * dist^p to 1e-10
     relative plus ``floor``: the absolute rounding floor of the computed
     gap, for a problem whose value cancels terms of order one on the
     manifold.  The retracted clouds of all radii are evaluated in one
     ``eval_rows`` call.  The report lists the two coefficients.
     """
-    grid = list(radius_grid) if np.iterable(radius_grid) else [radius_grid]
+    check_args(radius_grid=(radius_grid, _GRID),
+               exact_bracket=(exact_bracket, optional(_BRACKET)))
+    grid = list(radius_grid)
     stream = _stream(seed, rav.sample_solution, obj.dim, n_samples, **{
         f"radius_grid[{i}]": radius for i, radius in enumerate(grid)})
     radius_grid = np.asarray(grid, dtype=float)
@@ -406,7 +422,8 @@ def check_growth_exponent(obj: Objective, rav: RavineDescriptor,
         return abs(slope - p) <= GROWTH_SLOPE_TOL and bracket_ok, {
             "slope": float(slope), "expected_exponent": p,
             "fit_residual": resid,
-            "exact_bracket": [lo_c, hi_c] if exact_bracket else None,
+            "exact_bracket": ([lo_c, hi_c] if exact_bracket is not None
+                              else None),
             "bracket_ok": bracket_ok}
 
     return _cloud_report("growth", gaps / powers, Y[ok],

@@ -237,8 +237,9 @@ def test_cli_growth_at_a_huge_radius_fails_cleanly(problem, radius, tmp_path,
 def test_cli_cloud_check_at_a_huge_radius_fails_cleanly(problem, check,
                                                         tmp_path, capsys):
     # Every ratio at radius 1e200 overflows to inf or nan (or the
-    # retraction of an overflowed stencil has no SVD): the check reports
-    # its error without numpy warnings and writes no report holding NaN.
+    # retraction of an overflowed stencil has no polar factor): the check
+    # reports its error without numpy warnings and writes no report holding
+    # NaN.
     # On circle the lojasiewicz cloud's retracted companions lie on the
     # unit circle and keep their ratios: half of the 4 * 200 evaluated
     # points are skipped, which every check allows, so the check reports
@@ -284,7 +285,7 @@ def test_cli_factorization_svd_failure_is_an_error_line(tmp_path, capsys):
                "--out", str(tmp_path / "diag")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: SVD of D^(1/2) P did not converge\n")
+        "error: polar factor of D^(1/2) P did not converge\n")
 
 
 @pytest.mark.parametrize("argv", [

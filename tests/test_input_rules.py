@@ -63,9 +63,11 @@ ENTRY_POINTS = {
             OBJ, RAV, n_samples, radius, seed),
         {"n_samples": 3, "radius": 0.1, "seed": 0}),
     "check_growth_exponent": (
-        lambda n_samples, radius_grid, seed: check_growth_exponent(
-            OBJ, RAV, n_samples, radius_grid, seed),
-        {"n_samples": 3, "radius_grid": [0.01, 0.1], "seed": 0}),
+        lambda n_samples, radius_grid, seed, exact_bracket:
+            check_growth_exponent(OBJ, RAV, n_samples, radius_grid, seed,
+                                  exact_bracket=exact_bracket),
+        {"n_samples": 3, "radius_grid": [0.01, 0.1], "seed": 0,
+         "exact_bracket": (0.5, 2.0, 0.0)}),
     "check_lojasiewicz": (
         lambda p, n_samples, radius, seed, sample_solution: check_lojasiewicz(
             OBJ, p, n_samples, radius, seed,
@@ -98,17 +100,20 @@ EXEMPT = {"run_experiment", "compare_methods", "diagnose"}
 
 BAD_VALUES = {"0": 0, "-1": -1, "2.5": 2.5, "True": True, "nan": math.nan,
               "inf": math.inf, "-inf": -math.inf, "'1'": "1", "None": None,
-              "[1.0]": [1.0], "[nan, 1.0]": [math.nan, 1.0]}
+              "[1.0]": [1.0], "[nan, 1.0]": [math.nan, 1.0],
+              "(nan, 1.0, 0.0)": (math.nan, 1.0, 0.0),
+              "('a', 1, 0)": ("a", 1, 0)}
 
 # The values of BAD_VALUES that an argument's rule admits: eta is a real
 # number >= 0, a radius, p and tol ones > 0, a seed and a burn-in an
-# integer >= 0, a target any real number, a growth grid a list of radii
-# and a Morse tangent offset a point of R^1.  Every other argument, a
-# point of R^2 and a solution sampler among them, refuses them all.
+# integer >= 0, a target any real number, a growth grid a list of radii,
+# a growth bracket None or three real numbers and a Morse tangent offset
+# a point of R^1.  Every other argument, a point of R^2 and a solution
+# sampler among them, refuses them all.
 ADMITTED = {"eta": {"0", "2.5"}, "radius": {"2.5"}, "p": {"2.5"},
             "tol": {"2.5"}, "seed": {"0"}, "radius_grid": {"[1.0]"},
-            "u": {"[1.0]"}, "burn_in": {"0"}, "f0": {"0", "-1", "2.5"},
-            "f_target": {"0", "-1", "2.5"}}
+            "exact_bracket": {"None"}, "u": {"[1.0]"}, "burn_in": {"0"},
+            "f0": {"0", "-1", "2.5"}, "f_target": {"0", "-1", "2.5"}}
 
 CASES = [(entry, name, label)
          for entry, (_, valid) in ENTRY_POINTS.items() for name in valid

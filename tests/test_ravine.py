@@ -1,7 +1,9 @@
 """Ravine descriptor, diagnostic check and Morse solver tests."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -218,10 +220,12 @@ def _solve_retraction_rows(Bs, inst):
 @pytest.mark.parametrize("d, r, k", [(5, 2, 3), (20, 2, 4), (20, 4, 6),
                                      (6, 3, 3), (20, 4, 4)])
 def test_retraction_closed_form_matches_the_solve(d, r, k):
-    # Both forms share the SVD and P~ and differ in Q~ by rounding only.
-    # The solve inverts P~ P~^T = D to a relative error of about cond(D)
-    # eps, which the projector P~^T (.) P~ scales by up to cond(D) again,
-    # so per entry they may differ by 32 cond(D)^2 eps (1 + ||B||_F).
+    # The reference takes P~ from an SVD, so the forms differ in P~ by the
+    # two polar factors' rounding, about eps times the condition number of
+    # D^(1/2) P, and in Q~ by the solve's rounding.  The solve inverts
+    # P~ P~^T = D to a relative error of about cond(D) eps, which the
+    # projector P~^T (.) P~ scales by up to cond(D) again, so per entry
+    # they may differ by 32 cond(D)^2 eps (1 + ||B||_F).
     inst = factorization.random_instance(d=d, r=r, k=k, seed=d + r + k)
     Bs = np.random.default_rng(k).standard_normal((50, d, k))
     closed = factorization.factorization_retraction_rows(Bs, inst)
@@ -232,6 +236,84 @@ def test_retraction_closed_form_matches_the_solve(d, r, k):
                   <= tol[:, None, None])
     one = factorization.factorization_retraction_rows(Bs[:1], inst)
     assert one.tobytes() == closed[:1].tobytes()
+
+
+def _with_singular_values(rng, n, s, k):
+    """An (n, r, k) stack of matrices U diag(s) Q^T, U orthogonal and Q
+    with orthonormal columns, and the stack of their polar factors U Q^T."""
+    U = np.linalg.qr(rng.standard_normal((n, len(s), len(s))))[0]
+    Q = np.swapaxes(np.linalg.qr(rng.standard_normal((n, k, len(s))))[0], 1, 2)
+    return (U * s) @ Q, U @ Q
+
+
+POLAR_SHAPES = [(r, k) for r in range(1, 6) for k in range(r, r + 4)]
+
+
+@pytest.mark.parametrize("r, k", POLAR_SHAPES)
+def test_polar_factor_matches_the_svd(r, k):
+    # Over these draws (and two more seeds each) W W^T - I stayed within
+    # 3 eps per entry and W within 5 eps kappa of gesdd's U V^T, kappa the
+    # matrix's condition number; entries of order 1e200 would overflow the
+    # Gram A A^T without the power-of-two scaling.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(10 * r + k)
+    for n, kappa, scale in itertools.product(
+            (1, 2, 240), (1.0, 1e2, 1e4, 1e6), (1.0, 1e200)):
+        A = scale * _with_singular_values(
+            rng, n, np.geomspace(1.0, 1.0 / kappa, r), k)[0]
+        W = factorization._polar(A, "A")
+        assert np.abs(W @ np.swapaxes(W, 1, 2) - np.eye(r)).max() <= 4 * eps
+        u, s, vt = np.linalg.svd(A, full_matrices=False)
+        tol = 8 * eps * s[:, 0] / s[:, -1]
+        assert np.all(np.abs(W - u @ vt).max(axis=(1, 2)) <= tol)
+
+
+@pytest.mark.parametrize("smallest", [5e-11, 2e-10])
+@pytest.mark.parametrize("r, k", POLAR_SHAPES)
+def test_polar_factor_refuses_what_the_svd_finds_singular(r, k, smallest):
+    # One singular value near DEGENERATE_TOL, the rest in [1/2, 1]: the
+    # helper's singular values, the norms of the rotated rows, must fall
+    # on the same side of the tolerance as gesdd's, matrix by matrix.
+    rng = np.random.default_rng(10 * r + k)
+    s = np.append(rng.uniform(0.5, 1.0, r - 1), smallest)
+    A = _with_singular_values(rng, 20, s, k)[0]
+    for a in A:
+        singular = (np.linalg.svd(a, compute_uv=False)[-1]
+                    < factorization.DEGENERATE_TOL)
+        assert singular == (smallest < factorization.DEGENERATE_TOL)
+        if singular:
+            with pytest.raises(DegenerateProjection,
+                               match="smallest singular value"):
+                factorization._polar(a[None], "A")
+        else:
+            factorization._polar(a[None], "A")
+
+
+@pytest.mark.parametrize("d, r, k", [(5, 2, 3), (5, 2, 2), (20, 3, 5),
+                                     (12, 5, 5)])
+@pytest.mark.parametrize("ratio", [1.0, 1e-2, 1e-4])
+def test_retracted_cloud_lies_on_the_ravine_within_the_floor(d, r, k, ratio):
+    # growth_floor's bounds at every retracted point of a cloud around S:
+    # ||P P^T - D||_F <= C eps s1, ||P Q^T||_F <= C eps sqrt(s1)
+    # (sqrt(s1) + ||Q||_F), and the two blocks' share of the computed gap
+    # within the floor (C eps s1)^2, on spectra with s_r / s_1 = ratio.
+    rng = np.random.default_rng(d + r + k)
+    O = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :r]
+    inst = factorization.from_matrix(
+        (O * np.geomspace(1.0, ratio, r)) @ O.T, k, r=r)
+    S = factorization.solution_sampler(inst).rows(
+        rng.standard_normal((200, k, r)))
+    radii = np.repeat([1e-4, 1e-3, 1e-2, 1e-1], 50)[:, None]
+    Z = S + radii * rng.standard_normal(S.shape)
+    R = factorization.factorization_retraction_rows(Z.reshape(-1, d, k), inst)
+    floor = factorization.growth_floor(inst)
+    c_eps_s1 = math.sqrt(floor)
+    for B in R:
+        res_p, res_pq = manifold_residuals(B, inst)
+        q = np.linalg.norm((inst.basis.T @ B)[r:])
+        assert res_p <= c_eps_s1
+        assert res_pq <= c_eps_s1 * (1.0 + q / math.sqrt(inst.sigma1))
+        assert res_p ** 2 + 2.0 * res_pq ** 2 <= floor
 
 
 # ----------------------------------------------------------------- checks
@@ -343,6 +425,23 @@ def test_growth_rejects_narrow_grid(bundles):
     with pytest.raises(ValueError):
         check_growth_exponent(bundle.objective, bundle.descriptor,
                               50, [0.1, 0.2], seed=0)
+
+
+@pytest.mark.parametrize("radius_grid, bracket, message", [
+    ([1e-3, 1e-1], (math.nan, 1.0, 0.0), "exact_bracket: must be a (lo,"),
+    ([1e-3, 1e-1], (1.0 / 3.0, 1.0), "exact_bracket: must be a (lo,"),
+    ([1e-3, 1e-1], ("a", 1, 0), "exact_bracket: must be a (lo,"),
+    (0.05, None, "radius_grid: must be a sequence of radii"),
+], ids=["nan", "pair", "string", "scalar-grid"])
+def test_growth_judges_its_grid_and_bracket(bundles, radius_grid, bracket,
+                                            message):
+    # Before they were judged, a NaN coefficient passed as a kept bracket,
+    # a pair or a string ended in raw unpacking or numpy errors, and a
+    # scalar grid could only fail to span a decade.
+    bundle = bundles["factorization"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_growth_exponent(bundle.objective, bundle.descriptor, 20,
+                              radius_grid, 0, exact_bracket=bracket)
 
 
 def test_growth_refuses_a_one_sample_fit(bundles):
@@ -466,12 +565,14 @@ def test_factorization_retract_rows_degenerate_row(bundles):
 @pytest.mark.parametrize("fn", [factorization.factorization_retraction_rows,
                                 factorization.factorization_project_solution_rows])
 def test_factorization_svd_failure_is_degenerate(fact_inst, fn):
-    # A non-finite matrix, as an overflowed stencil point, has no SVD.
-    Bs = np.zeros((3, 5, 3))
-    Bs[1] = np.nan
-    with np.errstate(**OVERFLOW_IS_DATA), pytest.raises(
-            DegenerateProjection, match="did not converge"):
-        fn(Bs, fact_inst)
+    # A non-finite matrix, as an overflowed stencil point, has no polar
+    # factor.
+    for value in (np.nan, np.inf):
+        Bs = np.zeros((3, 5, 3))
+        Bs[1, 2, 0] = value
+        with np.errstate(**OVERFLOW_IS_DATA), pytest.raises(
+                DegenerateProjection, match="did not converge"):
+            fn(Bs, fact_inst)
 
 
 def test_gradient_control_derives_missing_eval_rows(bundles):
