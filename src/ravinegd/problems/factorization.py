@@ -166,7 +166,10 @@ def _polar(A, name):
         raise DegenerateProjection(unresolved)
     exponent = np.frexp(np.abs(A).max(axis=(-2, -1)))[1]
     A = np.ldexp(A, -exponent[..., None, None])
-    V = np.linalg.eigh(_gram(A))[1]
+    try:
+        V = np.linalg.eigh(_gram(A))[1]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateProjection(unresolved) from exc
     R = np.swapaxes(V, -1, -2) @ A
     s = np.sqrt(np.einsum("...ij,...ij->...i", R, R))
     smallest = float(np.ldexp(s, exponent[..., None]).min())

@@ -240,10 +240,10 @@ def test_retraction_closed_form_matches_the_solve(d, r, k):
 
 def _with_singular_values(rng, n, s, k):
     """An (n, r, k) stack of matrices U diag(s) Q^T, U orthogonal and Q
-    with orthonormal columns, and the stack of their polar factors U Q^T."""
+    with orthonormal columns."""
     U = np.linalg.qr(rng.standard_normal((n, len(s), len(s))))[0]
     Q = np.swapaxes(np.linalg.qr(rng.standard_normal((n, k, len(s))))[0], 1, 2)
-    return (U * s) @ Q, U @ Q
+    return (U * s) @ Q
 
 
 POLAR_SHAPES = [(r, k) for r in range(1, 6) for k in range(r, r + 4)]
@@ -260,7 +260,7 @@ def test_polar_factor_matches_the_svd(r, k):
     for n, kappa, scale in itertools.product(
             (1, 2, 240), (1.0, 1e2, 1e4, 1e6), (1.0, 1e200)):
         A = scale * _with_singular_values(
-            rng, n, np.geomspace(1.0, 1.0 / kappa, r), k)[0]
+            rng, n, np.geomspace(1.0, 1.0 / kappa, r), k)
         W = factorization._polar(A, "A")
         assert np.abs(W @ np.swapaxes(W, 1, 2) - np.eye(r)).max() <= 4 * eps
         u, s, vt = np.linalg.svd(A, full_matrices=False)
@@ -276,7 +276,7 @@ def test_polar_factor_refuses_what_the_svd_finds_singular(r, k, smallest):
     # on the same side of the tolerance as gesdd's, matrix by matrix.
     rng = np.random.default_rng(10 * r + k)
     s = np.append(rng.uniform(0.5, 1.0, r - 1), smallest)
-    A = _with_singular_values(rng, 20, s, k)[0]
+    A = _with_singular_values(rng, 20, s, k)
     for a in A:
         singular = (np.linalg.svd(a, compute_uv=False)[-1]
                     < factorization.DEGENERATE_TOL)
@@ -287,6 +287,22 @@ def test_polar_factor_refuses_what_the_svd_finds_singular(r, k, smallest):
                 factorization._polar(a[None], "A")
         else:
             factorization._polar(a[None], "A")
+    # Scaled to 1e-200 every singular value is below the absolute
+    # tolerance, which the power-of-two scaling must not hide.
+    with pytest.raises(DegenerateProjection, match="smallest singular value"):
+        factorization._polar(1e-200 * A, "A")
+
+
+def test_polar_factor_refuses_a_gram_that_cannot_resolve_it():
+    # Two singular values near 1e-7: the Gram's eigenvectors mix them by
+    # ~eps / 1e-14, beyond the reach of the first-order correction (W
+    # would not even have orthonormal rows), though no singular value is
+    # below DEGENERATE_TOL.
+    rng = np.random.default_rng(0)
+    A = _with_singular_values(rng, 5, np.array([1.0, 1e-7, 5e-8]), 4)
+    assert np.linalg.svd(A, compute_uv=False).min() > 1e-8
+    with pytest.raises(DegenerateProjection, match="did not converge"):
+        factorization._polar(A, "A")
 
 
 @pytest.mark.parametrize("d, r, k", [(5, 2, 3), (5, 2, 2), (20, 3, 5),
