@@ -103,8 +103,8 @@ class ZeroNeuron(RavineGDError):
 class DegenerateProjection(RavineGDError):
     """The Procrustes-type projection is not unique at this point: a
     polar factor's smallest singular value is below 1e-10, or the factor
-    did not converge (a non-finite matrix, or singular values too spread
-    for the batched Gram eigh that computes it)."""
+    did not converge (a non-finite matrix, or one LAPACK cannot
+    decompose)."""
 
 
 class NewtonDivergence(RavineGDError):

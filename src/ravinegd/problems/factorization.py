@@ -24,7 +24,8 @@ RANK_TOL = 1e-10
 DEGENERATE_TOL = 1e-10
 # Largest entry of |W W^T - I|, before the polar factor's corrections,
 # that they still bring to rounding: below it the factor agreed with an
-# SVD's to a few eps times the condition number wherever measured.
+# SVD's to a few eps times the condition number wherever measured, and
+# from it on the factor comes from an SVD.
 UNRESOLVED_TOL = 1e-4
 
 SPEC = ProblemSpec(
@@ -153,13 +154,15 @@ def _polar(A, name):
     Newton-Schulz step, whose weights are all 1/2, leaves a rotation of
     the same size in W), and one Newton-Schulz step
     W <- 1.5 W - 0.5 (W W^T) W makes the rows orthonormal to rounding.
+    The matrices whose E reaches UNRESOLVED_TOL, out of the first-order
+    correction's reach (at r = 2 a condition number near 1e12; at r >= 3
+    also two singular values below about 1e-6 s_1), take U V^T and their
+    singular values from LAPACK's SVD instead, before that last step.
 
     Raises :class:`DegenerateProjection` where no polar factor is
-    defined or reached: "did not converge" for a non-finite matrix, or
-    where E reaches UNRESOLVED_TOL, out of the first-order correction's
-    reach (at r = 2 a condition number near 1e12; at r >= 3 also two
-    singular values near 1e-6 s_1); "smallest singular value" for a
-    nearly singular matrix, whose polar factor is not unique.
+    defined: "did not converge" for a non-finite matrix (or one LAPACK
+    cannot decompose), "smallest singular value" for a nearly singular
+    matrix, whose polar factor is not unique.
     """
     unresolved = f"polar factor of {name} did not converge"
     if not np.isfinite(A).all():
@@ -172,18 +175,31 @@ def _polar(A, name):
         raise DegenerateProjection(unresolved) from exc
     R = np.swapaxes(V, -1, -2) @ A
     s = np.sqrt(np.einsum("...ij,...ij->...i", R, R))
+    # A row norm is at least the smallest singular value, so a small one
+    # is a degenerate matrix, and the rows need not be normalized.
+    _check_singular_values(s, exponent, name)
+    R = R / s[..., None]
+    E = _gram(R) - np.eye(A.shape[-2])
+    W = V @ (R - (E * (s[..., None, :] / (s[..., :, None] + s[..., None, :])))
+                 @ R)
+    far = np.abs(E).max(axis=(-2, -1)) >= UNRESOLVED_TOL
+    if far.any():
+        try:
+            u, s, vt = np.linalg.svd(A[far], full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateProjection(unresolved) from exc
+        _check_singular_values(s, exponent[far], name)
+        W[far] = u @ vt
+    return 1.5 * W - 0.5 * _gram(W) @ W
+
+
+def _check_singular_values(s, exponent, name):
+    # s are the singular values of matrices divided by 2**exponent.
     smallest = float(np.ldexp(s, exponent[..., None]).min())
     if smallest < DEGENERATE_TOL:
         raise DegenerateProjection(
             f"smallest singular value {smallest:.2e} of {name} below "
             f"{DEGENERATE_TOL:.0e}")
-    R = R / s[..., None]
-    E = _gram(R) - np.eye(A.shape[-2])
-    if np.abs(E).max() >= UNRESOLVED_TOL:
-        raise DegenerateProjection(unresolved)
-    W = V @ (R - (E * (s[..., None, :] / (s[..., :, None] + s[..., None, :])))
-                 @ R)
-    return 1.5 * W - 0.5 * _gram(W) @ W
 
 
 def _gram(A):
@@ -201,9 +217,9 @@ def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
     factor of L^T B, which comes from one batched eigh of the r x r Grams
     (on a 2-core machine, about 0.85 us per matrix in a stack of 256 at
     d=5, r=2, k=3; a single matrix takes about 33 us).  Raises
-    :class:`DegenerateProjection` when L^T B is nearly singular for any
-    matrix (the nearest point is not unique) or its polar factor is out
-    of reach.
+    :class:`DegenerateProjection` when L^T B is nearly singular or not
+    finite for any matrix (the nearest point is not unique or not
+    defined).
     """
     return inst.L @ _polar(inst.L.T @ Bs, "L^T B")
 
@@ -221,8 +237,8 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
     Q - (Q W^T) W, two (k x r)-sized products per matrix and no solve.
     On a 2-core machine a stack of 256 at d=5, r=2, k=3 takes about
     1.0 us per matrix, a single matrix about 38 us.  Raises
-    :class:`DegenerateProjection` when any matrix is degenerate or its
-    polar factor is out of reach.
+    :class:`DegenerateProjection` when any matrix is degenerate or not
+    finite.
     """
     r = inst.r
     Bp = inst.basis.T @ Bs

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import (
     NONNEGATIVE, POSITIVE, POSITIVE_REAL, InsufficientValidSamples, check_args,
-    is_finite, is_integer, optional)
+    is_integer, optional, vector)
 from .objective import (
     Objective,
     _central_differences,
@@ -77,9 +77,7 @@ def _is_sequence(value) -> bool:
 # Rules of the growth check's grid and bracket; its radii are judged one
 # by one, by name.
 _GRID = (_is_sequence, "a sequence of radii")
-_BRACKET = (lambda v: _is_sequence(v) and len(v) == 3
-           and all(map(is_finite, v)),
-           "a (lo, hi, floor) triple of real numbers")
+_BRACKET = (vector(3)[0], "a (lo, hi, floor) triple of real numbers")
 
 
 @dataclass(frozen=True)

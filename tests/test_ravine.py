@@ -293,16 +293,66 @@ def test_polar_factor_refuses_what_the_svd_finds_singular(r, k, smallest):
         factorization._polar(1e-200 * A, "A")
 
 
-def test_polar_factor_refuses_a_gram_that_cannot_resolve_it():
-    # Two singular values near 1e-7: the Gram's eigenvectors mix them by
-    # ~eps / 1e-14, beyond the reach of the first-order correction (W
-    # would not even have orthonormal rows), though no singular value is
-    # below DEGENERATE_TOL.
+@pytest.mark.parametrize("s", [[1.0, 1e-7, 5e-8], [1.0, 1e-7, 5e-8, 2e-8],
+                               [1.0, 1e-3, 3e-10, 2e-10]])
+def test_polar_factor_resolves_clustered_small_singular_values(s):
+    # Two singular values below about 1e-6 s_1: the Gram's eigenvectors
+    # mix them by ~eps s_1^2 / (s_i^2 - s_j^2), beyond the first-order
+    # correction, though none is below DEGENERATE_TOL.  In a stack with
+    # well-conditioned matrices, these must still match the SVD's factor.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(len(s))
+    r, k = len(s), len(s) + 1
+    A = np.concatenate([
+        _with_singular_values(rng, 5, np.array(s), k),
+        _with_singular_values(rng, 5, np.geomspace(1.0, 0.1, r), k)])
+    W = factorization._polar(A, "A")
+    assert np.abs(W @ np.swapaxes(W, 1, 2) - np.eye(r)).max() <= 4 * eps
+    u, sv, vt = np.linalg.svd(A, full_matrices=False)
+    tol = 8 * eps * sv[:, 0] / sv[:, -1]
+    assert np.all(np.abs(W - u @ vt).max(axis=(1, 2)) <= tol)
+
+
+def test_polar_factor_refuses_a_clustered_singular_matrix():
+    # Singular values 3e-10 and 5e-11 are both below eps s_1^2 in the
+    # Gram, so the rotated rows' norms may both exceed DEGENERATE_TOL;
+    # the SVD that resolves them must still find the matrix singular.
     rng = np.random.default_rng(0)
-    A = _with_singular_values(rng, 5, np.array([1.0, 1e-7, 5e-8]), 4)
-    assert np.linalg.svd(A, compute_uv=False).min() > 1e-8
-    with pytest.raises(DegenerateProjection, match="did not converge"):
+    A = _with_singular_values(rng, 5, np.array([1.0, 3e-10, 5e-11]), 4)
+    with pytest.raises(DegenerateProjection, match="smallest singular value"):
         factorization._polar(A, "A")
+
+
+@pytest.mark.parametrize("evals", [[1.0, 1e-7, 5e-8, 0.0, 0.0],
+                                   [1.0, 1e-2, 1e-4, 1e-6, 1e-8, 0.0]])
+def test_retraction_and_projection_near_a_clustered_spectrum(evals):
+    # Valid instances (every eigenvalue above RANK_TOL s_1) whose polar
+    # factors have two singular values below about 1e-6 s_1 near S: the
+    # retraction, the projection and the distance oracle agree with their
+    # SVD forms, to 8 eps times the condition number of X's nonzero part.
+    eps = np.finfo(float).eps
+    inst = factorization.from_matrix(np.diag(evals), k=len(evals) - 1)
+    r = inst.r
+    rng = np.random.default_rng(r)
+    S = factorization.solution_sampler(inst).rows(
+        rng.standard_normal((100, inst.k, r)))
+    Bs = (S + 1e-3 * rng.standard_normal(S.shape)).reshape(-1, inst.d, inst.k)
+    tol = 8 * eps * inst.sigma1 / inst.sigmar
+    Bp = inst.basis.T @ Bs
+    sq = np.sqrt(inst.evals[:r])
+    u, _, vt = np.linalg.svd(sq[:, None] * Bp[:, :r], full_matrices=False)
+    W = u @ vt
+    Q_t = Bp[:, r:] - (Bp[:, r:] @ np.swapaxes(W, 1, 2)) @ W
+    retracted = inst.basis @ np.concatenate([sq[:, None] * W, Q_t], axis=1)
+    assert np.abs(factorization.factorization_retraction_rows(Bs, inst)
+                  - retracted).max() <= tol
+    u, _, vt = np.linalg.svd(inst.L.T @ Bs, full_matrices=False)
+    projected = inst.L @ (u @ vt)
+    assert np.abs(factorization.factorization_project_solution_rows(Bs, inst)
+                  - projected).max() <= tol
+    dist = factorization.dist_to_solution_rows(Bs, inst)
+    assert np.abs(dist - np.linalg.norm(Bs - projected, axis=(1, 2))).max() \
+        <= tol
 
 
 @pytest.mark.parametrize("d, r, k", [(5, 2, 3), (5, 2, 2), (20, 3, 5),
