@@ -176,7 +176,7 @@ def _polar(A, name):
     R = np.swapaxes(V, -1, -2) @ A
     s = np.sqrt(np.einsum("...ij,...ij->...i", R, R))
     # A row norm is at least the smallest singular value, so a small one
-    # is a degenerate matrix, and the rows need not be normalized.
+    # marks a degenerate matrix; checked here, no row divides by zero.
     _check_singular_values(s, exponent, name)
     R = R / s[..., None]
     E = _gram(R) - np.eye(A.shape[-2])
