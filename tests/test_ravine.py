@@ -249,23 +249,121 @@ def _with_singular_values(rng, n, s, k):
 POLAR_SHAPES = [(r, k) for r in range(1, 6) for k in range(r, r + 4)]
 
 
+def _polar_draws(r, k):
+    """Stacks of n in {1, 2, 240} (r, k) matrices with condition numbers
+    1 to 1e6; entries of order 1e200 would overflow the Gram A A^T
+    without the power-of-two scaling."""
+    rng = np.random.default_rng(10 * r + k)
+    for n, kappa, scale in itertools.product(
+            (1, 2, 240), (1.0, 1e2, 1e4, 1e6), (1.0, 1e200)):
+        yield scale * _with_singular_values(
+            rng, n, np.geomspace(1.0, 1.0 / kappa, r), k)
+
+
+def _rotation_edge_cases(k):
+    """(2, k) matrices at the edges of the closed-form rotation: rows
+    already orthonormal (Gram I, so atan2(0, 0)), a diagonal Gram with
+    g00 < g11 (theta = pi/2), off-diagonals of +0.0, of products that are
+    all -0.0, and subnormal; then condition numbers 1e8 to 1e13, across
+    UNRESOLVED_TOL's SVD fallback, scaled to keep the smallest singular
+    value above DEGENERATE_TOL."""
+    edges = np.zeros((5, 2, k))
+    edges[0] = np.eye(2, k)
+    edges[1, 0, 0], edges[1, 1, 1] = 0.5, 1.0
+    edges[2, 0, 0], edges[2, 1, 1] = 1.0, 0.5
+    edges[3, 1] = -0.0
+    edges[3, 0, :2], edges[3, 1, 1] = (1.0, -0.0), 0.5
+    edges[4, 0, 0], edges[4, 1, 0], edges[4, 1, 1] = 1.0, 1e-310, 0.5
+    yield edges
+    rng = np.random.default_rng(k)
+    for kappa, scale in itertools.product((1e8, 1e10, 1e12, 1e13),
+                                          (1e4, 1e200)):
+        yield scale * _with_singular_values(
+            rng, 20, np.array([1.0, 1.0 / kappa]), k)
+
+
 @pytest.mark.parametrize("r, k", POLAR_SHAPES)
 def test_polar_factor_matches_the_svd(r, k):
     # Over these draws (and two more seeds each) W W^T - I stayed within
     # 3 eps per entry and W within 5 eps kappa of gesdd's U V^T, kappa the
-    # matrix's condition number; entries of order 1e200 would overflow the
-    # Gram A A^T without the power-of-two scaling.
+    # matrix's condition number.
     eps = np.finfo(float).eps
-    rng = np.random.default_rng(10 * r + k)
-    for n, kappa, scale in itertools.product(
-            (1, 2, 240), (1.0, 1e2, 1e4, 1e6), (1.0, 1e200)):
-        A = scale * _with_singular_values(
-            rng, n, np.geomspace(1.0, 1.0 / kappa, r), k)
+    draws = _polar_draws(r, k)
+    if r == 2:
+        draws = itertools.chain(draws, _rotation_edge_cases(k))
+    for A in draws:
         W = factorization._polar(A, "A")
         assert np.abs(W @ np.swapaxes(W, 1, 2) - np.eye(r)).max() <= 4 * eps
         u, s, vt = np.linalg.svd(A, full_matrices=False)
         tol = 8 * eps * s[:, 0] / s[:, -1]
         assert np.all(np.abs(W - u @ vt).max(axis=(1, 2)) <= tol)
+
+
+def test_rotation_diagonalizes_edge_case_grams():
+    # The Grams the matmul of _polar may or may not produce: signed zero
+    # off-diagonals with either diagonal order, where atan2 turns from
+    # 0 to -pi; a subnormal off-diagonal; the identity and zero.
+    eps = np.finfo(float).eps
+    G = np.zeros((8, 2, 2))
+    G[:6, 0, 0], G[:6, 1, 1] = [1.0, 0.25, 1.0, 0.25, 1.0, 0.25], \
+        [0.25, 1.0, 0.25, 1.0, 0.25, 1.0]
+    G[2:4, 0, 1] = G[2:4, 1, 0] = -0.0
+    G[4:6, 0, 1] = G[4:6, 1, 0] = 1e-310
+    G[6] = np.eye(2)
+    V = factorization._rotation(G)
+    Vt = np.swapaxes(V, 1, 2)
+    assert np.abs(Vt @ V - np.eye(2)).max() <= eps
+    D = Vt @ G @ V
+    assert np.all(np.abs(D[:, 0, 1]) <= eps * np.abs(G).max(axis=(1, 2)))
+    assert np.all(D[:, 0, 0] >= D[:, 1, 1])
+
+
+def _eigh_polar(A, name):
+    """The polar factor as computed before the closed-form rotation: V
+    from one batched eigh of the Grams at every r.  The reference for
+    the rotation at r = 2, and bit for bit the helper at every other r."""
+    unresolved = f"polar factor of {name} did not converge"
+    if not np.isfinite(A).all():
+        raise DegenerateProjection(unresolved)
+    exponent = np.frexp(np.abs(A).max(axis=(-2, -1)))[1]
+    A = np.ldexp(A, -exponent[..., None, None])
+    try:
+        V = np.linalg.eigh(factorization._gram(A))[1]
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateProjection(unresolved) from exc
+    R = np.swapaxes(V, -1, -2) @ A
+    s = np.sqrt(np.einsum("...ij,...ij->...i", R, R))
+    factorization._check_singular_values(s, exponent, name)
+    R = R / s[..., None]
+    E = factorization._gram(R) - np.eye(A.shape[-2])
+    W = V @ (R - (E * (s[..., None, :] / (s[..., :, None] + s[..., None, :])))
+                 @ R)
+    far = np.abs(E).max(axis=(-2, -1)) >= factorization.UNRESOLVED_TOL
+    if far.any():
+        try:
+            u, s, vt = np.linalg.svd(A[far], full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateProjection(unresolved) from exc
+        factorization._check_singular_values(s, exponent[far], name)
+        W[far] = u @ vt
+    return 1.5 * W - 0.5 * factorization._gram(W) @ W
+
+
+@pytest.mark.parametrize("r, k", POLAR_SHAPES)
+def test_polar_factor_matches_the_eigh_route(r, k):
+    # At r = 2 the two routes' eigenvectors differ by rounding in the
+    # Gram, which the corrections leave at a few eps kappa in W (at most
+    # 1.5 eps kappa over these draws and two more seeds each); at every
+    # other r the helper is the eigh route itself.
+    eps = np.finfo(float).eps
+    for A in _polar_draws(r, k):
+        W, reference = factorization._polar(A, "A"), _eigh_polar(A, "A")
+        if r == 2:
+            s = np.linalg.svd(A, compute_uv=False)
+            tol = 4 * eps * s[:, 0] / s[:, -1]
+            assert np.all(np.abs(W - reference).max(axis=(1, 2)) <= tol)
+        else:
+            assert W.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("smallest", [5e-11, 2e-10])
@@ -288,9 +386,12 @@ def test_polar_factor_refuses_what_the_svd_finds_singular(r, k, smallest):
         else:
             factorization._polar(a[None], "A")
     # Scaled to 1e-200 every singular value is below the absolute
-    # tolerance, which the power-of-two scaling must not hide.
-    with pytest.raises(DegenerateProjection, match="smallest singular value"):
-        factorization._polar(1e-200 * A, "A")
+    # tolerance, which the power-of-two scaling must not hide; the zero
+    # matrix (at r = 2 a zero Gram, so atan2(0, 0)) has none above it.
+    for degenerate in (1e-200 * A, np.zeros((1, r, k))):
+        with pytest.raises(DegenerateProjection,
+                           match="smallest singular value"):
+            factorization._polar(degenerate, "A")
 
 
 @pytest.mark.parametrize("s", [[1.0, 1e-7, 5e-8], [1.0, 1e-7, 5e-8, 2e-8],
