@@ -104,7 +104,7 @@ class DegenerateProjection(RavineGDError):
     """The Procrustes-type projection is not unique at this point: a
     polar factor's smallest singular value is below 1e-10, or the factor
     did not converge (a non-finite matrix, or one LAPACK cannot
-    decompose)."""
+    decompose: the Grams' eigh at r != 2, the SVD fallback at any r)."""
 
 
 class NewtonDivergence(RavineGDError):

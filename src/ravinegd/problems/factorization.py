@@ -233,9 +233,9 @@ def factorization_project_solution_rows(Bs, inst: FactorizationInstance):
 
     Writes the candidate as A = L O with O O^T = I and maximizes
     <L^T B, O>: with L^T B = U S V^T, the optimum is O = U V^T, the polar
-    factor of L^T B, which comes from one batched eigh of the r x r Grams
-    (on a 2-core machine, about 0.85 us per matrix in a stack of 256 at
-    d=5, r=2, k=3; a single matrix takes about 33 us).  Raises
+    factor of L^T B, which comes from the eigenvectors of the r x r Grams
+    (on a 2-core machine, about 0.7 us per matrix in a stack of 256 at
+    d=5, r=2, k=3; a single matrix takes about 39 us).  Raises
     :class:`DegenerateProjection` when L^T B is nearly singular or not
     finite for any matrix (the nearest point is not unique or not
     defined).
@@ -249,13 +249,13 @@ def factorization_retraction_rows(Bs, inst: FactorizationInstance) -> np.ndarray
 
     In the eigenbasis of X: P maps to its nearest point of {P : P P^T = D}
     (a scaled Procrustes, P~ = D^(1/2) W with W = U V^T the polar factor
-    of D^(1/2) P, from one batched eigh of the r x r Grams) and each row
+    of D^(1/2) P, from the eigenvectors of the r x r Grams) and each row
     of Q is projected onto ker(P~).  The rows of W are orthonormal, so
     P~ P~^T = D and the projector onto the row space of P~,
     P~^T (P~ P~^T)^(-1) P~, is W^T W: the projection is the closed form
     Q - (Q W^T) W, two (k x r)-sized products per matrix and no solve.
     On a 2-core machine a stack of 256 at d=5, r=2, k=3 takes about
-    1.0 us per matrix, a single matrix about 38 us.  Raises
+    1.0 us per matrix, a single matrix about 47 us.  Raises
     :class:`DegenerateProjection` when any matrix is degenerate or not
     finite.
     """
